@@ -9,26 +9,21 @@ UW-CSE and HIV workloads:
 * **query coverage, batched** — the whole candidate-clause generation in one
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
   table per head signature across the batch, ``sqlite-pooled`` fans the
-  clauses out over snapshot connections (``--parallelism``), and
-  ``sqlite-sharded`` fans the example axis over ``--shards`` worker
-  processes;
+  clauses out over snapshot connections (``--parallelism``);
 * **subsumption coverage** — the Python θ-subsumption engine vs the compiled
   saturation-store path (one statement tests a clause against every
   example's saturation at once).
 
 The script asserts that every backend and every path covers **identical**
-example sets for every candidate clause (parity) — including the
-**cross-shard** check that the sharded backend answers identically at
-``shards=1`` and ``--shards N``.  Run it standalone::
+example sets for every candidate clause (parity).  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
-        [--backend {memory,sqlite,sqlite-pooled,sqlite-sharded,both,all}]
-        [--repeats N] [--seed N] [--parallelism N] [--shards N] [--json PATH]
+        [--backend {memory,sqlite,sqlite-pooled,both,all}]
+        [--repeats N] [--seed N] [--parallelism N] [--json PATH]
 
 ``--json`` writes a machine-readable summary (CI uploads it as the
-per-commit benchmark artifact); it records the shard configuration.  Exit
-status is non-zero on any parity mismatch — cross-backend or cross-shard —
-so CI can gate on it.
+per-commit benchmark artifact).  Exit status is non-zero on any parity
+mismatch, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -40,9 +35,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
-from repro.database.backend import configure_backend_sharding
 from repro.database.instance import DatabaseInstance
-from repro.distributed.sharding import DEFAULT_STRATEGY
 from repro.datasets import hiv, uwcse
 from repro.learning.coverage import (
     BatchCoverageEngine,
@@ -53,19 +46,14 @@ from repro.learning.examples import Example
 from repro.logic.clauses import HornClause
 from repro.obs import provenance, span as obs_span, tracer as obs_tracer
 
-QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pooled", "sqlite-sharded")
+QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pooled")
 
 
-def materialize(base_instance: DatabaseInstance, backend: str, shards: int):
-    """The workload instance on ``backend`` (sharded backends configured)."""
-    instance = (
-        base_instance
-        if backend == base_instance.backend_name
-        else base_instance.with_backend(backend)
-    )
-    if backend == "sqlite-sharded":
-        configure_backend_sharding(instance.backend, shards)
-    return instance
+def materialize(base_instance: DatabaseInstance, backend: str) -> DatabaseInstance:
+    """The workload instance on ``backend``."""
+    if backend == base_instance.backend_name:
+        return base_instance
+    return base_instance.with_backend(backend)
 
 
 def candidate_clauses(
@@ -168,7 +156,6 @@ def run_workload(
     repeats: int,
     parallelism: int,
     clause_count: int,
-    shards: int,
 ) -> Tuple[Dict[str, object], bool]:
     """Benchmark one dataset; returns the result record and a parity flag."""
     variant = bundle.variant_names[0]
@@ -201,13 +188,7 @@ def run_workload(
     batched: Dict[str, List[frozenset]] = {}
     instances: Dict[str, DatabaseInstance] = {}
     for backend in backends:
-        instances[backend] = materialize(base_instance, backend, shards)
-    if "sqlite-sharded" in instances:
-        # Spawn + initialize the worker fleet outside the timed region: a
-        # learning run pays service startup once, not per generation.
-        time_batched(
-            instances["sqlite-sharded"], clauses[:2], examples, 1, parallelism
-        )
+        instances[backend] = materialize(base_instance, backend)
 
     print("  query coverage (sequential, one call per clause):")
     for backend in backends:
@@ -217,8 +198,7 @@ def run_workload(
         record["query_sequential_seconds"][backend] = seconds
         print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
 
-    shard_note = f", shards={shards}" if "sqlite-sharded" in backends else ""
-    print(f"  query coverage (batched, parallelism={parallelism}{shard_note}):")
+    print(f"  query coverage (batched, parallelism={parallelism}):")
     for backend in backends:
         if backend == "memory":
             continue  # no batched entry point beyond the sequential loop
@@ -243,39 +223,6 @@ def run_workload(
             "  parity: identical covered sets across "
             f"{'/'.join(backends)} (sequential and batched)"
         )
-
-    if "sqlite-sharded" in backends and shards > 1:
-        # Cross-shard parity: the sharded backend must answer identically
-        # however many workers the batch is split over.  (Skipped for
-        # --shards 1, where the comparison would be vacuous.)
-        single = materialize(base_instance, "sqlite-sharded", 1)
-        try:
-            _seconds, single_sets = time_batched(
-                single, clauses, examples, 1, parallelism
-            )
-        finally:
-            single.backend.close()
-        record["cross_shard_parity"] = {
-            "shards_compared": [1, shards],
-            "strategy": instances["sqlite-sharded"].backend.strategy,
-        }
-        for index, (expected, actual) in enumerate(
-            zip(single_sets, batched["sqlite-sharded"])
-        ):
-            if expected != actual:
-                parity = False
-                print(
-                    f"  CROSS-SHARD PARITY MISMATCH [clause {index}]: "
-                    f"{sorted(expected ^ actual)} differ between "
-                    f"shards=1 and shards={shards}"
-                )
-        if parity:
-            print(
-                "  parity: sqlite-sharded identical at shards=1 and "
-                f"shards={shards}"
-            )
-    if "sqlite-sharded" in backends:
-        instances["sqlite-sharded"].backend.close()
 
     # Subsumption coverage: Python engine vs compiled saturation store.
     from repro.database.sqlite_backend import SaturationStore
@@ -333,10 +280,6 @@ def run_workload(
         speedups["pooled_batched_vs_sqlite_sequential"] = (
             seq["sqlite"] / bat["sqlite-pooled"]
         )
-    if "sqlite" in seq and "sqlite-sharded" in bat and bat["sqlite-sharded"] > 0:
-        speedups["sharded_batched_vs_sqlite_sequential"] = (
-            seq["sqlite"] / bat["sqlite-sharded"]
-        )
     if "sqlite" in seq and "sqlite" in bat and bat["sqlite"] > 0:
         speedups["sqlite_batched_vs_sqlite_sequential"] = seq["sqlite"] / bat["sqlite"]
     if compiled_warm_seconds > 0:
@@ -353,12 +296,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=[
-            "memory", "sqlite", "sqlite-pooled", "sqlite-sharded", "both", "all",
-        ],
+        choices=["memory", "sqlite", "sqlite-pooled", "both", "all"],
         default="all",
-        help="which storage/evaluation backend(s) to run (default: all); "
-        "sqlite-sharded always also times sqlite as its speedup baseline",
+        help="which storage/evaluation backend(s) to run (default: all)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="small datasets, one repeat (CI smoke)"
@@ -370,12 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=4,
         help="clause-level fan-out for the batched/pooled path (default: 4)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="worker-process count for the sqlite-sharded backend (default: 4)",
     )
     parser.add_argument(
         "--json",
@@ -405,10 +339,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         backends = list(QUERY_BACKENDS)
     elif args.backend == "both":
         backends = ["memory", "sqlite"]
-    elif args.backend == "sqlite-sharded":
-        # The acceptance target is sharded-batched vs sequential
-        # single-connection sqlite, so always time the baseline too.
-        backends = ["sqlite", "sqlite-sharded"]
     else:
         backends = [args.backend]
     repeats = args.repeats or (1 if args.quick else 3)
@@ -424,8 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     records: List[Dict[str, object]] = []
     all_parity = True
-    # One root span per workload: with --trace, the sharded path's
-    # service.shard and worker spans all nest under it.
+    # One root span per workload: with --trace, every coverage span nests
+    # under it.
     with obs_span("bench.workload", benchmark="backend_parity", workload="uwcse"):
         uwcse_record, parity = run_workload(
             "uwcse",
@@ -434,7 +364,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             repeats,
             args.parallelism,
             clause_count,
-            args.shards,
         )
     records.append(uwcse_record)
     all_parity &= parity
@@ -446,7 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             repeats,
             args.parallelism,
             clause_count,
-            args.shards,
         )
     records.append(hiv_record)
     all_parity &= parity
@@ -460,8 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "repeats": repeats,
                 "seed": args.seed,
                 "parallelism": args.parallelism,
-                "shards": args.shards,
-                "sharding_strategy": DEFAULT_STRATEGY,
             },
             "parity_ok": bool(all_parity),
             "workloads": records,
@@ -478,19 +404,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not all_parity:
         print("\nFAIL: coverage paths disagree on covered examples")
         return 1
-    warned = False
-    for label in (
-        "pooled_batched_vs_sqlite_sequential",
-        "sharded_batched_vs_sqlite_sequential",
-    ):
-        target = uwcse_record["speedups"].get(label)
-        if target is not None and target < 2.0:
-            warned = True
-            print(
-                f"\nWARN: parity holds but {label} was only {target:.2f}x "
-                "on UW-CSE (target: >= 2x; expect less on few cores)"
-            )
-    if not warned:
+    label = "pooled_batched_vs_sqlite_sequential"
+    target = uwcse_record["speedups"].get(label)
+    if target is not None and target < 2.0:
+        print(
+            f"\nWARN: parity holds but {label} was only {target:.2f}x "
+            "on UW-CSE (target: >= 2x; expect less on few cores)"
+        )
+    else:
         print("\nPASS: parity holds across all backends and coverage paths")
     return 0
 

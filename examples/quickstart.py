@@ -9,12 +9,6 @@ advisedBy pairs into train/test, learns a Horn definition with Castor
 through a :class:`LearningSession` (the unified front door: one validated
 config instead of per-learner knobs), and prints the definition together
 with its precision and recall.
-
-To learn against a persistent evaluation server instead — so repeated runs
-reuse one warm worker fleet — start one and swap the session line::
-
-    python -m repro.distributed.service --serve 127.0.0.1:7463
-    # then: session = repro.connect("127.0.0.1:7463")
 """
 
 from __future__ import annotations

@@ -14,12 +14,8 @@ The package provides:
 * :mod:`repro.querybased` — query-based (MQ/EQ) learning and the A2 algorithm;
 * :mod:`repro.datasets` — synthetic UW-CSE, HIV, and IMDb datasets with the
   paper's schema variants;
-* :mod:`repro.distributed` — the sharded multi-process evaluation service
-  behind the ``"sqlite-sharded"`` backend, plus the persistent evaluation
-  server (``python -m repro.distributed.service --serve``); see
-  ``docs/distributed.md``;
 * :mod:`repro.session` — the unified front door: :class:`SessionConfig` +
-  :class:`LearningSession` own backend/service/store lifecycle (see
+  :class:`LearningSession` own backend/store lifecycle (see
   ``docs/session.md``);
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation.
@@ -52,7 +48,7 @@ from .logic import Atom, Constant, HornClause, HornDefinition, Variable, parse_c
 from .progol import AlephFoilLearner, ProgolLearner, ProgolParameters
 from .progolem import ProGolemLearner, ProGolemParameters
 from .querybased import A2Learner, HornOracle
-from .session import LearningSession, SessionConfig, connect
+from .session import LearningSession, SessionConfig
 from .transform import ComposeOperation, DecomposeOperation, SchemaTransformation
 
 __version__ = "1.0.0"
@@ -89,7 +85,6 @@ __all__ = [
     "SchemaTransformation",
     "SessionConfig",
     "Variable",
-    "connect",
     "cross_validate",
     "evaluate_definition",
     "parse_clause",

@@ -2,7 +2,7 @@
 
 ``python -m repro.analysis.ratchet`` runs mypy over ``src/repro`` (the
 config lives in the repository's ``mypy.ini``), aggregates errors per
-top-level subpackage (``repro.distributed``, ``repro.learning``, ...), and
+top-level subpackage (``repro.session``, ``repro.learning``, ...), and
 compares against the committed baseline ``analysis/mypy_ratchet.json``:
 
 * a module whose count **exceeds** its baseline budget fails the check
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 DEFAULT_BASELINE = "analysis/mypy_ratchet.json"
 DEFAULT_TARGET = "src/repro"
 
-#: ``src/repro/distributed/server.py:12: error: ...`` (column optional).
+#: ``src/repro/session/session.py:12: error: ...`` (column optional).
 _ERROR_LINE_RE = re.compile(
     r"^(?P<path>[^:\n]+\.py):\d+(?::\d+)?:\s*error:"
 )
@@ -40,7 +40,7 @@ _ERROR_LINE_RE = re.compile(
 def module_for_path(path: str) -> str:
     """Aggregation key for one reported file: its top-level subpackage.
 
-    ``src/repro/distributed/server.py`` -> ``repro.distributed``;
+    ``src/repro/session/session.py`` -> ``repro.session``;
     files directly under ``repro/`` fold into the ``repro`` bucket.
     """
     parts = Path(path.replace("\\", "/")).parts

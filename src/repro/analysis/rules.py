@@ -1,26 +1,22 @@
-"""The domain rule battery: REP001–REP006.
+"""The domain rule battery: REP001–REP004 and REP006.
 
 Each rule encodes an invariant this codebase established in earlier PRs
 but until now enforced only through docs and review:
 
-* **REP001 wire-safety** — executable serialization (``pickle``,
-  ``marshal``) and ``eval``/``exec`` stay inside the trusted
-  coordinator↔worker seam.  The untrusted client seam speaks tagged JSON
-  only (``docs/distributed.md``).
+* **REP001 wire-safety** — no executable serialization (``pickle``,
+  ``marshal``) and no ``eval``/``exec``; the one justified use carries a
+  reasoned suppression.
 * **REP002 capability-guard** — capability-gated backend calls
   (``neighbors_of_batch``, concurrent-read prefetching) must be dominated
   by a ``supports_*`` probe, or live in a class that declares the
   capability.
 * **REP003 obs-discipline** — no ad-hoc ``self.<counter> += 1`` or
-  ``time.time()`` timing in ``distributed/``/``learning/``/``database/``;
+  ``time.time()`` timing in ``learning/``/``database/``;
   counters and timings route through :mod:`repro.obs`.  Span names follow
   the documented dotted ``noun.verb`` grammar.
 * **REP004 lock-order** — the static lock-acquisition graph must stay
   acyclic, and blocking calls (socket ``recv``, ``subprocess``, queue
   ``get`` without a timeout) may not run inside a held-lock region.
-* **REP005 typed-wire-errors** — code reachable from server/client
-  request handlers raises only the typed wire-crossing errors from the
-  hardening PR, never bare ``Exception``/``RuntimeError``.
 * **REP006 tests-are-packages** — every test directory is a package
   (``__init__.py`` present); duplicate basenames otherwise break pytest
   collection (the ROADMAP convention).
@@ -32,7 +28,6 @@ them at fixture trees; the defaults encode this repository's layout.
 from __future__ import annotations
 
 import ast
-import fnmatch
 import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -84,42 +79,20 @@ def _iter_functions(
     return walk(tree, None)
 
 
-def _path_matches(display_path: str, suffixes: Sequence[str]) -> bool:
-    return any(display_path.endswith(suffix) for suffix in suffixes)
-
-
 # --------------------------------------------------------------------- #
 # REP001 — wire safety
 # --------------------------------------------------------------------- #
 
 
 class WireSafetyRule(Rule):
-    """Pickle/marshal/eval may only appear on the trusted worker seam."""
+    """No pickle/marshal imports and no eval/exec calls."""
 
     rule_id = "REP001"
     name = "wire-safety"
-    description = (
-        "no pickle/marshal import or eval/exec call outside the trusted "
-        "coordinator<->worker modules"
-    )
-
-    #: The coordinator<->worker seam (spawned processes, HMAC-authenticated
-    #: sockets) plus the test modules dedicated to exercising that seam —
-    #: including the hardening tests that *send* pickle bombs to prove the
-    #: server rejects them.
-    DEFAULT_ALLOWLIST = (
-        "repro/distributed/protocol.py",
-        "repro/distributed/worker.py",
-        "tests/distributed/test_wire.py",
-        "tests/distributed/test_server_hardening.py",
-        "tests/distributed/test_shard_invariance.py",
-    )
+    description = "no pickle/marshal import or eval/exec call"
 
     BANNED_MODULES = ("pickle", "marshal")
     BANNED_BUILTINS = ("eval", "exec")
-
-    def __init__(self, allowlist: Sequence[str] = DEFAULT_ALLOWLIST):
-        self.allowlist = tuple(allowlist)
 
     def _excused_modules(self, ctx: ModuleContext) -> Set[str]:
         """Banned modules whose *import* carries a justified suppression.
@@ -147,8 +120,6 @@ class WireSafetyRule(Rule):
         return excused
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _path_matches(ctx.display_path, self.allowlist):
-            return
         excused = self._excused_modules(ctx)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -158,9 +129,8 @@ class WireSafetyRule(Rule):
                         yield self.finding(
                             ctx,
                             node,
-                            f"import of {root!r} outside the trusted "
-                            "coordinator<->worker seam; the client seam is "
-                            "tagged-JSON only",
+                            f"import of {root!r}: unpickling runs arbitrary "
+                            "code",
                         )
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
@@ -168,8 +138,8 @@ class WireSafetyRule(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"import from {root!r} outside the trusted "
-                        "coordinator<->worker seam",
+                        f"import from {root!r}: unpickling runs arbitrary "
+                        "code",
                     )
             elif isinstance(node, ast.Call):
                 func = node.func
@@ -182,8 +152,8 @@ class WireSafetyRule(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"call to {func.value.id}.{func.attr}() outside the "
-                        "trusted coordinator<->worker seam",
+                        f"call to {func.value.id}.{func.attr}() without a "
+                        "reasoned suppression on its import",
                     )
                 elif (
                     isinstance(func, ast.Name)
@@ -338,14 +308,13 @@ class ObsDisciplineRule(Rule):
     rule_id = "REP003"
     name = "obs-discipline"
     description = (
-        "no ad-hoc self.<counter> += 1 or time.time() in distributed/"
-        "learning/database; span names follow the noun.verb grammar"
+        "no ad-hoc self.<counter> += 1 or time.time() in learning/"
+        "database; span names follow the noun.verb grammar"
     )
 
     #: packages where the registry is mandatory (the obs module itself and
     #: the algorithmic layers that predate it are out of scope).
     DEFAULT_SCOPED_DIRS = (
-        "repro/distributed/",
         "repro/learning/",
         "repro/database/",
     )
@@ -663,89 +632,6 @@ class LockOrderRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# REP005 — typed wire errors
-# --------------------------------------------------------------------- #
-
-
-class TypedWireErrorsRule(Rule):
-    """Handler-reachable code raises only typed wire-crossing errors."""
-
-    rule_id = "REP005"
-    name = "typed-wire-errors"
-    description = (
-        "server/client request handlers (and everything they call) raise "
-        "typed wire-crossing errors, never bare Exception/RuntimeError"
-    )
-
-    #: module suffix -> handler-root name patterns (fnmatch-style ``*``).
-    DEFAULT_HANDLER_ROOTS = {
-        "repro/distributed/server.py": ("handle_*", "_client_loop"),
-        "repro/distributed/client.py": ("request",),
-    }
-    BANNED = ("Exception", "RuntimeError", "BaseException")
-
-    def __init__(self, handler_roots: Optional[Dict[str, Sequence[str]]] = None):
-        self.handler_roots = dict(
-            self.DEFAULT_HANDLER_ROOTS if handler_roots is None else handler_roots
-        )
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        patterns: Optional[Sequence[str]] = None
-        for suffix, pats in self.handler_roots.items():
-            if ctx.display_path.endswith(suffix):
-                patterns = pats
-                break
-        if patterns is None:
-            return
-
-        functions = {
-            name: func
-            for func, _cls in _iter_functions(ctx.tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for name in [func.name]
-        }
-        # Intra-module call graph on simple names: handler roots plus
-        # everything they (transitively) call is "wire-visible".
-        reachable: Set[str] = set()
-        frontier = [
-            name
-            for name in functions
-            if any(fnmatch.fnmatch(name, pat) for pat in patterns)
-        ]
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            for node in ast.walk(functions[name]):
-                if isinstance(node, ast.Call):
-                    callee = _func_name(node)
-                    if callee in functions and callee not in reachable:
-                        frontier.append(callee)
-
-        for name in sorted(reachable):
-            func = functions[name]
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                exc = node.exc
-                exc_name = None
-                if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
-                    exc_name = exc.func.id
-                elif isinstance(exc, ast.Name):
-                    exc_name = exc.id
-                if exc_name in self.BANNED:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"raise {exc_name} in {name}() is wire-visible "
-                        "(reachable from a request handler); raise a typed "
-                        "wire-crossing error so clients can dispatch on "
-                        "the kind",
-                    )
-
-
-# --------------------------------------------------------------------- #
 # REP006 — tests are packages
 # --------------------------------------------------------------------- #
 
@@ -793,6 +679,5 @@ def default_rules() -> List[Rule]:
         CapabilityGuardRule(),
         ObsDisciplineRule(),
         LockOrderRule(),
-        TypedWireErrorsRule(),
         TestsArePackagesRule(),
     ]

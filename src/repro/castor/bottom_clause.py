@@ -71,7 +71,6 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         schema: Optional[Schema] = None,
         config: Optional[CastorBottomClauseConfig] = None,
         use_compiled_lookups: Optional[bool] = None,
-        theory_constants: Optional[Set[object]] = None,
     ):
         # The working schema must be bound before the base constructor runs
         # theory-constant inference (which consults its FDs/INDs).
@@ -80,7 +79,6 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
             instance,
             config or CastorBottomClauseConfig(),
             use_compiled_lookups=use_compiled_lookups,
-            theory_constants=theory_constants,
         )
         self._inds_by_relation: Dict[str, List[InclusionDependency]] = {}
         # Compiled per-relation chase plan: (other relation, own positions,
@@ -91,22 +89,6 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
 
     def _theory_schema(self) -> Schema:
         return self.schema
-
-    def saturation_spec(self) -> Optional[Tuple[object, ...]]:
-        """Picklable recipe a shard worker rebuilds this builder from.
-
-        Carries the working schema (the IND set the chase follows) and this
-        builder's theory constants next to the config, so worker-side
-        clauses are identical to in-process ones.
-        """
-        if type(self) is not CastorBottomClauseBuilder:
-            return None
-        return (
-            "castor-bottom",
-            self.schema,
-            self.config,
-            frozenset(self.theory_constants),
-        )
 
     # ------------------------------------------------------------------ #
     # Metadata preparation (the "stored procedure" compilation step)

@@ -112,22 +112,6 @@ class CastorCoverageEngine(SubsumptionCoverageEngine):
             instance, self.working_schema, saturation_config
         )
 
-    def shard_spec(self):
-        """Recipe for rebuilding this engine inside a shard worker.
-
-        Carries the working schema (the IND set the builder chases) and the
-        builder config, so worker-side saturations — and therefore coverage
-        decisions — are identical to the coordinator's.
-        """
-        if type(self) is not CastorCoverageEngine:
-            return None
-        return (
-            "castor",
-            self.working_schema,
-            self.builder.config,
-            self.compiled_enabled,
-        )
-
 
 class CastorClauseLearner(ProGolemClauseLearner):
     """Castor's LearnClause (Algorithm 4): IND-aware seed, ARMG, and reduction."""
@@ -210,7 +194,6 @@ class CastorLearner(ProGolemLearner):
         threads: int = 1,
         backend: Optional[str] = None,
         parallelism: Optional[int] = None,
-        shards: Optional[int] = None,
         saturation_store=None,
         context=None,
     ):
@@ -221,7 +204,6 @@ class CastorLearner(ProGolemLearner):
             parallelism=parallelism,
             saturation_store=saturation_store,
             backend=backend,
-            shards=shards,
             context=context,
         )
         self.parameters: CastorParameters = self.parameters
@@ -274,8 +256,8 @@ class CastorLearner(ProGolemLearner):
         )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        # Backend conversion and shard configuration happen in the base
-        # class's learn() — one normalization path for the whole family.
+        # Backend conversion happens in the base class's learn() — one
+        # normalization path for the whole family.
         definition = super().learn(instance, examples)
         if self.parameters.ensure_safe:
             safe_clauses = [clause for clause in definition if clause.is_safe()]

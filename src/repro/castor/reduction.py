@@ -32,7 +32,7 @@ class NegativeReducer:
     Each negative-coverage probe (one prefix clause against the whole
     negative example list) is routed through a
     :class:`~repro.learning.coverage.BatchCoverageEngine`, so a probe is a
-    single batched — poolable / shardable — evaluation rather than a
+    single batched — poolable — evaluation rather than a
     per-example Python loop; the prefix boundary search additionally probes
     ``probe_width`` interior points per round (multi-way section search) so
     one batched call narrows the boundary as much as ``probe_width``
@@ -66,7 +66,7 @@ class NegativeReducer:
         if probe_width is None:
             # Default the section width to the batch's clause-level fan-out:
             # sequential configurations keep bisection's probe count, while
-            # pooled/sharded ones trade extra (concurrent) probes for fewer
+            # pooled ones trade extra (concurrent) probes for fewer
             # rounds.
             probe_width = self.batch.parallelism if self.batch is not None else 1
         self.probe_width = max(1, int(probe_width))

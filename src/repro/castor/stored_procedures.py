@@ -12,8 +12,7 @@ the builders ride it.
   ``use_stored_procedures=True``) the IND/inclusion-class metadata is
   compiled once per schema, frontier expansion goes through the compiled
   backend capability, and whole example batches are saturated in one
-  :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call (fanned
-  across the shard workers on ``"sqlite-sharded"``).
+  :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call.
 * **Without stored procedures** the runner re-derives the schema metadata for
   every example and issues one client-side ``tuples_containing`` round-trip
   per frontier constant — the tuple-at-a-time client path the paper's
@@ -89,9 +88,8 @@ class StoredProcedureRunner:
         """Bottom clauses for a batch of examples (in input order).
 
         The stored-procedure path saturates the whole batch in one
-        :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call
-        (sharded backends fan it across their worker fleet); the client path
-        pays per example, as the real client would.
+        :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call;
+        the client path pays per example, as the real client would.
         """
         if self.use_stored_procedures:
             return self._batch_engine.build_ground_batch(examples)

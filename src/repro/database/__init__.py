@@ -31,7 +31,7 @@ from .constraints import (
     inds_are_cyclic,
 )
 from .csv_io import load_instance, load_schema, relation_counts, save_instance
-from .delta import Delta, as_delta
+from .delta import Delta
 from .instance import DatabaseInstance, RelationInstance
 from .query import QueryEvaluator, evaluate_clause, evaluate_definition
 from .schema import RelationSchema, Schema
@@ -48,7 +48,6 @@ __all__ = [
     "Backend",
     "DatabaseInstance",
     "Delta",
-    "as_delta",
     "MemoryBackend",
     "PooledSQLiteBackend",
     "RelationBackend",

@@ -11,8 +11,7 @@ substrate swappable:
   and may additionally expose *set-at-a-time* query evaluation (see
   :mod:`repro.database.sqlite_backend`);
 * a name registry so callers can select a backend with a plain string
-  (``"memory"``, ``"sqlite"``, ``"sqlite-pooled"``, or the multi-process
-  ``"sqlite-sharded"``), e.g.
+  (``"memory"``, ``"sqlite"`` or ``"sqlite-pooled"``), e.g.
   ``DatabaseInstance(schema, backend="sqlite")`` or an experiment-harness
   ``--backend`` knob.
 
@@ -29,7 +28,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    Optional,
     Protocol,
     Sequence,
     Set,
@@ -125,7 +123,7 @@ class Backend(Protocol):
     #: learners consult this before overlapping phases — e.g. prefetching
     #: saturation materialization on a worker thread while the main thread
     #: keeps querying.  The plain single-connection SQLite backend is NOT
-    #: concurrent-read-safe; the memory, pooled, and sharded backends are.
+    #: concurrent-read-safe; the memory and pooled backends are.
     supports_concurrent_reads: bool
 
     def make_relation(self, schema: RelationSchema) -> RelationBackend:
@@ -254,8 +252,8 @@ def create_backend(backend: Union[str, Backend, None]) -> Backend:
 
 # Best-effort knobs stay best-effort across the whole stack, but silently
 # ignoring an explicit setting hides typos and wasted configuration — every
-# layer (this registry, the session config, the distributed client) says so
-# once per distinct situation through this shared registry.
+# layer (this registry, the session config) says so once per distinct
+# situation through this shared registry.
 _WARNED: Set[str] = set()
 
 
@@ -265,28 +263,6 @@ def warn_once(message: str, stacklevel: int = 3) -> None:
         return
     _WARNED.add(message)
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
-
-
-def configure_backend_sharding(backend: Backend, shards: Optional[int]) -> bool:
-    """Best-effort ``shards`` knob, shared by learners/harness/benchmarks.
-
-    Configures the worker count on backends that expose a sharded
-    evaluation service (``configure_sharding``).  An explicit ``shards`` on
-    a backend without one warns once per backend name — never silently
-    ignored, never an error (the knob only moves work, results are
-    identical).  Returns whether the setting was applied.
-    """
-    if shards is None:
-        return True
-    configure = getattr(backend, "configure_sharding", None)
-    if configure is None:
-        warn_once(
-            f"backend {getattr(backend, 'name', '?')!r} has no sharded "
-            f"evaluation service; ignoring shards={shards}"
-        )
-        return False
-    configure(shards=shards)
-    return True
 
 
 def _sqlite_factory() -> Backend:
@@ -301,22 +277,6 @@ def _sqlite_pooled_factory() -> Backend:
     return PooledSQLiteBackend()
 
 
-def _sqlite_sharded_factory() -> Backend:
-    from ..distributed.backend import ShardedSQLiteBackend
-
-    return ShardedSQLiteBackend()
-
-
-def _sqlite_remote_factory() -> Backend:
-    # Unconfigured until ``configure_remote``/``LearningSession.connect``
-    # binds it to a persistent evaluation server; storage works regardless.
-    from ..distributed.client import RemoteBackend
-
-    return RemoteBackend()
-
-
 register_backend("memory", MemoryBackend)
 register_backend("sqlite", _sqlite_factory)
 register_backend("sqlite-pooled", _sqlite_pooled_factory)
-register_backend("sqlite-sharded", _sqlite_sharded_factory)
-register_backend("sqlite-remote", _sqlite_remote_factory)

@@ -4,11 +4,9 @@ A :class:`Delta` is an ordered batch of tuple-level changes against a
 :class:`~repro.database.instance.DatabaseInstance`: each op is an
 ``(op, relation, rows)`` triple where ``op`` is ``"add"`` or ``"remove"``,
 ``relation`` names a relation symbol, and ``rows`` is a tuple of value
-tuples.  This is the same shape the sharded backend's mutation log has
-always recorded internally; promoting it to a public type gives every
-layer — instances, backends, shard workers, the saturation/coverage
-engines, and :meth:`LearningSession.update` — one shared, wire-encodable
-vocabulary for "what changed".
+tuples.  It gives every layer — instances, backends, the
+saturation/coverage engines, and :meth:`LearningSession.update` — one
+shared vocabulary for "what changed".
 
 Semantics (the contract every consumer relies on):
 
@@ -16,7 +14,7 @@ Semantics (the contract every consumer relies on):
   same row deletes it, the reverse order inserts it.
 * **Set-based.** ``add`` of a row already present is a no-op; ``remove``
   of an absent row is a no-op (idempotent retraction — this is what makes
-  replaying a delta onto an already-updated shard safe).
+  replaying a delta onto an already-updated instance safe).
 * **Conservative footprint.** :meth:`touched_values` reports every value
   in every listed row regardless of whether the op was effective.
   Invalidation built on it may therefore over-approximate, never
@@ -154,34 +152,3 @@ class Delta:
 
     def __repr__(self) -> str:
         return f"Delta({len(self._ops)} ops, {self.row_count} rows)"
-
-    # Plain-tuple pickle state keeps the type cheap to ship to shard workers.
-    def __getstate__(self) -> Tuple[DeltaOp, ...]:
-        return self._ops
-
-    def __setstate__(self, state: Tuple[DeltaOp, ...]) -> None:
-        self._ops = state
-
-
-def as_delta(value: object) -> Delta:
-    """Normalize legacy mutation-log shapes into a :class:`Delta`.
-
-    Accepts a :class:`Delta`, one ``(op, relation, rows)`` triple, or an
-    iterable of such triples — the shapes PR 4's worker ``apply_diff``
-    historically received.
-    """
-    if isinstance(value, Delta):
-        return value
-    if (
-        isinstance(value, (tuple, list))
-        and len(value) == 3
-        and isinstance(value[0], str)
-        and value[0] in _VALID_OPS
-    ):
-        return Delta([value])
-    if isinstance(value, (tuple, list)):
-        combined = Delta()
-        for entry in value:
-            combined = combined.then(as_delta(entry))
-        return combined
-    raise ValueError(f"cannot interpret {value!r} as a Delta")

@@ -193,16 +193,13 @@ class DatabaseInstance:
         }
         # Transaction state: while a transaction() block is open, mutations
         # through the instance API are recorded and coalesced into one
-        # Delta, fired once to subscribers (and logged as one mutation-log
-        # record by backends with a delta-batch seam) at commit.
+        # Delta, fired once to subscribers at commit.
         self._txn_depth = 0
         self._txn_ops: List[Tuple[str, str, Tuple[Row, ...]]] = []
         self._delta_listeners: List[Callable[[Delta], None]] = []
         self._managed = False
-        # Backends that replicate the instance elsewhere (the sharded
-        # evaluation service) need the full schema — constraints included,
-        # since saturation construction reads FDs/INDs — not just the
-        # per-relation schemas make_relation sees.
+        # Backends that serve exactly one instance (memory) bind to it here,
+        # once every relation exists.
         bind_schema = getattr(self.backend, "bind_instance_schema", None)
         if bind_schema is not None:
             bind_schema(schema)
@@ -261,9 +258,8 @@ class DatabaseInstance:
 
         Inside the block, :meth:`add_tuple` / :meth:`add_tuples` /
         :meth:`remove_tuple` apply immediately but their change records are
-        buffered; at exit one coalesced delta is fired to subscribers and —
-        on backends with a mutation log — written as a single log record
-        instead of one record per call.  Transactions provide coalescing
+        buffered; at exit one coalesced delta is fired to subscribers
+        instead of one event per call.  Transactions provide coalescing
         and single-event notification, not rollback: if the block raises,
         tuples already mutated stay mutated and the partial delta is still
         committed (so incremental caches never silently diverge).
@@ -282,9 +278,6 @@ class DatabaseInstance:
         self._txn_depth += 1
         if self._txn_depth == 1:
             self._txn_ops = []
-            begin = getattr(self.backend, "begin_delta_batch", None)
-            if begin is not None:
-                begin()
 
     def _end_transaction(self) -> None:
         self._txn_depth -= 1
@@ -292,9 +285,6 @@ class DatabaseInstance:
             return
         delta = Delta(self._txn_ops).coalesced()
         self._txn_ops = []
-        end = getattr(self.backend, "end_delta_batch", None)
-        if end is not None:
-            end()
         if delta:
             self._notify(delta)
 
@@ -303,8 +293,7 @@ class DatabaseInstance:
 
         ``add`` ops ignore rows already present; ``remove`` ops ignore rows
         already absent.  Runs inside a transaction, so subscribers see one
-        event and mutation-log backends record one entry.  Returns the
-        applied delta.
+        event.  Returns the applied delta.
         """
         if not isinstance(delta, Delta):
             raise TypeError(f"apply_delta expects a Delta, got {type(delta).__name__}")
@@ -366,8 +355,8 @@ class DatabaseInstance:
             self._txn_ops.append(op)
         elif self._delta_listeners:
             # Only materialize a single-op Delta when someone is listening:
-            # per-tuple bulk loads (worker replay, dataset generation
-            # outside a transaction) would otherwise build one throwaway
+            # per-tuple bulk loads (dataset generation outside a
+            # transaction) would otherwise build one throwaway
             # object per row.
             self._notify(Delta([op]))
 

@@ -127,9 +127,7 @@ class SQLiteRelation:
         self,
         schema: RelationSchema,
         connection: sqlite3.Connection,
-        on_mutation: Optional[
-            Callable[[Optional[Tuple[str, str, Tuple[Row, ...]]]], None]
-        ] = None,
+        on_mutation: Optional[Callable[[], None]] = None,
     ):
         if schema.arity == 0:
             raise ValueError(
@@ -169,12 +167,9 @@ class SQLiteRelation:
             )
         return row_tuple
 
-    def _mutated(self, change: Optional[Tuple[str, str, Tuple[Row, ...]]] = None) -> None:
-        # ``change`` is ``(op, relation, rows)`` with op in {"add", "remove"};
-        # backends that ship incremental worker reloads log it (see
-        # ShardedSQLiteBackend), everyone else just bumps the data version.
+    def _mutated(self) -> None:
         if self._on_mutation is not None:
-            self._on_mutation(change)
+            self._on_mutation()
 
     def add(self, row: Sequence[object]) -> None:
         """Insert a tuple; silently ignores exact duplicates."""
@@ -187,7 +182,7 @@ class SQLiteRelation:
             values,
         )
         if cursor.rowcount != 0:
-            self._mutated(("add", self.schema.name, (values,)))
+            self._mutated()
 
     def add_all(self, rows: Iterable[Sequence[object]]) -> None:
         if self.mutation_guard is not None:
@@ -200,9 +195,7 @@ class SQLiteRelation:
             prepared,
         )
         if cursor.rowcount != 0:
-            # Duplicates that were ignored still appear in the change record;
-            # re-adding them on a diff reload is idempotent.
-            self._mutated(("add", self.schema.name, tuple(prepared)))
+            self._mutated()
 
     def remove(self, row: Sequence[object]) -> None:
         """Delete a tuple; raises KeyError if absent."""
@@ -218,7 +211,7 @@ class SQLiteRelation:
                 f"DELETE FROM {self._table} WHERE {self._all_match}", values
             )
             if cursor.rowcount > 0:
-                self._mutated(("remove", self.schema.name, (values,)))
+                self._mutated()
                 return
         raise KeyError(f"tuple {row_tuple!r} not in relation {self.schema.name!r}")
 
@@ -510,10 +503,7 @@ class SQLiteBackend:
         # independently of scratch writes (temp tables do not count).
         self._data_version = 0
 
-    def _bump_data_version(
-        self, change: Optional[Tuple[str, str, Tuple[Row, ...]]] = None
-    ) -> None:
-        del change  # subclasses that ship incremental reloads log it
+    def _bump_data_version(self) -> None:
         self._data_version += 1
 
     def make_relation(self, schema: RelationSchema) -> SQLiteRelation:
@@ -1279,8 +1269,9 @@ class SaturationStore:
         """Canonical dump: ``(target, head tuple) -> {(predicate, body row)}``.
 
         Independent of materialization order and example-id assignment, so
-        two stores filled through different paths (in-process vs sharded
-        saturation construction) can be compared for identical contents.
+        two stores filled through different paths (batched vs one-by-one,
+        incremental repair vs cold rebuild) can be compared for identical
+        contents.
         """
         with self._lock:
             heads: Dict[int, Tuple[str, Row]] = {}

@@ -109,17 +109,13 @@ class DatasetBundle:
         )
 
     def close(self) -> None:
-        """Close the backends of every materialized variant instance.
+        """Release every materialized variant instance.
 
-        Backends with worker fleets or connection pools (`sqlite-pooled`,
-        `sqlite-sharded`) hold real OS resources; owners of a converted
-        bundle (e.g. a `LearningSession`) call this instead of waiting for
-        the garbage collector.  Instances re-materialize lazily afterwards.
+        Owners of a converted bundle (e.g. a `LearningSession`) call this so
+        the instances — and their SQLite connections — are freed without
+        waiting for the owner itself to be collected.  Instances
+        re-materialize lazily afterwards.
         """
-        for instance in self._materialized.values():
-            close = getattr(instance.backend, "close", None)
-            if close is not None:
-                close()
         self._materialized.clear()
 
     def transformation(self, variant_name: str) -> SchemaTransformation:

@@ -13,19 +13,17 @@ The harness drives the paper's Section 9 methodology:
 Every entry point runs on the **session API**
 (:class:`~repro.session.session.LearningSession` /
 :class:`~repro.session.config.SessionConfig`): pass ``session=`` to share
-one session — and therefore one set of prepared instances, warm evaluation
-services, and saturation stores — across many calls, or keep passing the
-legacy ``backend=``/``parallelism=``/``shards=`` keywords and the harness
-wraps them in a per-call session for you.
+one session — and therefore one set of prepared instances and saturation
+stores — across many calls, or keep passing the legacy
+``backend=``/``parallelism=`` keywords and the harness wraps them in a
+per-call session for you.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..learning.evaluation import CrossValidationReport, cross_validate, evaluate_definition
 from ..logic.clauses import HornDefinition
@@ -48,52 +46,6 @@ class LearnerSpec:
 
     def __repr__(self) -> str:
         return f"LearnerSpec({self.name!r})"
-
-
-# --------------------------------------------------------------------- #
-# Deprecated per-knob helpers (kept as thin shims over the single
-# SessionConfig.apply normalization path)
-# --------------------------------------------------------------------- #
-_deprecation_warned = False
-
-
-def _warn_knob_helpers_deprecated() -> None:
-    global _deprecation_warned
-    if _deprecation_warned:
-        return
-    _deprecation_warned = True
-    warnings.warn(
-        "_apply_parallelism/_apply_shards are deprecated; "
-        "SessionConfig(...).apply(learner, instance=...) is the single "
-        "normalization path (see docs/session.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _apply_parallelism(learner: object, parallelism: Optional[int]) -> object:
-    """Deprecated: use :meth:`SessionConfig.apply`.
-
-    Kept as a shim so older call sites keep working; the warn-once
-    best-effort semantics live in :meth:`SessionConfig.apply` now.
-    """
-    if parallelism is None:
-        return learner
-    _warn_knob_helpers_deprecated()
-    return SessionConfig(parallelism=parallelism).apply(learner)
-
-
-def _apply_shards(instance: DatabaseInstance, shards: Optional[int]) -> None:
-    """Deprecated: use :meth:`SessionConfig.apply`.
-
-    Kept as a shim so older call sites keep working; warns once (via the
-    shared :func:`~repro.database.backend.configure_backend_sharding`
-    probe) when the instance's backend has no sharded service.
-    """
-    if shards is None:
-        return
-    _warn_knob_helpers_deprecated()
-    SessionConfig(shards=shards).apply(instance=instance)
 
 
 def _reject_knobs_with_session(**knobs: object) -> None:
@@ -151,7 +103,6 @@ def _session_for(
     session: Optional[LearningSession],
     backend: Optional[str],
     parallelism: Optional[int],
-    shards: Optional[int],
     reuse_saturation_store: bool = True,
 ) -> tuple:
     """Resolve the (session, owns_session) pair every entry point needs.
@@ -162,15 +113,12 @@ def _session_for(
     which direct ``SessionConfig`` construction rejects).
     """
     if session is not None:
-        _reject_knobs_with_session(
-            backend=backend, parallelism=parallelism, shards=shards
-        )
+        _reject_knobs_with_session(backend=backend, parallelism=parallelism)
         return session, False
     owned = LearningSession(
         SessionConfig(
             backend=backend,
             parallelism=parallelism,
-            shards=shards,
             reuse_saturation_store=reuse_saturation_store,
         )
     )
@@ -185,31 +133,29 @@ def run_variant(
     seed: int = 0,
     backend: Optional[str] = None,
     parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
     reuse_saturation_store: bool = True,
     presaturate: bool = False,
     session: Optional[LearningSession] = None,
 ) -> VariantResult:
     """Cross-validate one learner on one schema variant of the dataset.
 
-    With ``session=`` the run rides that session's prepared instances,
-    warm evaluation services, and shared saturation stores (repeat calls
-    start warm; ``backend``/``parallelism``/``shards`` then live on the
-    session's :class:`SessionConfig` and may not be passed here).  Without
-    it, the legacy keywords are wrapped in a per-call session: ``backend``
-    selects the storage/evaluation backend, ``parallelism`` the
-    clause-scoring fan-out, ``shards`` the worker count on sharded
-    backends (results are identical for every value of either; only
-    wall-clock time changes).  With ``reuse_saturation_store`` (default),
+    With ``session=`` the run rides that session's prepared instances and
+    shared saturation stores (repeat calls start warm; ``backend`` and
+    ``parallelism`` then live on the session's :class:`SessionConfig` and
+    may not be passed here).  Without it, the legacy keywords are wrapped
+    in a per-call session: ``backend`` selects the storage/evaluation
+    backend, ``parallelism`` the clause-scoring fan-out (results are
+    identical for every value; only wall-clock time changes).  With
+    ``reuse_saturation_store`` (default),
     learners with compiled subsumption coverage share one warm
     :class:`SaturationStore` across the folds of this variant; fold
     results are identical either way.  ``presaturate`` additionally
     materializes every example's saturation into that shared store
-    *before* the folds run — one batched call (sharded backends fan it
-    across their worker fleet), excluded from the per-fold learning times.
+    *before* the folds run — one batched call, excluded from the per-fold
+    learning times.
     """
     session, owns_session = _session_for(
-        session, backend, parallelism, shards, reuse_saturation_store
+        session, backend, parallelism, reuse_saturation_store
     )
     config = session.config
     effective_reuse = reuse_saturation_store and config.reuse_saturation_store
@@ -286,7 +232,6 @@ def run_schema_sweep(
     seed: int = 0,
     backend: Optional[str] = None,
     parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
     reuse_saturation_store: bool = True,
     presaturate: bool = False,
     session: Optional[LearningSession] = None,
@@ -298,14 +243,14 @@ def run_schema_sweep(
     that variant's warm instance and saturation store.
     """
     session, owns_session = _session_for(
-        session, backend, parallelism, shards, reuse_saturation_store
+        session, backend, parallelism, reuse_saturation_store
     )
     try:
         variants = list(variants or bundle.variant_names)
         # Convert once up front (and once per *session*, not per call): the
         # converted bundle caches the re-materialized instance per variant,
-        # so repeat sweeps on one session land on the same instances, warm
-        # fleets, and stores.
+        # so repeat sweeps on one session land on the same instances and
+        # stores.
         bundle = session.prepare_bundle(bundle)
         results: List[VariantResult] = []
         for learner_spec in learner_specs:
@@ -370,7 +315,6 @@ def check_schema_independence(
     seed: int = 0,
     backend: Optional[str] = None,
     parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
     session: Optional[LearningSession] = None,
 ) -> SchemaIndependenceReport:
     """Learn on every variant with the full training data and compare outputs.
@@ -380,7 +324,7 @@ def check_schema_independence(
     variants (Definition 3.10 instantiated on the actual data).
     """
     del seed  # accepted for signature compatibility; learning is seeded by parameters
-    session, owns_session = _session_for(session, backend, parallelism, shards)
+    session, owns_session = _session_for(session, backend, parallelism)
     try:
         variants = list(variants or bundle.variant_names)
         bundle = session.prepare_bundle(bundle)
@@ -395,7 +339,7 @@ def check_schema_independence(
                 if hasattr(learner, "saturation_store")
                 else None
             )
-            session.apply(learner, instance=instance, saturation_store=store)
+            session.apply(learner, saturation_store=store)
             if session.config.presaturate:
                 # Honored here like in run_variant: an explicit setting is
                 # never silently ignored (warn paths live in presaturate).

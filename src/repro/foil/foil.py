@@ -204,17 +204,15 @@ class FoilLearner(EvaluationKnobs):
         parameters: Optional[FoilParameters] = None,
         backend: Optional[str] = None,
         parallelism: Optional[int] = None,
-        shards: Optional[int] = None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or FoilParameters()
-        # Deliberately only the backend/shards half of the mixin's knob
-        # set: query coverage has no saturations and no compiled
-        # subsumption, and phantom attributes would make apply() silently
-        # accept settings this learner cannot honor.
+        # Deliberately only the backend half of the mixin's knob set: query
+        # coverage has no saturations and no compiled subsumption, and
+        # phantom attributes would make apply() silently accept settings
+        # this learner cannot honor.
         self.backend = backend
-        self.shards = shards
         if parallelism is not None:
             self.parameters.parallelism = max(1, int(parallelism))
         self._apply_context(context)

@@ -175,7 +175,6 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
         threads: int = 1,
         parallelism: Optional[int] = None,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
         saturation_store=None,
         context=None,
     ):
@@ -183,7 +182,7 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
         self.parameters = parameters or GolemParameters()
         self.threads = max(1, int(threads))
         self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
+            backend=backend, saturation_store=saturation_store
         )
         if parallelism is not None:
             self.threads = max(1, int(parallelism))

@@ -21,11 +21,9 @@ coverage engine θ-subsumes candidate clauses against (Section 7.5.3).
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..database.instance import DatabaseInstance
-from ..obs import registry as obs_registry
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Term, Variable
@@ -190,7 +188,6 @@ class BottomClauseBuilder:
         instance: DatabaseInstance,
         config: Optional[BottomClauseConfig] = None,
         use_compiled_lookups: Optional[bool] = None,
-        theory_constants: Optional[Set[object]] = None,
     ):
         self.instance = instance
         self.config = config or BottomClauseConfig()
@@ -199,35 +196,16 @@ class BottomClauseBuilder:
                 instance.backend, "supports_saturation_queries", False
             )
         self.use_compiled_lookups = bool(use_compiled_lookups)
-        # ``theory_constants`` skips inference entirely — shard workers pass
-        # the coordinator's pinned set instead of re-scanning the database.
-        if theory_constants is not None:
-            self.theory_constants = set(theory_constants)
-        else:
-            self.theory_constants = compute_theory_constants(
-                instance,
-                getattr(self.config, "theory_constant_threshold", 12),
-                self._theory_schema(),
-            )
+        self.theory_constants = compute_theory_constants(
+            instance,
+            getattr(self.config, "theory_constant_threshold", 12),
+            self._theory_schema(),
+        )
 
     def _theory_schema(self):
         """Schema handed to theory-constant inference (Castor passes its
         working schema; the standard builder uses the instance's)."""
         return None
-
-    def saturation_spec(self) -> Optional[Tuple[object, ...]]:
-        """Picklable recipe a shard worker rebuilds this builder from.
-
-        Pins everything result-relevant: the construction config AND this
-        builder's theory constants — shipping the constants (rather than
-        letting workers re-infer them from their copy of the data) keeps
-        worker-built clauses identical to this builder's even when the
-        instance mutated after the builder was constructed.  ``None`` for
-        subclasses workers cannot rebuild.
-        """
-        if type(self) is not BottomClauseBuilder:
-            return None
-        return ("bottom", self.config, frozenset(self.theory_constants))
 
     def _frontier_neighbors(
         self, constants: Sequence[object]
@@ -422,67 +400,18 @@ class SaturationBatch:
         return f"SaturationBatch({len(self.examples)} examples, {kind})"
 
 
-#: Per-engine label for registry series: each BatchSaturationEngine gets its
-#: own ``saturation.sharded_batches`` series so a fresh engine reads zero.
-_SATURATION_ENGINE_SEQ = itertools.count(1)
-
-
 class BatchSaturationEngine:
     """Materialize bottom clauses / saturations for whole example sets.
 
     Wraps a builder (:class:`BottomClauseBuilder` or Castor's IND-aware
-    subclass) and answers batch requests:
-
-    * when the builder's instance lives on a backend exposing a sharded
-      evaluation service (``"sqlite-sharded"``) and the builder publishes a
-      ``saturation_spec``, the batch is fanned out across the shard workers
-      along the example axis (the same sticky assignment coverage uses, so
-      each example is saturated on the worker that owns it) and the
-      constructed clauses are shipped back in input order;
-    * otherwise the builder runs locally, optionally across a thread pool.
-
-    Results are identical for every route and ``parallelism`` value —
-    construction order inside one example's clause never depends on either.
+    subclass) and answers batch requests, optionally across a thread pool.
+    Results are identical for every ``parallelism`` value — construction
+    order inside one example's clause never depends on it.
     """
 
     def __init__(self, builder: BottomClauseBuilder, parallelism: int = 1):
         self.builder = builder
         self.parallelism = max(1, int(parallelism))
-        # Registry-backed counter (per-engine series so a fresh engine reads
-        # zero); the plain-attribute read below is the stable public surface.
-        self._c_sharded_batches = obs_registry().counter(
-            "saturation.sharded_batches", engine=next(_SATURATION_ENGINE_SEQ)
-        )
-
-    @property
-    def sharded_batches(self) -> int:
-        return self._c_sharded_batches.value
-
-    def _sharded_batch(
-        self, examples: Sequence[Example], variablize: bool
-    ) -> Optional[List[HornClause]]:
-        """Route through the instance backend's evaluation service, if any."""
-        if not getattr(self.builder, "use_compiled_lookups", True):
-            # A builder explicitly pinned to the per-value Python baseline
-            # (Table 13's client path) must stay local — workers would
-            # rebuild it with compiled lookups and silently override the
-            # knob being measured.
-            return None
-        spec_fn = getattr(self.builder, "saturation_spec", None)
-        if spec_fn is None:
-            return None
-        backend = getattr(self.builder.instance, "backend", None)
-        service_fn = getattr(backend, "coverage_service", None)
-        if service_fn is None:
-            return None
-        spec = spec_fn()
-        if spec is None:
-            return None
-        clauses = service_fn().materialize_saturations(
-            spec, examples, variablize=variablize, parallelism=self.parallelism
-        )
-        self._c_sharded_batches.inc()
-        return clauses
 
     def build_batch(
         self, examples: Sequence[Example], variablize: bool = False
@@ -498,10 +427,6 @@ class BatchSaturationEngine:
         example_list = list(examples)
         if not example_list:
             return []
-        if len(example_list) > 1:
-            sharded = self._sharded_batch(example_list, variablize)
-            if sharded is not None:
-                return sharded
         build_many = (
             self.builder.build_many if variablize else self.builder.build_ground_many
         )

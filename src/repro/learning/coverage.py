@@ -264,10 +264,9 @@ class SubsumptionCoverageEngine:
         """Pre-build saturations for a whole example generation — one call.
 
         Missing saturations are built through the
-        :class:`~repro.learning.bottom_clause.BatchSaturationEngine`, so on
-        a sharded backend the generation is saturated by the worker fleet
-        (each example on the shard that owns it) and the clauses shipped
-        back, instead of a per-example Python construction loop here.
+        :class:`~repro.learning.bottom_clause.BatchSaturationEngine`, which
+        constructs the whole generation level-synchronously instead of a
+        per-example construction loop here.
         """
         missing = [
             example
@@ -369,19 +368,6 @@ class SubsumptionCoverageEngine:
         )
         return [examples_mask(covered, examples) for covered in covered_lists]
 
-    def shard_spec(self) -> Optional[Tuple[object, ...]]:
-        """Picklable recipe a shard worker rebuilds this engine from.
-
-        The spec pins everything result-relevant — the builder config and
-        whether the compiled (exact) or Python (backtrack-budgeted) decision
-        procedure runs — so worker-side coverage is bit-identical to running
-        this engine in-process.  Returns ``None`` for subclasses the workers
-        do not know how to rebuild (they keep evaluating locally).
-        """
-        if type(self) is not SubsumptionCoverageEngine:
-            return None
-        return ("subsumption", self.builder.config, self.compiled_enabled)
-
     # ------------------------------------------------------------------ #
     # Compiled (SQL) subsumption coverage
     # ------------------------------------------------------------------ #
@@ -389,8 +375,7 @@ class SubsumptionCoverageEngine:
         """Add any not-yet-stored saturations to the compiled store.
 
         Missing saturations are built for the whole batch in one
-        :meth:`prepare` call (sharded backends fan construction across their
-        worker fleet) before the per-example store inserts.
+        :meth:`prepare` call before the per-example store inserts.
         """
         with self._materialize_lock:
             store = self._compiled_store
@@ -656,14 +641,6 @@ class QueryCoverageEngine:
         )
         return [examples_mask(covered, examples) for covered in covered_lists]
 
-    # NOTE: deliberately no ``shard_spec`` here.  Query coverage reaches the
-    # shard workers through the backend's ``covered_head_tuples_batch``
-    # (clause-axis fan-out — a compiled statement costs the same however
-    # many candidates it tests, so splitting the example axis would make
-    # every shard pay the full per-clause compilation); a spec-based route
-    # through :class:`BatchCoverageEngine` would shadow that with the
-    # example-axis path.
-
     def evaluate(
         self,
         clause: HornClause,
@@ -715,44 +692,17 @@ class BatchCoverageEngine:
     distinction.  Results always come back in input order and are identical
     for every ``parallelism`` value — parallelism only changes wall-clock
     time, never which examples a clause covers.
-
-    When the engine's instance lives on a backend exposing a sharded
-    evaluation service (``"sqlite-sharded"``) and the engine publishes a
-    ``shard_spec``, the whole batch is fanned out across the shard workers
-    along the example axis and the per-shard coverage bitsets are merged
-    back into input order — same results, N processes.
     """
 
     def __init__(self, engine, parallelism: int = 1):
         self.engine = engine
         self.parallelism = max(1, int(parallelism))
 
-    def _sharded_batch(
-        self, clauses: List[HornClause], examples: Sequence[Example]
-    ) -> Optional[List[List[Example]]]:
-        """Route through the instance backend's evaluation service, if any."""
-        spec_fn = getattr(self.engine, "shard_spec", None)
-        if spec_fn is None:
-            return None
-        backend = getattr(getattr(self.engine, "instance", None), "backend", None)
-        service_fn = getattr(backend, "coverage_service", None)
-        if service_fn is None:
-            return None
-        spec = spec_fn()
-        if spec is None:
-            return None
-        return service_fn().covered_examples_batch(
-            spec, clauses, examples, parallelism=self.parallelism
-        )
-
     def covered_examples_batch(
         self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Per-clause covered subsets of ``examples``, in input order."""
         clause_list = list(clauses)
-        sharded = self._sharded_batch(clause_list, examples)
-        if sharded is not None:
-            return sharded
         batch = getattr(self.engine, "covered_examples_batch", None)
         if batch is not None:
             return batch(clause_list, examples, parallelism=self.parallelism)
@@ -772,14 +722,11 @@ class BatchCoverageEngine:
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order.
 
-        Routes through the same sharded/pooled/batched machinery as
-        :meth:`covered_examples_batch`; the per-shard covered subsets are
-        merged into one int per clause (bit ``i`` = example ``i``).
+        Routes through the same pooled/batched machinery as
+        :meth:`covered_examples_batch`, one int per clause (bit ``i`` =
+        example ``i``).
         """
         clause_list = list(clauses)
-        sharded = self._sharded_batch(clause_list, examples)
-        if sharded is not None:
-            return [examples_mask(covered, examples) for covered in sharded]
         masks = getattr(self.engine, "covered_masks_batch", None)
         if masks is not None:
             return masks(clause_list, examples, parallelism=self.parallelism)

@@ -1,18 +1,17 @@
 """Shared evaluation-knob plumbing for the learner family.
 
-Every learner carries the same four evaluation settings — ``backend``,
-``shards``, ``saturation_store``, ``compiled_coverage`` — plus the uniform
-``context=`` construction hook and the same two-line ``learn()`` preamble
-(convert the instance, configure sharding).  :class:`EvaluationKnobs` is
-that plumbing in exactly one place, so a change to backend normalization
-lands everywhere at once instead of in per-learner copies.
+Every learner carries the same three evaluation settings — ``backend``,
+``saturation_store``, ``compiled_coverage`` — plus the uniform ``context=``
+construction hook and the same ``learn()`` preamble (convert the
+instance).  :class:`EvaluationKnobs` is that plumbing in exactly one place,
+so a change to backend normalization lands everywhere at once instead of in
+per-learner copies.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..database.backend import configure_backend_sharding
 from ..database.instance import DatabaseInstance
 
 
@@ -21,22 +20,19 @@ class EvaluationKnobs:
 
     Learners whose engines have no saturations (FOIL's query coverage) use
     only :meth:`_apply_context` and :meth:`_prepare_instance`, declaring
-    ``backend``/``shards`` themselves — phantom store/compiled attributes
-    would make ``SessionConfig.apply`` silently accept settings they cannot
-    honor.
+    ``backend`` themselves — phantom store/compiled attributes would make
+    ``SessionConfig.apply`` silently accept settings they cannot honor.
     """
 
     def _init_evaluation_knobs(
         self,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
         saturation_store=None,
     ) -> None:
         # Storage/evaluation backend the learner wants the instance on
-        # (None = use the instance as given) and the worker count on
-        # sharded backends; both only move work, never change results.
+        # (None = use the instance as given); it only moves work, never
+        # changes results.
         self.backend = backend
-        self.shards = shards
         # Optional shared SaturationStore for the compiled coverage path
         # (sessions hand one out so repeated runs start warm).
         self.saturation_store = saturation_store
@@ -52,10 +48,9 @@ class EvaluationKnobs:
             context.apply(self)
 
     def _prepare_instance(self, instance: DatabaseInstance) -> DatabaseInstance:
-        """The shared ``learn()`` preamble: backend conversion + sharding."""
+        """The shared ``learn()`` preamble: backend conversion."""
         if self.backend is not None and self.backend != instance.backend_name:
             instance = instance.with_backend(self.backend)
-        configure_backend_sharding(instance.backend, self.shards)
         return instance
 
 

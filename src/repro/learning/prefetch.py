@@ -7,17 +7,15 @@ before any search work started, and whatever the batch prepare left undone
 stalled the first scoring call.  :class:`SaturationPrefetcher` removes that
 barrier — :meth:`~repro.learning.coverage.SubsumptionCoverageEngine.materialize`
 runs on a background thread (reusing the engine's
-:class:`~repro.learning.bottom_clause.BatchSaturationEngine`, i.e. the
-worker fleet on sharded backends) while the caller builds the seed clause,
-and the learner joins under a ``learn.prefetch`` span before the beam loop
-touches coverage.
+:class:`~repro.learning.bottom_clause.BatchSaturationEngine`) while the
+caller builds the seed clause, and the learner joins under a
+``learn.prefetch`` span before the beam loop touches coverage.
 
 Materialization is idempotent and deterministic, so overlapping it changes
 wall-clock time only, never results.  Callers must gate on the backend's
 ``supports_concurrent_reads`` capability: the prefetch thread reads the
 instance concurrently with the caller, which the single-connection
-``sqlite`` backend does not tolerate (memory / pooled / sharded backends
-do).
+``sqlite`` backend does not tolerate (memory and pooled backends do).
 """
 
 from __future__ import annotations

@@ -3,16 +3,12 @@
 Two seams, both process-global:
 
 * :func:`registry` — the metrics registry.  Every counter the stack used to
-  keep as an ad-hoc instance attribute (``reloads_full``,
-  ``batches_coalesced``, per-handle hit rates, ...) lives here as a named,
-  optionally-labelled series; snapshots and Prometheus-style text exposition
-  come for free.
+  keep as an ad-hoc instance attribute (coverage tests, cache hits, pool
+  snapshots, ...) lives here as a named, optionally-labelled series;
+  snapshots and Prometheus-style text exposition come for free.
 * :func:`tracer` — the span tracer.  ``with span("saturation.build",
-  examples=n):`` records a timed span under the current parent;
-  :meth:`~repro.obs.trace.Tracer.inject` /
-  :meth:`~repro.obs.trace.Tracer.activate` carry the trace context across
-  the wire so one learner run yields a single tree spanning
-  client -> server -> shard workers.
+  examples=n):`` records a timed span under the current parent, so one
+  learner run yields a single tree.
 
 Both are **off by default** and cheap when idle: a disabled tracer hands out
 a shared no-op context manager, and registry metrics are plain

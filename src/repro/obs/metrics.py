@@ -3,8 +3,8 @@
 Design constraints, in order:
 
 * **zero dependencies** — standard library only;
-* **thread-safe** — the server increments from one thread per client, the
-  pooled backend from a worker pool;
+* **thread-safe** — the pooled backend and the coverage engines increment
+  from worker threads;
 * **cheap when idle** — a metric is a lock plus a number; nothing polls,
   nothing exports until asked;
 * **one seam** — :func:`registry` returns the process singleton every layer
@@ -12,8 +12,8 @@ Design constraints, in order:
 
 Series are identified by ``(name, labels)``: asking for the same pair twice
 returns the same object, which is what lets short-lived owners (a coverage
-engine per fold, a served handle per client) accumulate into stable series.
-Names are dotted (``server.batches_coalesced``); the Prometheus exposition
+engine per fold, a read pool per backend) accumulate into stable series.
+Names are dotted (``coverage.subsumption.tests``); the Prometheus exposition
 rewrites dots to underscores since Prometheus metric names cannot contain
 them.
 """
@@ -226,7 +226,7 @@ class Registry:
         """A point-in-time, JSON-friendly copy, isolated from later updates.
 
         Series keys render labels Prometheus-style:
-        ``server.batches{handle="ab12"}``.
+        ``coverage.subsumption.tests{engine="3"}``.
         """
         with self._lock:
             counters = dict(self._counters)

@@ -7,8 +7,7 @@ Usage::
 The default view aggregates spans by name: call count, total/mean wall
 time, and share of traced time (the sum of root spans).  ``--tree`` prints
 the span forest instead, one line per span, children indented under their
-parents — including spans that ran in other processes, which is the whole
-point of cross-wire propagation.
+parents.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def render_tree(spans: Sequence[SpanRecord]) -> str:
     by_parent: Dict[Optional[str], List[SpanRecord]] = {}
     known = {record.span_id for record in spans}
     for record in spans:
-        # A parent recorded in a process whose spans we don't have (or a
-        # dropped record) must not hide the subtree: treat it as a root.
+        # A parent missing from the dump (a dropped record) must not hide
+        # the subtree: treat it as a root.
         parent = record.parent_id if record.parent_id in known else None
         by_parent.setdefault(parent, []).append(record)
     for children in by_parent.values():

@@ -1,28 +1,16 @@
-"""Hierarchical span tracing with cross-process context propagation.
+"""Hierarchical span tracing.
 
 A *span* is a named, timed region.  Spans nest through a ``contextvars``
 context variable, so ``with span("learn.cover"):`` inside
 ``with span("session.run"):`` records the parent edge without any explicit
 plumbing.  Each span carries:
 
-* ``trace_id`` — shared by every span of one logical run, across processes;
+* ``trace_id`` — shared by every span of one logical run;
 * ``span_id`` / ``parent_id`` — the tree edges;
 * ``process`` / ``pid`` / ``tid`` — where it actually ran.
 
-Cross-process propagation is two small hooks:
-
-* the **sender** attaches :meth:`Tracer.inject` (trace id + current span id)
-  to the outgoing envelope;
-* the **receiver** wraps request handling in :meth:`Tracer.activate` with
-  that context, records its spans, then ships them back to the sender via
-  :meth:`Tracer.drain`, and the sender folds them in with
-  :meth:`Tracer.extend`.
-
-The receiving side records spans *whenever a remote context is active*, even
-if local tracing was never enabled — the server does not need a flag flip to
-participate in a client's trace.  With no remote context and tracing
-disabled, :func:`span` returns a shared no-op context manager: the disabled
-path is one attribute check and no allocation.
+With tracing disabled, :func:`span` returns a shared no-op context
+manager: the disabled path is one attribute check and no allocation.
 """
 
 from __future__ import annotations
@@ -35,7 +23,7 @@ import sys
 import threading
 import time
 import uuid
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: (trace_id, span_id) of the innermost active span, or None.
 _CURRENT: contextvars.ContextVar[Optional[Tuple[str, str]]] = contextvars.ContextVar(
@@ -48,7 +36,7 @@ def _new_id(bits: int = 64) -> str:
 
 
 class SpanRecord:
-    """One finished span.  Plain data; ``to_dict`` is the wire/dump form."""
+    """One finished span.  Plain data; ``to_dict`` is the dump form."""
 
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id",
@@ -183,25 +171,6 @@ class _Span:
         )
 
 
-class _Activation:
-    """Context manager installing a remote (trace_id, span_id) as parent."""
-
-    __slots__ = ("_context", "_token")
-
-    def __init__(self, context: Optional[Tuple[str, str]]) -> None:
-        self._context = context
-        self._token: Optional[contextvars.Token] = None
-
-    def __enter__(self) -> "_Activation":
-        if self._context is not None:
-            self._token = _CURRENT.set(self._context)
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-
-
 class Tracer:
     """Per-process span buffer + context plumbing.  See module docstring."""
 
@@ -230,10 +199,10 @@ class Tracer:
 
     # ------------------------------------------------------------- spans
     def span(self, name: str, **attrs: Any) -> "_Span | _NullSpan":
-        """A timed span under the current parent (no-op when inactive)."""
-        current = _CURRENT.get()
-        if not self._enabled and current is None:
+        """A timed span under the current parent (no-op when disabled)."""
+        if not self._enabled:
             return _NULL_SPAN
+        current = _CURRENT.get()
         if current is not None:
             trace_id, parent_id = current
         else:
@@ -243,50 +212,6 @@ class Tracer:
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
             self._records.append(record)
-
-    # --------------------------------------------------------- transport
-    def current_trace_id(self) -> Optional[str]:
-        current = _CURRENT.get()
-        return current[0] if current is not None else None
-
-    def inject(self) -> Optional[Dict[str, str]]:
-        """Wire form of the current context, or None when inactive."""
-        current = _CURRENT.get()
-        if current is None:
-            return None
-        return {"trace_id": current[0], "parent_id": current[1]}
-
-    def activate(self, context: Optional[Dict[str, Any]]) -> _Activation:
-        """Adopt a remote context for the duration of request handling."""
-        if not context:
-            return _Activation(None)
-        trace_id = context.get("trace_id")
-        parent_id = context.get("parent_id")
-        if not isinstance(trace_id, str) or not isinstance(parent_id, str):
-            return _Activation(None)
-        return _Activation((trace_id, parent_id))
-
-    def drain(self, trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Pop finished spans (of one trace) for shipping to the caller.
-
-        Draining per trace id keeps a multi-tenant server from leaking one
-        client's spans into another client's replies.
-        """
-        with self._lock:
-            if trace_id is None:
-                drained, self._records = self._records, []
-            else:
-                drained = [r for r in self._records if r.trace_id == trace_id]
-                self._records = [
-                    r for r in self._records if r.trace_id != trace_id
-                ]
-        return [record.to_dict() for record in drained]
-
-    def extend(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Fold spans shipped from another process into this buffer."""
-        parsed = [SpanRecord.from_dict(r) for r in records]
-        with self._lock:
-            self._records.extend(parsed)
 
     # ------------------------------------------------------------- dumps
     def records(self) -> List[SpanRecord]:
@@ -360,7 +285,7 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
 def provenance(**extra: Any) -> Dict[str, Any]:
     """The shared provenance block embedded in every ``BENCH_*`` artifact.
 
-    Callers add run-specific configuration (backend, shards, parallelism)
+    Callers add run-specific configuration (backend, parallelism)
     as keyword arguments; the base block records where the numbers came
     from so two artifacts are comparable at a glance.
     """

@@ -173,7 +173,6 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         threads: int = 1,
         parallelism: Optional[int] = None,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
         saturation_store=None,
         context=None,
     ):
@@ -181,7 +180,7 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         self.parameters = parameters or ProgolParameters()
         self.threads = max(1, int(threads))
         self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
+            backend=backend, saturation_store=saturation_store
         )
         if parallelism is not None:
             self.threads = max(1, int(parallelism))

@@ -40,7 +40,7 @@ def find_blocking_atom(
     literals can only lose coverage), the least failing prefix is bracketed
     by section search.  With ``batch`` supplied, each round's ``probe_width``
     prefix probes go through the batch seam as ONE batched evaluation
-    (poolable / shardable); without it, probes are direct subsumption tests
+    (poolable); without it, probes are direct subsumption tests
     and width defaults to 1, which is exactly the classic binary search.
     """
     saturation = coverage.saturation(example)

@@ -126,7 +126,7 @@ class ProGolemClauseLearner:
         """One ARMG application (plain ProGolem semantics).
 
         Blocking-atom prefix probes route through the learner's batch engine
-        so each search round is one batched (poolable/shardable) evaluation.
+        so each search round is one batched (poolable) evaluation.
         """
         return armg(clause, example, self.coverage, batch=self.batch)
 
@@ -167,9 +167,8 @@ class ProGolemClauseLearner:
         positives = list(uncovered_positives)
         negatives = list(negatives)
         generation_examples = [*positives, *negatives]
-        # Saturate the whole generation in ONE batch call (sharded backends
-        # fan construction across their worker fleet) instead of letting the
-        # beam loop build saturations one example at a time.  On
+        # Saturate the whole generation in ONE batch call instead of
+        # letting the beam loop build saturations one example at a time.  On
         # concurrent-read-safe backends the materialization runs on a
         # prefetch thread, overlapping with seed-clause construction below.
         prefetcher: Optional[SaturationPrefetcher] = None
@@ -271,14 +270,13 @@ class ProGolemLearner(EvaluationKnobs):
         parallelism: Optional[int] = None,
         saturation_store=None,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
         self.threads = threads
         self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
+            backend=backend, saturation_store=saturation_store
         )
         if parallelism is not None:
             self.parameters.parallelism = max(1, int(parallelism))

@@ -1,9 +1,8 @@
 """`LearningSession`: the single front door to the learning stack.
 
 A session owns everything a learning run used to assemble by hand — the
-storage backend instances are materialized on, the evaluation service (or
-the connection to a persistent one), and the shared saturation store — and
-hands out learners already normalized onto one validated
+storage backend instances are materialized on and the shared saturation
+store — and hands out learners already normalized onto one validated
 :class:`~repro.session.config.SessionConfig`::
 
     from repro import LearningSession, SessionConfig
@@ -13,19 +12,10 @@ hands out learners already normalized onto one validated
         definition = learner.learn(instance, examples)
         result = session.run(bundle, "original", "progolem", folds=3)
 
-Repeated runs through one session reuse the prepared instances, the warm
-worker fleets, and the saturation stores — the second run starts warm.
+Repeated runs through one session reuse the prepared instances and the
+saturation stores — the second run starts warm.
 
-``LearningSession.connect("host:port")`` binds the session to a
-**persistent evaluation server** (``python -m repro.distributed.service
---serve``) instead: instances register under content-hashed handles, and a
-run over data the server has already seen ships no payload at all — the
-warm fleet of the previous run (or of another user's session) serves it
-directly.
-
-Lifecycle safety: sessions are context managers, ``close()`` is
-idempotent, and every session registers an ``atexit`` hook so abandoned
-sessions cannot leak worker processes from aborted runs.
+Lifecycle: sessions are context managers and ``close()`` is idempotent.
 """
 
 from __future__ import annotations
@@ -33,7 +23,6 @@ from __future__ import annotations
 import copy
 import pickle  # repro: noqa[REP001] -- dumps-only structural fingerprint for store sharing; bytes never cross a process boundary and nothing is ever unpickled
 import threading
-import weakref
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..database.delta import Delta
@@ -43,7 +32,6 @@ from ..obs import registry as obs_registry, span as obs_span, tracer as obs_trac
 from .config import SessionConfig, warn_once
 
 if TYPE_CHECKING:  # resolved lazily at runtime; annotations only
-    from ..distributed.client import ServiceClient
     from ..learning.examples import ExampleSet
 
 
@@ -106,7 +94,7 @@ class SessionLearner:
             if hasattr(self._learner, "saturation_store")
             else None
         )
-        session.apply(self._learner, instance=prepared, saturation_store=store)
+        session.apply(self._learner, saturation_store=store)
         if session.config.presaturate:
             session.presaturate(self._learner, prepared, examples)
         return self._learner.learn(prepared, examples)
@@ -126,48 +114,8 @@ class SessionLearner:
         return f"SessionLearner({self._learner!r})"
 
 
-class _SessionResources:
-    """The closeable resources a session creates, owned separately.
-
-    Split out so the session's exit-safety hook can be a
-    ``weakref.finalize`` on this object: an abandoned session (no
-    ``close()``) stays garbage-collectable — its resources are reclaimed
-    when the session is collected or at interpreter exit — whereas an
-    ``atexit``-registered bound method would pin every un-closed session,
-    its prepared instances, and its stores for the whole process lifetime.
-    """
-
-    def __init__(self) -> None:
-        self.backends: List[object] = []
-        self.bundles: List[object] = []
-        self.client = None
-
-    def close(self) -> None:
-        # Best-effort per resource: one failing fleet teardown must not
-        # leak every remaining fleet and the server connection (this runs
-        # once — from close() or the finalizer — so nothing retries).
-        bundles, self.bundles = self.bundles, []
-        backends, self.backends = self.backends, []
-        first_error = None
-        for resource in bundles + backends:
-            close = getattr(resource, "close", None)
-            if close is None:
-                continue
-            try:
-                close()
-            except Exception as exc:  # noqa: BLE001 - keep closing the rest
-                first_error = first_error or exc
-        if self.client is not None:
-            try:
-                self.client.close()
-            finally:
-                self.client = None
-        if first_error is not None:
-            raise first_error
-
-
 class LearningSession:
-    """Owner of backend + evaluation-service + saturation-store lifecycle."""
+    """Owner of backend + saturation-store lifecycle."""
 
     def __init__(
         self, config: Optional[SessionConfig] = None, **overrides: object
@@ -178,71 +126,20 @@ class LearningSession:
             config = config.merged(**overrides)
         self.config = config
         self._lock = threading.RLock()
-        # id(source) -> (source, prepared, data token, owned backend); the
-        # source reference pins the id so Python cannot recycle it for a
-        # different instance, and the token notices mutations.
+        # id(source) -> (source, prepared, data token); the source reference
+        # pins the id so Python cannot recycle it for a different instance,
+        # and the token notices mutations.
         self._instances: Dict[
-            int,
-            Tuple[DatabaseInstance, DatabaseInstance, object, Optional[object]],
+            int, Tuple[DatabaseInstance, DatabaseInstance, object]
         ] = {}
         # id(source bundle) -> (source, converted) — same pinning trick, so
         # repeated sweeps over one bundle reuse one converted bundle (and
         # therefore one set of materialized instances and warm stores).
-        self._bundles: Dict[int, Tuple[object, object]] = {}
+        self._bundles: Dict[int, Tuple[Any, Any]] = {}
         self._stores: Dict[object, SaturationStore] = {}
         self._closed = False
-        self._resources = _SessionResources()
         if config.trace:
             self.enable_tracing()
-        if config.service_address is not None:
-            from ..distributed.client import ServiceClient
-
-            self._resources.client = ServiceClient(
-                config.service_address,
-                token=config.auth_token,
-                request_timeout=config.request_timeout,
-            )
-        # Abandoned sessions (aborted scripts, crashed notebooks) must not
-        # leak worker fleets: the finalizer runs on garbage collection and
-        # at interpreter exit, and close() triggers it explicitly.
-        self._finalizer = weakref.finalize(self, self._resources.close)
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def connect(
-        cls,
-        address: str,
-        config: Optional[SessionConfig] = None,
-        token: Optional[str] = None,
-        request_timeout: Optional[float] = None,
-        **overrides: object,
-    ) -> "LearningSession":
-        """A session evaluating on the persistent server at ``address``.
-
-        ``token`` authenticates against a server started with
-        ``--auth-token``; ``request_timeout`` bounds every round-trip so a
-        hung server raises instead of blocking ``learn()`` forever.
-        """
-        base = config or SessionConfig()
-        return cls(
-            base.merged(
-                service_address=str(address),
-                auth_token=token,
-                request_timeout=request_timeout,
-                **overrides,
-            )
-        )
-
-    @property
-    def client(self) -> "Optional[ServiceClient]":
-        """The :class:`~repro.distributed.client.ServiceClient`, if remote."""
-        return self._resources.client
-
-    @property
-    def is_remote(self) -> bool:
-        return self._resources.client is not None
 
     # ------------------------------------------------------------------ #
     # Instances and stores
@@ -250,11 +147,8 @@ class LearningSession:
     def prepare(self, instance: DatabaseInstance) -> DatabaseInstance:
         """The instance on this session's backend (cached per source).
 
-        Local sessions convert onto ``config.backend`` (once — repeated
-        runs over the same source instance reuse the converted one and its
-        warm evaluation service).  Remote sessions re-materialize onto a
-        ``"sqlite-remote"`` backend bound to the session's server
-        connection.  Either way the full sharding topology is (re)applied.
+        The instance is converted onto ``config.backend`` once — repeated
+        runs over the same source instance reuse the converted one.
 
         The cache watches the source's :meth:`~DatabaseInstance.data_token`:
         a mutation between runs re-converts the instance and drops its
@@ -272,73 +166,32 @@ class LearningSession:
                 self._invalidate_locked(key, entry)
                 entry = None
             if entry is None:
-                prepared, owned = self._prepare_uncached(instance)
-                entry = self._instances[key] = (instance, prepared, token, owned)
+                prepared = self._prepare_uncached(instance)
+                entry = self._instances[key] = (instance, prepared, token)
                 # From here on, direct add/remove on the prepared instance
                 # warns once (it forces the wholesale re-conversion above);
                 # transaction()/update() mutations are patched in place.
                 prepared.mark_managed()
-            prepared = entry[1]
-            self.config.apply(instance=prepared)
-            return prepared
+            return entry[1]
 
     def _invalidate_locked(
-        self,
-        key: int,
-        entry: Tuple[DatabaseInstance, DatabaseInstance, object, Optional[object]],
+        self, key: int, entry: Tuple[DatabaseInstance, DatabaseInstance, object]
     ) -> None:
         """Drop a stale prepared instance: its conversion and its stores
         describe the pre-mutation data."""
         del self._instances[key]
-        _source, prepared, _token, owned = entry
-        stale = id(prepared)
+        stale = id(entry[1])
         for store_key in [k for k in self._stores if k[0] == stale]:
             del self._stores[store_key]
-        if owned is not None:
-            remote = getattr(owned, "remote_service", None)
-            client = self._resources.client
-            if remote is not None and remote.handle is not None and client is not None:
-                # The superseded data's server-side handle (and its fleet)
-                # is retired instead of idling until LRU eviction; another
-                # session still on it just re-registers (one re-ship).
-                try:
-                    client.unregister(remote.handle)
-                except Exception:  # noqa: BLE001 - best-effort hygiene
-                    pass
-            try:
-                self._resources.backends.remove(owned)
-            except ValueError:
-                pass
-            close = getattr(owned, "close", None)
-            if close is not None:
-                close()
 
-    def _prepare_uncached(
-        self, instance: DatabaseInstance
-    ) -> Tuple[DatabaseInstance, Optional[object]]:
-        """Convert onto the session backend; returns (prepared, owned backend)."""
-        client = self._resources.client
-        if client is not None:
-            from ..distributed.client import RemoteBackend
-
-            # The handle name is content-qualified by the backend at
-            # registration time, so distinct instances under one named
-            # namespace never collide (and never depend on preparation
-            # order).
-            backend = RemoteBackend(
-                client=client, handle=self.config.instance_handle
-            )
-            prepared = instance.with_backend(backend)
-            self._resources.backends.append(backend)
-            return prepared, backend
+    def _prepare_uncached(self, instance: DatabaseInstance) -> DatabaseInstance:
+        """Convert onto the session backend (no-op when it already matches)."""
         if (
             self.config.backend is not None
             and self.config.backend != instance.backend_name
         ):
-            prepared = instance.with_backend(self.config.backend)
-            self._resources.backends.append(prepared.backend)
-            return prepared, prepared.backend
-        return instance, None
+            return instance.with_backend(self.config.backend)
+        return instance
 
     def prepare_bundle(self, bundle: Any) -> Any:
         """The bundle converted onto this session's backend (cached).
@@ -348,26 +201,18 @@ class LearningSession:
         call would make repeat sweeps fully cold (and grow the session's
         id-keyed caches without bound).  Caching the conversion per source
         bundle keeps the variant instances — and everything keyed on their
-        identity: prepared instances, warm fleets, saturation stores —
-        stable across calls.
+        identity: prepared instances, saturation stores — stable across
+        calls.
         """
         self._ensure_open()
         backend = self.config.backend
-        if backend is None or self.is_remote:
-            # Remote sessions (and backend-less ones) convert per instance
-            # in prepare(); the bundle itself is reused as-is.
+        if backend is None:
             return bundle
         with self._lock:
             key = id(bundle)
             entry = self._bundles.get(key)
             if entry is None:
-                converted = bundle.with_backend(backend)
-                if converted is not bundle:
-                    # Converted bundles own their variants' backends
-                    # (worker fleets included); an unconverted bundle is
-                    # the caller's and stays untouched at close().
-                    self._resources.bundles.append(converted)
-                entry = self._bundles[key] = (bundle, converted)
+                entry = self._bundles[key] = (bundle, bundle.with_backend(backend))
             return entry[1]
 
     def saturation_store_for(
@@ -429,19 +274,15 @@ class LearningSession:
         """Apply a :class:`~repro.database.delta.Delta` through the session.
 
         The streaming-update front door: where a direct mutation between
-        runs makes :meth:`prepare` throw away the converted instance, its
-        warm worker fleet, and every saturation store keyed on it, this
-        patches each of those in place —
+        runs makes :meth:`prepare` throw away the converted instance and
+        every saturation store keyed on it, this patches each of those in
+        place —
 
         * the source *and* the session's converted instance replay the
-          delta (one transaction each, so sharded/remote backends log one
-          coalesced change record);
+          delta (one transaction each);
         * shared :class:`SaturationStore`\\ s drop exactly the saturations
           whose footprint the delta touches (untouched examples stay warm;
           dropped ones rebuild lazily on next use);
-        * a live local worker fleet is re-synced now (workers replay the
-          delta and repair their engine caches), and a remote session
-          ships one ``apply_delta`` frame instead of the full payload;
         * the cached data token advances, so the next :meth:`prepare` is a
           cache hit instead of a wholesale invalidation.
 
@@ -459,7 +300,7 @@ class LearningSession:
         if entry is None:
             instance.apply_delta(delta)
             return delta
-        source, prepared, _token, owned = entry
+        source, prepared, _token = entry
         source.apply_delta(delta)
         if prepared is not source:
             prepared.apply_delta(delta)
@@ -474,21 +315,10 @@ class LearningSession:
             # invalidate wholesale — correct, just cold) or the new one
             # (and reuse state this update is about to finish patching).
             self._instances[id(instance)] = (
-                source, prepared, source.data_token(), owned
+                source, prepared, source.data_token()
             )
         for store in stores:
             store.invalidate_touching(touched)
-        backend = prepared.backend
-        local_service = getattr(backend, "_service", None)
-        sync = getattr(local_service, "sync", None)
-        if sync is not None:
-            # Live fleets replay the delta now (and repair engines in
-            # place); cold ones stay cold and build from current data.
-            sync()
-        remote = getattr(backend, "remote_service", None)
-        if remote is not None and remote.handle is not None:
-            # One apply_delta frame (or, on divergence, a full re-ship).
-            remote._ensure_registered()
         return delta
 
     def feed(
@@ -521,22 +351,12 @@ class LearningSession:
     # Learners
     # ------------------------------------------------------------------ #
     def apply(
-        self,
-        learner: Any,
-        instance: Optional[DatabaseInstance] = None,
-        saturation_store: Optional[SaturationStore] = None,
+        self, learner: Any, saturation_store: Optional[SaturationStore] = None
     ) -> Any:
         """Normalize a learner onto this session's config (see
         :meth:`SessionConfig.apply`); lets a session double as the
-        ``context=`` argument of any learner constructor.  Instance
-        routing stays with :meth:`prepare`, so the learner never receives
-        a ``backend`` knob it would re-apply per ``learn()``."""
-        return self.config.apply(
-            learner,
-            instance=instance,
-            saturation_store=saturation_store,
-            _session_managed=True,
-        )
+        ``context=`` argument of any learner constructor."""
+        return self.config.apply(learner, saturation_store=saturation_store)
 
     def learner(
         self,
@@ -555,10 +375,9 @@ class LearningSession:
         """
         self._ensure_open()
         cls = _resolve_kind(kind) if isinstance(kind, str) else kind
-        # The session itself is the context, so instance routing stays
-        # session-managed (prepare() handles backends, including remote).
-        # ``parameters`` goes by keyword: positionally it would land in
-        # e.g. AlephFoilLearner's clause_length slot.
+        # The session itself is the context.  ``parameters`` goes by
+        # keyword: positionally it would land in e.g. AlephFoilLearner's
+        # clause_length slot.
         if parameters is None:
             learner = cls(schema, context=self, **kwargs)
         else:
@@ -571,9 +390,8 @@ class LearningSession:
         """Warm the shared saturation store for a whole example set.
 
         Builds the learner's coverage engine once and materializes every
-        example's saturation through the batched entry point — one call,
-        fanned across the worker fleet on sharded/remote backends — so
-        learning starts from a warm store.  Warns once (never errors) for
+        example's saturation through the batched entry point — one call —
+        so learning starts from a warm store.  Warns once (never errors) for
         learners/engines without the machinery.
         """
         make_engine = getattr(learner, "make_coverage_engine", None)
@@ -621,9 +439,8 @@ class LearningSession:
         from ..experiments.harness import run_variant
 
         spec = self._as_spec(learner, parameters)
-        # The root of the trace tree: every learner-phase span, RPC span,
-        # and (via span shipping) server/worker span of this run hangs off
-        # it under one trace id.
+        # The root of the trace tree: every learner-phase span of this run
+        # hangs off it under one trace id.
         with obs_span(
             "session.run",
             variant=str(variant_name),
@@ -708,74 +525,26 @@ class LearningSession:
         return LearnerSpec(name, rebind)
 
     # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def evaluation_stats(self) -> Dict[str, int]:
-        """Aggregate service counters over this session's instances.
-
-        ``reloads_full`` is the number of full instance payloads shipped —
-        the warm-run acceptance number (0 on a repeat run against a
-        persistent server that already holds the data).
-        """
-        totals = {
-            "reloads_full": 0,
-            "reloads_incremental": 0,
-            "register_hits": 0,
-            "batches_served": 0,
-        }
-        with self._lock:
-            prepared_list = [entry[1] for entry in self._instances.values()]
-        for prepared in prepared_list:
-            backend = prepared.backend
-            service = getattr(backend, "remote_service", None)
-            if service is None:
-                service = getattr(backend, "_service", None)
-            if service is None:
-                continue
-            for key in totals:
-                totals[key] += int(getattr(service, key, 0))
-        return totals
-
-    @property
-    def reloads_full(self) -> int:
-        return self.evaluation_stats()["reloads_full"]
-
-    def server_stats(self) -> Optional[Dict[str, object]]:
-        """The persistent server's global stats (``None`` for local sessions)."""
-        client = self.client
-        return None if client is None else client.server_stats()
-
-    # ------------------------------------------------------------------ #
     # Observability (see docs/observability.md)
     # ------------------------------------------------------------------ #
     def metrics(self) -> Dict[str, object]:
-        """Unified metrics: this process's registry snapshot, plus the
-        persistent server's when the session is remote.
-
-        Both halves use the same shape (``name{labels} -> value`` for
-        counters/gauges, summary dicts for histograms), so dashboards can
-        merge them without translation; ``server`` additionally carries the
-        server registry's Prometheus text exposition.
-        """
+        """This process's metrics registry snapshot under ``local``
+        (``name{labels} -> value`` for counters/gauges, summary dicts for
+        histograms)."""
         self._ensure_open()
-        result: Dict[str, object] = {"local": obs_registry().snapshot()}
-        client = self.client
-        if client is not None:
-            result["server"] = client.server_metrics()
-        return result
+        return {"local": obs_registry().snapshot()}
 
-    def enable_tracing(self, process: str = "client") -> None:
+    def enable_tracing(self, process: str = "main") -> None:
         """Start recording spans (idempotent; ``config.trace=True`` calls
         this at construction).  ``process`` labels this process's spans in
-        dumps — the server and its workers label their own."""
+        dumps."""
         obs_tracer().enable(process=process)
 
     def disable_tracing(self) -> None:
         obs_tracer().disable()
 
     def trace_records(self) -> List[Dict[str, object]]:
-        """Every span recorded so far (local + shipped back from the
-        server/workers), as plain dicts."""
+        """Every span recorded so far, as plain dicts."""
         return [record.to_dict() for record in obs_tracer().records()]
 
     def trace_dump(self, path: str, chrome: bool = False) -> str:
@@ -809,22 +578,22 @@ class LearningSession:
     def close(self) -> None:
         """Release every owned resource; idempotent.
 
-        Closes backends this session created (worker fleets, snapshot
-        pools) and the server connection (server-side state deliberately
-        stays warm).  Instances that were passed in already prepared are
-        never touched.
+        Releases the instances of bundles this session converted.  Bundles
+        and instances that were passed in are never touched.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            converted = [
+                target for source, target in self._bundles.values()
+                if target is not source
+            ]
             self._instances.clear()
             self._bundles.clear()
             self._stores.clear()
-        # Runs _SessionResources.close exactly once; the same callback
-        # fires on garbage collection / interpreter exit for sessions that
-        # were never closed explicitly.
-        self._finalizer()
+        for bundle in converted:
+            bundle.close()
 
     def __enter__(self) -> "LearningSession":
         self._ensure_open()
@@ -835,16 +604,7 @@ class LearningSession:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        target = (
-            f"server={self.config.service_address!r}"
-            if self.config.service_address
-            else f"backend={self.config.backend!r}"
+        return (
+            f"LearningSession(backend={self.config.backend!r}, "
+            f"{len(self._instances)} instances, {state})"
         )
-        return f"LearningSession({target}, {len(self._instances)} instances, {state})"
-
-
-def connect(
-    address: str, config: Optional[SessionConfig] = None, **overrides: object
-) -> LearningSession:
-    """Module-level shorthand for :meth:`LearningSession.connect`."""
-    return LearningSession.connect(address, config=config, **overrides)

@@ -9,7 +9,6 @@ from repro.analysis.rules import (
     LockOrderRule,
     ObsDisciplineRule,
     TestsArePackagesRule,
-    TypedWireErrorsRule,
     WireSafetyRule,
 )
 
@@ -51,12 +50,6 @@ def test_rep001_fires_on_from_import_and_eval(tmp_path):
     )
     result = _run(tmp_path, WireSafetyRule())
     assert len(result.unsuppressed) == 2
-
-
-def test_rep001_allowlists_the_trusted_seam(tmp_path):
-    _write(tmp_path, "repro/distributed/worker.py", "import pickle\n")
-    result = _run(tmp_path, WireSafetyRule())
-    assert result.ok
 
 
 def test_rep001_reasoned_import_noqa_excuses_same_file_calls(tmp_path):
@@ -145,7 +138,7 @@ def test_rep002_declaring_class_is_exempt(tmp_path):
         tmp_path,
         "mod.py",
         """\
-        class ShardedBackend:
+        class WrappingBackend:
             supports_saturation_queries = True
 
             def neighbors(self, keys):
@@ -217,7 +210,7 @@ def test_rep003_fires_on_adhoc_counter(tmp_path):
 def test_rep003_fires_on_time_time(tmp_path):
     _write(
         tmp_path,
-        "repro/distributed/mod.py",
+        "repro/database/mod.py",
         """\
         import time
 
@@ -425,72 +418,6 @@ def test_rep004_queue_get_with_timeout_is_clean(tmp_path):
         """,
     )
     assert _run(tmp_path, LockOrderRule()).ok
-
-
-# --------------------------------------------------------------------- #
-# REP005 typed-wire-errors
-# --------------------------------------------------------------------- #
-
-
-def test_rep005_handler_raising_runtimeerror_fires(tmp_path):
-    _write(
-        tmp_path,
-        "repro/distributed/server.py",
-        """\
-        def handle_ping(payload):
-            raise RuntimeError("not typed")
-        """,
-    )
-    result = _run(tmp_path, TypedWireErrorsRule())
-    assert [f.rule for f in result.unsuppressed] == ["REP005"]
-
-
-def test_rep005_reaches_transitive_callees(tmp_path):
-    _write(
-        tmp_path,
-        "repro/distributed/server.py",
-        """\
-        def handle_ping(payload):
-            return _validate(payload)
-
-        def _validate(payload):
-            if payload is None:
-                raise Exception("bad payload")
-            return payload
-        """,
-    )
-    result = _run(tmp_path, TypedWireErrorsRule())
-    assert [f.rule for f in result.unsuppressed] == ["REP005"]
-    assert "_validate" in result.unsuppressed[0].message
-
-
-def test_rep005_typed_errors_and_unreachable_raises_are_clean(tmp_path):
-    _write(
-        tmp_path,
-        "repro/distributed/server.py",
-        """\
-        def handle_ping(payload):
-            if payload is None:
-                raise WireFormatError("payload required")
-            return payload
-
-        def offline_helper():
-            raise RuntimeError("not reachable from any handler")
-        """,
-    )
-    assert _run(tmp_path, TypedWireErrorsRule()).ok
-
-
-def test_rep005_other_modules_are_out_of_scope(tmp_path):
-    _write(
-        tmp_path,
-        "repro/learning/coverage.py",
-        """\
-        def handle_ping(payload):
-            raise RuntimeError("fine here: not a wire module")
-        """,
-    )
-    assert _run(tmp_path, TypedWireErrorsRule()).ok
 
 
 # --------------------------------------------------------------------- #

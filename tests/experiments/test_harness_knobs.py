@@ -1,18 +1,14 @@
-"""Harness knobs: warn-once best-effort settings, shards=, and
+"""Harness knobs: backend/parallelism placement invariance and
 cross-validation saturation-store reuse."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.database import DatabaseInstance, RelationSchema, Schema
+from repro.database import RelationSchema, Schema
 from repro.datasets import uwcse
 from repro.experiments.harness import (
     LearnerSpec,
-    _apply_parallelism,
-    _apply_shards,
     check_schema_independence,
     run_variant,
 )
@@ -43,50 +39,6 @@ def progolem_spec() -> LearnerSpec:
     return LearnerSpec("ProGolem", factory)
 
 
-# --------------------------------------------------------------------- #
-# Warn-once semantics
-# --------------------------------------------------------------------- #
-class KnoblessLearnerAlpha:
-    pass
-
-
-class KnoblessLearnerBeta:
-    pass
-
-
-def test_apply_parallelism_warns_once_per_situation():
-    with pytest.warns(RuntimeWarning, match="KnoblessLearnerAlpha.*parallelism=3"):
-        _apply_parallelism(KnoblessLearnerAlpha(), 3)
-    # Same learner class again: silent (already reported).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _apply_parallelism(KnoblessLearnerAlpha(), 3)
-    # A different situation still warns.
-    with pytest.warns(RuntimeWarning, match="KnoblessLearnerBeta"):
-        _apply_parallelism(KnoblessLearnerBeta(), 3)
-
-
-def test_apply_parallelism_still_sets_the_knob():
-    learner = ProGolemLearner(Schema([RelationSchema("r", ["a"])], name="s"))
-    assert _apply_parallelism(learner, 5) is learner
-    assert learner.parallelism == 5
-    # parallelism=None is "unset", never a warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _apply_parallelism(KnoblessLearnerAlpha(), None)
-
-
-def test_apply_shards_warns_once_on_unsharded_backends():
-    schema = Schema([RelationSchema("r", ["a", "b"])], name="warnme")
-    instance = DatabaseInstance(schema)  # memory backend: no shard service
-    with pytest.warns(RuntimeWarning, match="'memory'.*shards=2"):
-        _apply_shards(instance, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _apply_shards(instance, 2)  # second time: silent
-        _apply_shards(instance, None)  # unset: silent
-
-
 def test_learners_accept_saturation_store_kwarg():
     """Both bottom-up learners take saturation_store= at construction."""
     from repro.castor.castor import CastorLearner
@@ -98,50 +50,63 @@ def test_learners_accept_saturation_store_kwarg():
     assert ProGolemLearner(schema, saturation_store=store).saturation_store is store
 
 
-def test_apply_shards_configures_sharded_backends():
-    schema = Schema([RelationSchema("r", ["a", "b"])], name="shardme")
-    instance = DatabaseInstance(schema, backend="sqlite-sharded")
-    _apply_shards(instance, 3)
-    assert instance.backend.shards == 3
-    instance.backend.close()
+# --------------------------------------------------------------------- #
+# Placement knobs threaded through the harness entry points
+# --------------------------------------------------------------------- #
+#: ``(backend, parallelism)`` placements compared against single-connection
+#: ``sqlite``.
+PLACEMENTS = [
+    ("memory", None),
+    ("memory", 2),
+    ("sqlite-pooled", 1),
+    ("sqlite-pooled", 2),
+]
+PLACEMENT_IDS = ["memory", "memory-p2", "sqlite-pooled-p1", "sqlite-pooled-p2"]
 
 
-# --------------------------------------------------------------------- #
-# shards= threaded through the harness entry points
-# --------------------------------------------------------------------- #
-def test_run_variant_on_sharded_backend(tiny_bundle):
-    variant = tiny_bundle.variant_names[0]
-    baseline = run_variant(
-        tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-    )
-    sharded = run_variant(
+@pytest.fixture(scope="module")
+def baseline(tiny_bundle):
+    """Harness results on the ``sqlite`` backend."""
+    variants = tiny_bundle.variant_names[:2]
+    return {
+        "run": run_variant(
+            tiny_bundle, variants[0], progolem_spec(), folds=2, backend="sqlite"
+        ),
+        "independence": check_schema_independence(
+            tiny_bundle, progolem_spec(), variants=variants, backend="sqlite"
+        ),
+    }
+
+
+@pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+def test_run_variant_is_placement_invariant(
+    tiny_bundle, baseline, backend, parallelism
+):
+    result = run_variant(
         tiny_bundle,
-        variant,
+        tiny_bundle.variant_names[0],
         progolem_spec(),
         folds=2,
-        backend="sqlite-sharded",
-        shards=2,
-        parallelism=2,
+        backend=backend,
+        parallelism=parallelism,
     )
-    assert sharded.precision == baseline.precision
-    assert sharded.recall == baseline.recall
-    assert sharded.f1 == baseline.f1
+    assert as_key(result) == as_key(baseline["run"])
 
 
-def test_check_schema_independence_accepts_shards(tiny_bundle):
-    variants = tiny_bundle.variant_names[:2]
-    baseline = check_schema_independence(
-        tiny_bundle, progolem_spec(), variants=variants, backend="sqlite"
-    )
-    sharded = check_schema_independence(
+@pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+def test_check_schema_independence_is_placement_invariant(
+    tiny_bundle, baseline, backend, parallelism
+):
+    result = check_schema_independence(
         tiny_bundle,
         progolem_spec(),
-        variants=variants,
-        backend="sqlite-sharded",
-        shards=2,
+        variants=tiny_bundle.variant_names[:2],
+        backend=backend,
+        parallelism=parallelism,
     )
-    assert sharded.result_sizes == baseline.result_sizes
-    assert sharded.pairwise_equivalent == baseline.pairwise_equivalent
+    expected = baseline["independence"]
+    assert result.result_sizes == expected.result_sizes
+    assert result.pairwise_equivalent == expected.pairwise_equivalent
 
 
 # --------------------------------------------------------------------- #

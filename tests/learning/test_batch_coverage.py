@@ -14,6 +14,7 @@ from repro.learning.coverage import (
     CoverageBatch,
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
+    examples_mask,
     make_coverage_engine,
 )
 from repro.learning.examples import Example
@@ -40,27 +41,79 @@ def _value_sets(per_clause_lists):
     return [frozenset(e.values for e in covered) for covered in per_clause_lists]
 
 
+#: ``(backend, parallelism)`` placements a batch can run on.  The engine
+#: layer accepts any fan-out; single-connection ``sqlite`` serializes it.
+PLACEMENTS = [
+    ("memory", 1),
+    ("memory", 4),
+    ("sqlite", 1),
+    ("sqlite", 4),
+    ("sqlite-pooled", 1),
+    ("sqlite-pooled", 2),
+    ("sqlite-pooled", 4),
+]
+PLACEMENT_IDS = [f"{backend}-p{parallelism}" for backend, parallelism in PLACEMENTS]
+
+
+@pytest.fixture(scope="module")
+def reference(workload):
+    """Per-clause covered examples, one clause at a time on ``memory``."""
+    instance, clauses, examples = workload
+    all_examples = examples.all_examples()
+    engines = {
+        "query": QueryCoverageEngine(instance),
+        "subsumption": SubsumptionCoverageEngine(instance, compiled=False),
+    }
+    covered = {
+        family: [tuple(engine.covered_examples(c, all_examples)) for c in clauses]
+        for family, engine in engines.items()
+    }
+    assert any(covered["subsumption"]), "workload covers nothing"
+    return covered
+
+
+def _assert_batch_matches(batch, clauses, all_examples, expected):
+    """Covered lists and masks are input-ordered and equal ``expected``."""
+    got = batch.covered_examples_batch(clauses, all_examples)
+    assert [tuple(covered) for covered in got] == expected
+    assert batch.covered_masks_batch(clauses, all_examples) == [
+        examples_mask(covered, all_examples) for covered in expected
+    ]
+
+
 class TestBatchDeterminism:
-    def test_results_in_input_order_and_parallelism_invariant(self, workload):
-        """Batched scoring is input-ordered and identical for p=1 vs p=4."""
+    @pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+    def test_query_batch_is_placement_invariant(
+        self, workload, reference, backend, parallelism
+    ):
+        """Query coverage of a batch lists the same examples, in the same
+        order, wherever it runs."""
         instance, clauses, examples = workload
-        all_examples = examples.all_examples()
-        for backend in ("memory", "sqlite", "sqlite-pooled"):
-            converted = instance.with_backend(backend)
-            engine = QueryCoverageEngine(converted)
-            sequential = [
-                frozenset(e.values for e in engine.covered_examples(c, all_examples))
-                for c in clauses
-            ]
-            per_parallelism = {}
-            for parallelism in (1, 4):
-                batch = BatchCoverageEngine(
-                    QueryCoverageEngine(converted), parallelism=parallelism
-                )
-                got = _value_sets(batch.covered_examples_batch(clauses, all_examples))
-                assert got == sequential, (backend, parallelism)
-                per_parallelism[parallelism] = got
-            assert per_parallelism[1] == per_parallelism[4], backend
+        batch = BatchCoverageEngine(
+            QueryCoverageEngine(instance.with_backend(backend)),
+            parallelism=parallelism,
+        )
+        _assert_batch_matches(
+            batch, clauses, examples.all_examples(), reference["query"]
+        )
+
+    @pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+    @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
+    def test_subsumption_batch_is_placement_invariant(
+        self, workload, reference, compiled, backend, parallelism
+    ):
+        """Subsumption coverage lists the same examples, in the same order,
+        on every backend, decision procedure and parallelism."""
+        instance, clauses, examples = workload
+        batch = BatchCoverageEngine(
+            SubsumptionCoverageEngine(
+                instance.with_backend(backend), compiled=compiled
+            ),
+            parallelism=parallelism,
+        )
+        _assert_batch_matches(
+            batch, clauses, examples.all_examples(), reference["subsumption"]
+        )
 
     def test_evaluate_batch_matches_per_clause_evaluate(self, workload):
         instance, clauses, examples = workload
@@ -72,18 +125,6 @@ class TestBatchDeterminism:
             single = engine.evaluate(clause, examples.positives, examples.negatives)
             assert result.positives_covered == single.positives_covered
             assert result.negatives_covered == single.negatives_covered
-
-    def test_subsumption_batch_parallelism_invariant(self, workload):
-        instance, clauses, examples = workload
-        all_examples = examples.all_examples()
-        outcomes = {}
-        for parallelism in (1, 4):
-            engine = SubsumptionCoverageEngine(instance, compiled=True)
-            batch = BatchCoverageEngine(engine, parallelism=parallelism)
-            outcomes[parallelism] = _value_sets(
-                batch.covered_examples_batch(clauses, all_examples)
-            )
-        assert outcomes[1] == outcomes[4]
 
     def test_coverage_batch_run(self, workload):
         instance, clauses, examples = workload

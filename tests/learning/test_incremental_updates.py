@@ -21,11 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.database import Delta, as_delta
+from repro.database import Delta
 from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.database.sqlite_backend import SaturationStore
-from repro.distributed.wire import JsonWireCodec
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.coverage import SubsumptionCoverageEngine
 from repro.learning.examples import Example
@@ -62,7 +61,7 @@ class TestDelta:
         with pytest.raises(ValueError):
             Delta([("add", "", [("x",)])])
         with pytest.raises(ValueError):
-            as_delta(42)
+            Delta([42])  # not an (op, relation, rows) triple
 
     def test_classmethods_then_and_coalesced(self):
         delta = Delta.add("r", [("x",), ("x",), ("y",)]).then(
@@ -75,39 +74,26 @@ class TestDelta:
             ("remove", "r", (("x",),)),
         )
 
-    def test_as_delta_accepts_legacy_shapes(self):
-        assert as_delta(("add", "r", (("x",),))).ops == (("add", "r", (("x",),)),)
-        assert as_delta([("add", "r", (("x",),)), ("remove", "r", (("y",),))]).row_count == 2
-        delta = Delta.add("r", [("x",)])
-        assert as_delta(delta) is delta
-
     def test_equality_hash_pickle(self):
-        import pickle  # repro: noqa[REP001] -- Deltas cross the trusted coordinator<->worker seam in pickle frames; this asserts they survive the round-trip
+        import pickle  # repro: noqa[REP001] -- Delta is a value type; this asserts a pickle round-trip of bytes the test itself wrote yields an equal delta
 
         a = Delta.add("r", [("x", 1)])
         b = Delta([("add", "r", (("x", 1),))])
         assert a == b and hash(a) == hash(b)
         assert pickle.loads(pickle.dumps(a)) == a
 
-    def test_wire_roundtrip(self):
-        codec = JsonWireCodec()
-        delta = Delta([("add", "r", [("x", 1, 2.5, True)]), ("remove", "s", [("y",)])])
-        kind, payload = codec.decode(
-            codec.encode(("apply_delta", ("h", "old", "new", delta)))
-        )
-        assert kind == "apply_delta"
-        assert payload[3] == delta
-
 
 # --------------------------------------------------------------------- #
 # Transactions on DatabaseInstance
 # --------------------------------------------------------------------- #
 class TestTransaction:
-    def _instance(self, backend="memory"):
+    """Runs on every registered backend (the conftest ``backend`` fixture)."""
+
+    def _instance(self, backend):
         return DatabaseInstance(tiny_schema(), backend=backend)
 
-    def test_transaction_coalesces_into_one_delta(self):
-        instance = self._instance()
+    def test_transaction_coalesces_into_one_delta(self, backend):
+        instance = self._instance(backend)
         seen = []
         instance.subscribe_deltas(seen.append)
         with instance.transaction():
@@ -122,8 +108,8 @@ class TestTransaction:
         instance.add_tuple("s", ("x", "c"))
         assert seen[1] == Delta.add("s", [("x", "c")])
 
-    def test_nested_transactions_fire_once_at_the_outermost(self):
-        instance = self._instance()
+    def test_nested_transactions_fire_once_at_the_outermost(self, backend):
+        instance = self._instance(backend)
         seen = []
         instance.subscribe_deltas(seen.append)
         with instance.transaction():
@@ -133,11 +119,11 @@ class TestTransaction:
             assert seen == []
         assert len(seen) == 1 and seen[0].row_count == 2
 
-    def test_partial_transaction_still_commits(self):
+    def test_partial_transaction_still_commits(self, backend):
         """transaction() is a coalescing scope, NOT rollback: on exception
         the already-applied mutations stay and their delta still fires —
         anything else would silently diverge caches from the data."""
-        instance = self._instance()
+        instance = self._instance(backend)
         seen = []
         instance.subscribe_deltas(seen.append)
         with pytest.raises(RuntimeError):
@@ -147,8 +133,8 @@ class TestTransaction:
         assert ("x", 1) in instance.relation("r")
         assert seen == [Delta.add("r", [("x", 1)])]
 
-    def test_apply_delta_replays_with_set_semantics(self):
-        instance = self._instance()
+    def test_apply_delta_replays_with_set_semantics(self, backend):
+        instance = self._instance(backend)
         instance.add_tuple("r", ("x", 1))
         delta = Delta(
             [
@@ -161,14 +147,14 @@ class TestTransaction:
         with pytest.raises(TypeError):
             instance.apply_delta([("add", "r", (("x", 1),))])
 
-    def test_remove_tuple_missing_ok(self):
-        instance = self._instance()
+    def test_remove_tuple_missing_ok(self, backend):
+        instance = self._instance(backend)
         with pytest.raises(KeyError):
             instance.remove_tuple("r", ("nope", 0))
         instance.remove_tuple("r", ("nope", 0), missing_ok=True)
 
-    def test_unsubscribe(self):
-        instance = self._instance()
+    def test_unsubscribe(self, backend):
+        instance = self._instance(backend)
         seen = []
         unsubscribe = instance.subscribe_deltas(seen.append)
         instance.add_tuple("r", ("x", 1))
@@ -176,10 +162,10 @@ class TestTransaction:
         instance.add_tuple("r", ("y", 2))
         assert len(seen) == 1
 
-    def test_direct_mutation_on_managed_instance_warns_once(self):
+    def test_direct_mutation_on_managed_instance_warns_once(self, backend):
         from repro.database import backend as backend_module
 
-        instance = self._instance()
+        instance = self._instance(backend)
         instance.mark_managed()
         backend_module._WARNED = {
             m for m in backend_module._WARNED if "prepared instance" not in m
@@ -278,7 +264,7 @@ def _coverage_bits(engine):
     ]
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-pooled"])
 @settings(max_examples=25, deadline=None)
 @given(
     initial_r=st.lists(ROW_R, max_size=5),

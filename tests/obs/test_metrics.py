@@ -125,17 +125,17 @@ def test_histogram_timer_observes_elapsed_seconds():
 # --------------------------------------------------------------------- #
 def test_registry_get_or_create_is_stable_per_name_and_labels():
     registry = Registry()
-    a = registry.counter("x.hits", shard="0")
-    b = registry.counter("x.hits", shard="0")
-    c = registry.counter("x.hits", shard="1")
+    a = registry.counter("x.hits", engine="0")
+    b = registry.counter("x.hits", engine="0")
+    c = registry.counter("x.hits", engine="1")
     assert a is b
     assert a is not c
 
 
 def test_registry_total_sums_across_label_sets():
     registry = Registry()
-    registry.counter("x.hits", shard="0").inc(2)
-    registry.counter("x.hits", shard="1").inc(3)
+    registry.counter("x.hits", engine="0").inc(2)
+    registry.counter("x.hits", engine="1").inc(3)
     registry.counter("y.other").inc(10)
     assert registry.total("x.hits") == 5
 

@@ -1,4 +1,4 @@
-"""Tracer semantics: nesting, the disabled fast path, and context plumbing."""
+"""Tracer semantics: nesting, the disabled fast path, and dumps."""
 
 from __future__ import annotations
 
@@ -60,59 +60,6 @@ def test_span_attrs_and_exception_marking():
     assert record.duration >= 0
 
 
-def test_inject_activate_round_trip():
-    local = Tracer()
-    local.enable()
-    assert local.inject() is None  # nothing active
-    with local.span("root") as root:
-        context = local.inject()
-        assert context == {"trace_id": root.trace_id, "parent_id": root.span_id}
-    # A "remote" tracer adopting the context records into the same trace,
-    # even though it was never enabled — activation alone suffices.
-    remote = Tracer(process="worker")
-    assert not remote.enabled
-    with remote.activate(context):
-        with remote.span("remote.work"):
-            pass
-    (record,) = remote.records()
-    assert record.trace_id == root.trace_id
-    assert record.parent_id == root.span_id
-    assert record.process == "worker"
-
-
-def test_activate_rejects_malformed_context():
-    remote = Tracer()
-    for context in (None, {}, {"trace_id": 1, "parent_id": 2}, {"trace_id": "x"}):
-        with remote.activate(context):
-            assert remote.span("anything") is _NULL_SPAN
-
-
-def test_drain_is_per_trace():
-    local = Tracer()
-    local.enable()
-    with local.span("a") as span_a:
-        pass
-    with local.span("b"):
-        pass
-    drained = local.drain(span_a.trace_id)
-    assert [entry["name"] for entry in drained] == ["a"]
-    remaining = local.records()
-    assert [record.name for record in remaining] == ["b"]
-
-
-def test_extend_folds_remote_records_in():
-    local = Tracer()
-    remote = Tracer(process="worker")
-    remote.enable()
-    with remote.span("remote.work", shard=2):
-        pass
-    local.extend(remote.drain())
-    (record,) = local.records()
-    assert record.name == "remote.work"
-    assert record.process == "worker"
-    assert record.attrs == {"shard": 2}
-
-
 def test_dump_json_and_report_round_trip(tmp_path):
     local = Tracer(process="bench")
     local.enable()
@@ -147,7 +94,7 @@ def test_chrome_dump_shape(tmp_path):
 
 
 def test_provenance_block_has_the_shared_fields():
-    block = provenance(benchmark="x", shards=2)
+    block = provenance(benchmark="x", parallelism=2)
     for key in ("python", "implementation", "platform", "machine", "pid"):
         assert key in block
-    assert block["benchmark"] == "x" and block["shards"] == 2
+    assert block["benchmark"] == "x" and block["parallelism"] == 2

@@ -82,13 +82,6 @@ def test_session_context_pushes_local_backend(tiny_bundle):
         assert learner.backend == "sqlite-pooled"
 
 
-def test_connect_shaped_config_warns_on_bare_context(tiny_bundle):
-    schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    config = SessionConfig(service_address="127.0.0.1:7463")
-    with pytest.warns(RuntimeWarning, match="evaluate locally"):
-        ProGolemLearner(schema, context=config)
-
-
 def test_every_registry_kind_constructs(tiny_bundle):
     """Every advertised kind — including progol/aleph-foil — takes context=."""
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
@@ -262,34 +255,6 @@ def test_multi_spec_sweep_matches_per_run_path(tiny_bundle):
     assert [as_key(r) for r in swept] == [as_key(r) for r in isolated]
 
 
-def test_topology_knobs_reach_the_backend(tiny_bundle):
-    """sharding_strategy/transport are applied, not just validated."""
-    config = SessionConfig(
-        backend="sqlite-sharded", shards=2,
-        sharding_strategy="size-balanced", transport="socket",
-    )
-    with LearningSession(config) as session:
-        prepared = session.prepare(tiny_bundle.instance(tiny_bundle.variant_names[0]))
-        assert prepared.backend.shards == 2
-        assert prepared.backend.strategy == "size-balanced"
-        assert prepared.backend.transport == "socket"
-
-
-@pytest.mark.parametrize("source_backend", ["memory", "sqlite", "sqlite-pooled"])
-def test_data_token_moves_on_mutation(tiny_bundle, source_backend):
-    """Every registered backend exposes a contents-version token."""
-    instance = tiny_bundle.instance(tiny_bundle.variant_names[0]).with_backend(
-        source_backend
-    )
-    relation = instance.schema.relations[0]
-    before = instance.data_token()
-    assert before is not None
-    instance.add_tuples(
-        relation.name, [("token-witness",) * len(relation.attributes)]
-    )
-    assert instance.data_token() != before
-
-
 def test_source_mutations_invalidate_the_prepared_cache(tiny_bundle):
     """Mutating the source instance between runs re-converts and drops the
     stale saturation stores (legacy per-learn() conversion semantics)."""
@@ -315,21 +280,6 @@ def test_storeless_learner_opens_no_store(tiny_bundle):
         learner = session.learner("foil", tiny_bundle.schema(variant))
         learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
         assert session._stores == {}
-
-
-def test_unhonorable_coverage_strategy_warns_once(tiny_bundle):
-    import warnings
-
-    schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    with pytest.warns(RuntimeWarning, match="always uses subsumption"):
-        SessionConfig(coverage="query").apply(ProGolemLearner(schema))
-    with pytest.warns(RuntimeWarning, match="always uses query"):
-        SessionConfig(coverage="subsumption").apply(FoilLearner(schema))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # Matching families are honored silently.
-        SessionConfig(coverage="subsumption").apply(ProGolemLearner(schema))
-        SessionConfig(coverage="query").apply(FoilLearner(schema))
 
 
 def test_reuse_disabled_hands_out_no_store(tiny_bundle):
@@ -382,35 +332,14 @@ def test_context_manager_closes(tiny_bundle):
     assert session.closed
 
 
-def test_close_shuts_down_bundle_converted_fleets(tiny_bundle):
-    """Backends created inside a session-converted bundle (the sweep path)
-    are owned by the session and closed with it."""
-    session = LearningSession(SessionConfig(backend="sqlite-sharded", shards=2))
+def test_close_releases_bundle_converted_instances(tiny_bundle):
+    """Instances materialized inside a session-converted bundle (the sweep
+    path) are owned by the session and released with it."""
+    session = LearningSession(SessionConfig(backend="sqlite-pooled"))
     converted = session.prepare_bundle(tiny_bundle)
     assert converted is not tiny_bundle
     instance = converted.instance(tiny_bundle.variant_names[0])
-    service = instance.backend.coverage_service().start()
-    assert any(pid is not None for pid in service.worker_pids())
+    assert instance.backend_name == "sqlite-pooled"
+    assert converted._materialized
     session.close()
-    assert instance.backend._service is None
-
-
-def test_close_shuts_down_owned_sharded_fleet(tiny_bundle):
-    session = LearningSession(SessionConfig(backend="sqlite-sharded", shards=2))
-    prepared = session.prepare(tiny_bundle.instance(tiny_bundle.variant_names[0]))
-    backend = prepared.backend
-    service = backend.coverage_service().start()
-    pids = [pid for pid in service.worker_pids() if pid is not None]
-    assert pids, "fleet should be running"
-    session.close()
-    assert backend._service is None
-
-
-def test_evaluation_stats_counts_sharded_reloads(tiny_bundle):
-    with LearningSession(SessionConfig(backend="sqlite-sharded", shards=2)) as session:
-        result = session.run(
-            tiny_bundle, tiny_bundle.variant_names[0], progolem_spec(), folds=2
-        )
-        stats = session.evaluation_stats()
-        assert result is not None
-        assert stats["batches_served"] > 0
+    assert not converted._materialized

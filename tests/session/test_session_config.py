@@ -3,15 +3,18 @@ messages, and apply() is the single warn-once normalization path."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
 
-from repro.database import DatabaseInstance, RelationSchema, Schema
+from repro.database import RelationSchema, Schema, backend_names
+from repro.database import backend as backend_module
 from repro.progolem.progolem import ProGolemLearner
 from repro.session import COVERAGE_STRATEGIES, SessionConfig
+from repro.session.session import _learner_kinds
 
-BACKENDS = ["memory", "sqlite", "sqlite-pooled", "sqlite-sharded"]
+BACKENDS = ["memory", "sqlite", "sqlite-pooled"]
 
 
 def schema() -> Schema:
@@ -21,42 +24,31 @@ def schema() -> Schema:
 # --------------------------------------------------------------------- #
 # Backend-matrix validation
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shards_requires_a_sharded_backend(backend):
-    if backend == "sqlite-sharded":
-        assert SessionConfig(backend=backend, shards=2).shards == 2
-    else:
-        with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, shards=2)
+def test_backends_and_fields_are_the_single_process_set():
+    assert backend_names() == tuple(BACKENDS)
+    assert [field.name for field in dataclasses.fields(SessionConfig)] == [
+        "backend",
+        "parallelism",
+        "coverage",
+        "reuse_saturation_store",
+        "presaturate",
+        "trace",
+    ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallelism_rejected_only_on_single_connection_sqlite(backend):
-    if backend == "sqlite":
+@pytest.mark.parametrize("parallelism", [None, 1, 2, 4])
+@pytest.mark.parametrize("backend", [None, *BACKENDS])
+def test_parallelism_rejected_only_on_single_connection_sqlite(
+    backend, parallelism
+):
+    """Every placement is valid except a fan-out on ``sqlite``, whose one
+    connection serializes every statement; the error names the fix."""
+    if backend == "sqlite" and parallelism is not None and parallelism > 1:
         with pytest.raises(ValueError, match="sqlite-pooled"):
-            SessionConfig(backend=backend, parallelism=2)
+            SessionConfig(backend=backend, parallelism=parallelism)
     else:
-        assert SessionConfig(backend=backend, parallelism=2).parallelism == 2
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_topology_knobs_only_on_sharded_backends(backend):
-    if backend == "sqlite-sharded":
-        config = SessionConfig(
-            backend=backend, sharding_strategy="round-robin", transport="socket"
-        )
-        assert config.sharding_strategy == "round-robin"
-    else:
-        with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, sharding_strategy="round-robin")
-        with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, transport="socket")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unset_knobs_are_always_coherent(backend):
-    # The knobless config is valid on every backend.
-    assert SessionConfig(backend=backend).backend == backend
+        config = SessionConfig(backend=backend, parallelism=parallelism)
+        assert (config.backend, config.parallelism) == (backend, parallelism)
 
 
 def test_unknown_backend_lists_the_registry():
@@ -67,8 +59,6 @@ def test_unknown_backend_lists_the_registry():
 def test_out_of_range_counts():
     with pytest.raises(ValueError, match="parallelism"):
         SessionConfig(parallelism=0)
-    with pytest.raises(ValueError, match="shards"):
-        SessionConfig(backend="sqlite-sharded", shards=0)
 
 
 def test_unknown_coverage_strategy_lists_options():
@@ -90,48 +80,16 @@ def test_presaturate_incoherent_with_query_coverage():
         SessionConfig(presaturate=True, coverage="query")
 
 
-def test_unknown_strategy_and_transport_names():
-    with pytest.raises(ValueError, match="round-robin"):
-        SessionConfig(backend="sqlite-sharded", sharding_strategy="modulo")
-    with pytest.raises(ValueError, match="pipe"):
-        SessionConfig(backend="sqlite-sharded", transport="grpc")
-
-
-# --------------------------------------------------------------------- #
-# Persistent-server address rules
-# --------------------------------------------------------------------- #
-def test_service_address_must_parse():
-    with pytest.raises(ValueError, match="HOST:PORT"):
-        SessionConfig(service_address="not-an-address")
-    assert SessionConfig(service_address="127.0.0.1:7463").service_address
-
-
-def test_service_address_conflicts_with_local_topology():
-    with pytest.raises(ValueError, match="fixed when the persistent server"):
-        SessionConfig(service_address="127.0.0.1:7463", shards=2)
-    with pytest.raises(ValueError, match="drop backend="):
-        SessionConfig(service_address="127.0.0.1:7463", backend="sqlite-sharded")
-
-
-def test_remote_backend_requires_an_address():
-    with pytest.raises(ValueError, match="service_address"):
-        SessionConfig(backend="sqlite-remote")
-    config = SessionConfig(
-        backend="sqlite-remote", service_address="127.0.0.1:7463"
-    )
-    assert config.backend == "sqlite-remote"
-
-
 # --------------------------------------------------------------------- #
 # merged()
 # --------------------------------------------------------------------- #
 def test_merged_overrides_and_revalidates():
-    base = SessionConfig(backend="sqlite-sharded", shards=2)
-    bumped = base.merged(shards=4)
-    assert bumped.shards == 4 and bumped.backend == "sqlite-sharded"
-    assert base.shards == 2  # immutable
-    with pytest.raises(ValueError, match="sqlite-sharded"):
-        base.merged(backend="memory")
+    base = SessionConfig(backend="sqlite-pooled", parallelism=2)
+    bumped = base.merged(parallelism=4)
+    assert bumped.parallelism == 4 and bumped.backend == "sqlite-pooled"
+    assert base.parallelism == 2  # immutable
+    with pytest.raises(ValueError, match="sqlite-pooled"):
+        base.merged(backend="sqlite")
     assert base.merged() is base
 
 
@@ -139,6 +97,10 @@ def test_merged_overrides_and_revalidates():
 # apply(): the single normalization path
 # --------------------------------------------------------------------- #
 class ConfigKnoblessLearner:
+    pass
+
+
+class OtherKnoblessLearner:
     pass
 
 
@@ -158,7 +120,13 @@ def test_apply_warns_once_on_learners_without_the_knob():
         SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # Same situation again: silent (already reported).
         SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
+        # An unset knob is never a warning.
+        SessionConfig().apply(ConfigKnoblessLearner())
+    # A different situation still warns.
+    with pytest.warns(RuntimeWarning, match="OtherKnoblessLearner"):
+        SessionConfig(parallelism=3).apply(OtherKnoblessLearner())
 
 
 def test_apply_hands_out_the_saturation_store():
@@ -170,14 +138,71 @@ def test_apply_hands_out_the_saturation_store():
     assert learner.saturation_store is store
 
 
-def test_apply_configures_instance_sharding():
-    instance = DatabaseInstance(schema(), backend="sqlite-sharded")
-    SessionConfig(backend="sqlite-sharded", shards=3).apply(instance=instance)
-    assert instance.backend.shards == 3
-    instance.backend.close()
+# --------------------------------------------------------------------- #
+# apply() on every registered learner kind
+# --------------------------------------------------------------------- #
+KINDS = ("castor", "foil", "golem", "progolem", "progol", "aleph-foil")
 
 
-def test_apply_without_instance_sets_learner_shards():
-    learner = ProGolemLearner(schema())
-    SessionConfig(backend="sqlite-sharded", shards=3).apply(learner)
-    assert learner.shards == 3
+def make_learner(kind):
+    return _learner_kinds()[kind](schema())
+
+
+def family(kind):
+    """FOIL scores by query coverage; every other kind by subsumption."""
+    return "query" if kind == "foil" else "subsumption"
+
+
+#: ``(family, strategy) -> outcome``: ``("compiled", flag)`` sets
+#: ``compiled_coverage``; ``("honored",)`` changes nothing silently;
+#: ``("warns", pattern)`` leaves the learner alone and warns once.
+COVERAGE_OUTCOMES = {
+    ("subsumption", "auto"): ("honored",),
+    ("subsumption", "subsumption"): ("honored",),
+    ("subsumption", "subsumption-compiled"): ("compiled", True),
+    ("subsumption", "subsumption-python"): ("compiled", False),
+    ("subsumption", "query"): ("warns", "always uses subsumption coverage"),
+    ("query", "auto"): ("honored",),
+    ("query", "subsumption"): ("warns", "always uses query coverage"),
+    ("query", "subsumption-compiled"): ("warns", "no compiled-subsumption knob"),
+    ("query", "subsumption-python"): ("warns", "no compiled-subsumption knob"),
+    ("query", "query"): ("honored",),
+}
+
+
+@pytest.fixture
+def fresh_warnings(monkeypatch):
+    """Forget earlier warn-once reports so this test sees its own."""
+    monkeypatch.setattr(backend_module, "_WARNED", set())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_pushes_placement_onto_every_kind(kind, fresh_warnings):
+    learner = make_learner(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SessionConfig(backend="sqlite-pooled", parallelism=3).apply(learner)
+    assert learner.backend == "sqlite-pooled"
+    assert learner.parallelism == 3
+
+
+@pytest.mark.parametrize("strategy", COVERAGE_STRATEGIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_honors_or_warns_once_about_coverage(kind, strategy, fresh_warnings):
+    config = SessionConfig(coverage=strategy)
+    learner = make_learner(kind)
+    before = getattr(learner, "compiled_coverage", None)
+    outcome = COVERAGE_OUTCOMES[(family(kind), strategy)]
+    if outcome[0] == "warns":
+        with pytest.warns(RuntimeWarning, match=outcome[1]):
+            config.apply(learner)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config.apply(learner)
+    expected = outcome[1] if outcome[0] == "compiled" else before
+    assert getattr(learner, "compiled_coverage", None) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The same situation again is silent: already reported.
+        config.apply(make_learner(kind))

@@ -1,8 +1,8 @@
 """session.update()/session.feed(): streaming updates keep session caches warm.
 
 Before the update API, any mutation between runs moved the source's data
-token and the next prepare() threw away the converted instance, its worker
-fleet, and every saturation store keyed on it.  These tests pin the new
+token and the next prepare() threw away the converted instance and every
+saturation store keyed on it.  These tests pin the new
 contract: updates routed through the session patch all of that in place.
 """
 
@@ -130,26 +130,23 @@ def test_prepared_instance_direct_mutation_warns():
             prepared.add_tuple("r", ("warned", "row"))
 
 
-def test_update_resyncs_a_live_sharded_fleet():
-    """A running worker fleet replays the delta immediately: coverage served
-    by the fleet reflects the update without a reload-from-scratch."""
+def test_update_reaches_the_pooled_read_snapshots():
+    """Batched coverage fanned over the snapshot read pool sees the update
+    right away: the pool refreshes its snapshots instead of serving
+    pre-update data."""
     from repro.logic.parser import parse_clause
 
     source = tiny_source()
-    clause = parse_clause("q(x) :- r(x, y).")
+    clauses = [parse_clause("q(x) :- r(x, y)."), parse_clause("q(x) :- s(x, y).")]
+    candidates = [("x1",), ("x2",), ("x9",)]
     with LearningSession(
-        SessionConfig(backend="sqlite-sharded", shards=2)
+        SessionConfig(backend="sqlite-pooled", parallelism=2)
     ) as session:
-        prepared = session.prepare(source)
-        backend = prepared.backend
-        service = backend.coverage_service().start()
-        candidates = [("x1",), ("x9",)]
-        assert backend.covered_head_tuples_batch([clause], candidates) == [
-            {("x1",)}
-        ]
+        backend = session.prepare(source).backend
+        assert backend.covered_head_tuples_batch(
+            clauses, candidates, parallelism=2
+        ) == [{("x1",)}, {("x2",)}]
         session.update(source, Delta.add("r", [("x9", "b9")]))
-        assert backend.covered_head_tuples_batch([clause], candidates) == [
-            {("x1",), ("x9",)}
-        ]
-        assert service.reloads_incremental >= 1
-        assert service.reloads_full <= 1
+        assert backend.covered_head_tuples_batch(
+            clauses, candidates, parallelism=2
+        ) == [{("x1",), ("x9",)}, {("x2",)}]
