@@ -4,8 +4,8 @@ Times the two coverage hot paths of the covering loop (Section 7.5) on the
 UW-CSE and HIV workloads:
 
 * **query coverage, sequential** — one ``covered_examples`` call per clause:
-  tuple-at-a-time on ``memory``, one compiled SQL statement per clause on
-  the SQLite backends;
+  one compiled join plan per clause, tested example by example, on
+  ``memory``; one compiled SQL statement per clause on the SQLite backends;
 * **query coverage, batched** — the whole candidate-clause generation in one
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
   table per head signature across the batch, ``sqlite-pooled`` fans the

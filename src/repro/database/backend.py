@@ -46,7 +46,9 @@ class RelationBackend(Protocol):
     """Storage interface one relation's extension must provide.
 
     Implementations hold a set of positional tuples and answer the indexed
-    lookups bottom-clause construction and join evaluation rely on.
+    lookups bottom-clause construction and join evaluation rely on.  The
+    sets ``rows`` and the lookups return may be live views of the store (the
+    memory backend's are), so callers must not mutate them.
     """
 
     schema: RelationSchema
@@ -102,7 +104,11 @@ class Backend(Protocol):
     the hooks :class:`~repro.database.query.QueryEvaluator` probes for
     (``satisfiable``, ``count_bindings``, ``head_tuples``,
     ``covered_head_tuples``, ``iter_bindings``).  Backends without the flag
-    are evaluated through the generic tuple-at-a-time backtracking join.
+    are evaluated through the evaluator's generic join: it compiles each
+    clause body once per call (atom order, variable slots, index probes),
+    tests every candidate head tuple against that plan, and reads the
+    relation stores only through :class:`RelationBackend` (``tuples_with``,
+    ``rows``, ``__len__`` and ``schema``).
 
     A backend may also support *saturation queries* — the frontier expansion
     step of bottom-clause construction — by setting

@@ -2,10 +2,15 @@
 
 ``evaluate_clause`` computes the result of applying a Horn clause to a
 database instance: the set of head-tuple instantiations whose body is
-satisfied by the instance (the paper's ``h_R(I)``, Section 3.2.2).  The
-evaluator is a backtracking index-nested-loop join that consults the relation
-hash indexes for every bound position, so selective constants and join
-variables prune early.
+satisfied by the instance (the paper's ``h_R(I)``, Section 3.2.2).
+
+The generic evaluator compiles a body once per call into a :class:`_JoinPlan`
+for a fixed set of bound variables: a greedy atom order, variables mapped to
+integer slots of one flat value list, and per-atom index probes.  Running the
+plan is a backtracking index-nested-loop join, so selective constants and
+join variables prune early.  Coverage of a candidate list reuses one plan for
+every candidate, which turns "is this head tuple in the clause's result?"
+into a few index probes per tuple rather than a fresh plan per tuple.
 
 The same machinery powers:
 * labeling examples from a hidden ground-truth definition (datasets),
@@ -13,30 +18,183 @@ The same machinery powers:
 * FOIL's coverage counts over the extensional database.
 
 When the instance's backend supports compiled queries (the SQLite backend),
-the evaluator delegates to single set-at-a-time SQL statements instead of
-the Python backtracking join; bodies the backend cannot compile fall back
-to the generic path transparently.
+the evaluator delegates to single set-at-a-time SQL statements instead;
+bodies the backend cannot compile fall back to the generic join, which reads
+relation stores only through the ``RelationBackend`` protocol.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause, HornDefinition
 from ..logic.terms import Constant, Term, Variable
+from .backend import RelationBackend
 from .instance import DatabaseInstance
 from .sqlite_backend import CompilationNotSupported
 
 Binding = Dict[Variable, object]
+Row = Tuple[object, ...]
+Slots = Tuple[Tuple[int, int], ...]
+#: One atom of a plan: its store, ``(position, slot)`` probes on known
+#: values, ``(position, slot)`` assignments of fresh variables, and
+#: ``(position, earlier position)`` checks of repeated fresh variables.
+_Step = Tuple[RelationBackend, Slots, Slots, Slots]
+
+
+def _row_getter(slots: Sequence[int]) -> Callable[[List[object]], Row]:
+    """``values -> tuple(values[s] for s in slots)``, as one C call."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    if not slots:
+        return lambda values: ()
+    return itemgetter(*slots)
+
+
+class _JoinPlan:
+    """A conjunctive body compiled once for a fixed set of bound variables.
+
+    ``slots`` maps every variable to its index in the flat value list the
+    join fills in: the bound variables take the first slots, in the order
+    given.  Every constant has a slot of its own, filled in at compile time,
+    so every atom position reads one list entry.  Atoms are ordered greedily
+    (fewest unbound variables first, then the smaller relation), exactly
+    once.  A body naming a missing relation, or an atom of the wrong arity,
+    compiles to an ``empty`` plan with no solutions.
+
+    A plan lives for one evaluator call: it holds the relation stores, and
+    the relation sizes that ordered it are not watched for changes.
+    """
+
+    __slots__ = ("slots", "steps", "empty", "_template")
+
+    def __init__(
+        self,
+        instance: DatabaseInstance,
+        body: Sequence[Atom],
+        bound: Sequence[Variable] = (),
+    ):
+        self.slots: Dict[Variable, int] = {}
+        for variable in bound:
+            self.slots.setdefault(variable, len(self.slots))
+        self._template: List[object] = [None] * len(self.slots)
+        self.steps: List[_Step] = []
+        self.empty = False
+        remaining = []
+        for atom in body:
+            try:
+                store = instance.relation(atom.predicate)
+            except KeyError:
+                self.empty = True
+                return
+            if store.schema.arity != atom.arity:
+                self.empty = True
+                return
+            remaining.append((atom, store, atom.variables(), len(store)))
+        known = set(self.slots)
+        while remaining:
+            best = min(
+                range(len(remaining)),
+                key=lambda i: (
+                    sum(1 for v in remaining[i][2] if v not in known),
+                    remaining[i][3],
+                ),
+            )
+            atom, store, _, _ = remaining.pop(best)
+            self.steps.append(self._compile_atom(atom, store, known))
+
+    def _compile_atom(
+        self, atom: Atom, store: RelationBackend, known: Set[Variable]
+    ) -> _Step:
+        probes: List[Tuple[int, int]] = []
+        fresh: List[Tuple[int, int]] = []
+        repeats: List[Tuple[int, int]] = []
+        first_seen: Dict[Variable, int] = {}
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                probes.append((position, self.new_slot(term.value)))
+            elif term in known:
+                probes.append((position, self.slots[term]))
+            elif term in first_seen:
+                repeats.append((position, first_seen[term]))
+            else:
+                slot = self.slots[term] = self.new_slot()
+                first_seen[term] = position
+                fresh.append((position, slot))
+        known.update(first_seen)
+        return (store, tuple(probes), tuple(fresh), tuple(repeats))
+
+    def new_slot(self, value: object = None) -> int:
+        """A new slot, pre-filled with ``value`` in every value list."""
+        self._template.append(value)
+        return len(self._template) - 1
+
+    def values(self) -> List[object]:
+        """A value list with the constants filled in, bound slots unset."""
+        return list(self._template)
+
+    def solutions(self, binding: Optional[Binding] = None) -> Iterator[List[object]]:
+        """Yield the value list once per satisfying assignment, filled in,
+        with the bound variables set from ``binding``.
+
+        The same list is yielded every time; copy what you keep.  An empty
+        body is satisfied once.
+        """
+        if self.empty:
+            return
+        values = self.values()
+        for variable, value in (binding or {}).items():
+            values[self.slots[variable]] = value
+        if self.steps:
+            yield from _extend(self.steps, 0, values)
+        else:
+            yield values
+
+
+def _extend(steps: List[_Step], depth: int, values: List[object]) -> Iterator[List[object]]:
+    """The join: match ``steps[depth:]`` under the slots set so far."""
+    store, probes, fresh, repeats = steps[depth]
+    depth += 1
+    last = depth == len(steps)
+    if probes:
+        position, slot = probes[0]
+        rows = store.tuples_with(position, values[slot])
+        for position, slot in probes[1:]:
+            if not rows:
+                return
+            rows = rows & store.tuples_with(position, values[slot])
+    else:
+        rows = store.rows
+    for row in rows:
+        for position, earlier in repeats:
+            if row[position] != row[earlier]:
+                break
+        else:
+            for position, slot in fresh:
+                values[slot] = row[position]
+            if last:
+                yield values
+            else:
+                yield from _extend(steps, depth, values)
 
 
 class QueryEvaluator:
     """Evaluate Horn clauses / definitions against a :class:`DatabaseInstance`."""
 
-    def __init__(self, instance: DatabaseInstance, max_results: Optional[int] = None):
+    def __init__(self, instance: DatabaseInstance):
         self.instance = instance
-        self.max_results = max_results
         backend = getattr(instance, "backend", None)
         self._compiled = (
             backend
@@ -58,18 +216,18 @@ class QueryEvaluator:
             raise ValueError(f"cannot evaluate unsafe clause: {clause}")
         if self._compiled is not None and clause.body:
             try:
-                return self._compiled.head_tuples(clause, self.max_results)
+                return self._compiled.head_tuples(clause)
             except CompilationNotSupported:
                 pass
-        results: Set[Tuple[object, ...]] = set()
-        for binding in self.bindings_for_body(clause.body):
-            head_tuple = tuple(
-                self._term_value(term, binding) for term in clause.head.terms
-            )
-            results.add(head_tuple)
-            if self.max_results is not None and len(results) >= self.max_results:
-                break
-        return results
+        plan = _JoinPlan(self.instance, clause.body)
+        if plan.empty:
+            return set()
+        head_tuple = _row_getter([
+            plan.slots[term] if isinstance(term, Variable)
+            else plan.new_slot(term.value)
+            for term in clause.head.terms
+        ])
+        return {head_tuple(values) for values in plan.solutions()}
 
     def evaluate_definition(self, definition: HornDefinition) -> Set[Tuple[object, ...]]:
         """Union of the results of every clause in the definition."""
@@ -85,7 +243,9 @@ class QueryEvaluator:
                 return self._compiled.satisfiable(body, binding)
             except CompilationNotSupported:
                 pass
-        for _ in self.bindings_for_body(body, binding):
+        binding = binding or {}
+        plan = _JoinPlan(self.instance, body, list(binding))
+        for _ in plan.solutions(binding):
             return True
         return False
 
@@ -127,18 +287,16 @@ class QueryEvaluator:
 
         On backends with compiled queries this is **one** set-at-a-time
         statement for the whole candidate list (the stored-procedure analogue
-        of Section 7.5.2); otherwise it loops ``clause_covers_tuple``.
+        of Section 7.5.2); otherwise the clause is compiled once and every
+        candidate is tested against that plan, stopping at its first match.
         """
         if self._compiled is not None:
             try:
                 return self._compiled.covered_head_tuples(clause, candidates)
             except CompilationNotSupported:
                 pass
-        return {
-            tuple(candidate)
-            for candidate in candidates
-            if self.clause_covers_tuple(clause, candidate)
-        }
+        covers = self._coverage_test(clause)
+        return {tuple(candidate) for candidate in candidates if covers(candidate)}
 
     def covered_tuples_batch(
         self,
@@ -176,25 +334,28 @@ class QueryEvaluator:
                 return self._compiled.count_bindings(body, limit)
             except CompilationNotSupported:
                 pass
+        plan = _JoinPlan(self.instance, body)
         count = 0
-        for _ in self.bindings_for_body(body):
+        for _ in plan.solutions():
             count += 1
             if limit is not None and count >= limit:
                 break
         return count
 
-    # ------------------------------------------------------------------ #
-    # Core join
-    # ------------------------------------------------------------------ #
     def bindings_for_body(
         self, body: Sequence[Atom], initial: Optional[Binding] = None
     ) -> Iterator[Binding]:
         """Generate all variable bindings satisfying every body atom.
 
-        Atoms are evaluated in an order chosen greedily: at each step the atom
-        with the most bound arguments (and smallest relation as tie-break) is
-        evaluated next, which keeps intermediate result sizes small.  On
+        Each binding is a new dict holding ``initial`` plus the body's
+        variables.  Atoms are joined in a greedy order: at each step the
+        atom with the fewest unbound variables (smallest relation as
+        tie-break) comes next, which keeps intermediate results small.  On
         compiled backends the enumeration runs as a single SQL statement.
+
+        The generic join reads the relation stores' live indexes, so do not
+        mutate the instance while this generator is suspended; collect the
+        bindings first (``list(...)``) when you need to.
         """
         if self._compiled is not None:
             try:
@@ -202,72 +363,62 @@ class QueryEvaluator:
                 return
             except CompilationNotSupported:
                 pass
-        remaining = list(body)
-        order = self._plan(remaining, set((initial or {}).keys()))
-        yield from self._join(order, 0, dict(initial or {}))
+        initial = initial or {}
+        plan = _JoinPlan(self.instance, body, list(initial))
+        slots = list(plan.slots.items())
+        for values in plan.solutions(initial):
+            yield {variable: values[slot] for variable, slot in slots}
 
-    def _plan(self, body: List[Atom], bound: Set[Variable]) -> List[Atom]:
-        """Greedy join ordering: most-bound, smallest-relation atom first."""
-        remaining = list(body)
-        ordered: List[Atom] = []
-        bound_vars = set(bound)
-        while remaining:
-            def score(atom: Atom) -> Tuple[int, int]:
-                atom_vars = atom.variables()
-                unbound = sum(1 for v in atom_vars if v not in bound_vars)
-                try:
-                    relation_size = len(self.instance.relation(atom.predicate))
-                except KeyError:
-                    relation_size = 0
-                return (unbound, relation_size)
+    # ------------------------------------------------------------------ #
+    # Coverage against one plan
+    # ------------------------------------------------------------------ #
+    def _coverage_test(self, clause: HornClause) -> Callable[[Sequence[object]], bool]:
+        """Compile ``clause`` once; return a test of one candidate head tuple.
 
-            best = min(remaining, key=score)
-            remaining.remove(best)
-            ordered.append(best)
-            bound_vars |= set(best.variables())
-        return ordered
-
-    def _join(
-        self, body: List[Atom], position: int, binding: Binding
-    ) -> Iterator[Binding]:
-        if position == len(body):
-            yield dict(binding)
-            return
-        atom = body[position]
-        try:
-            relation = self.instance.relation(atom.predicate)
-        except KeyError:
-            return
-        if relation.schema.arity != atom.arity:
-            return
-        positional_constraints: Dict[int, object] = {}
-        for index, term in enumerate(atom.terms):
+        Head constants must match and repeated head variables must agree; a
+        candidate of the wrong length is not covered.
+        """
+        head = clause.head
+        plan = _JoinPlan(self.instance, clause.body, head.variables())
+        constants: List[Tuple[int, object]] = []
+        assign: List[Tuple[int, int]] = []
+        repeats: List[Tuple[int, int]] = []
+        first_seen: Dict[Term, int] = {}
+        for position, term in enumerate(head.terms):
             if isinstance(term, Constant):
-                positional_constraints[index] = term.value
-            elif term in binding:
-                positional_constraints[index] = binding[term]
-        for row in relation.tuples_matching(positional_constraints):
-            extended = dict(binding)
-            consistent = True
-            for index, term in enumerate(atom.terms):
-                if isinstance(term, Variable):
-                    existing = extended.get(term)
-                    if existing is None:
-                        extended[term] = row[index]
-                    elif existing != row[index]:
-                        consistent = False
-                        break
-            if consistent:
-                yield from self._join(body, position + 1, extended)
+                constants.append((position, term.value))
+            elif term in first_seen:
+                repeats.append((position, first_seen[term]))
+            else:
+                first_seen[term] = position
+                assign.append((position, plan.slots[term]))
+        arity = head.arity
+        steps = plan.steps
+        satisfiable = not plan.empty
+        # One value list serves every candidate: each test overwrites the
+        # head slots, and the join assigns every other slot before reading it.
+        values = plan.values()
 
-    @staticmethod
-    def _term_value(term: Term, binding: Binding) -> object:
-        if isinstance(term, Constant):
-            return term.value
-        value = binding.get(term)
-        if value is None and term not in binding:
-            raise KeyError(f"unbound head variable {term}")
-        return value
+        def covers(candidate: Sequence[object]) -> bool:
+            if len(candidate) != arity:
+                return False
+            for position, value in constants:
+                if candidate[position] != value:
+                    return False
+            for position, earlier in repeats:
+                if candidate[position] != candidate[earlier]:
+                    return False
+            if not satisfiable:
+                return False
+            if not steps:
+                return True
+            for position, slot in assign:
+                values[slot] = candidate[position]
+            for _ in _extend(steps, 0, values):
+                return True
+            return False
+
+        return covers
 
 
 def evaluate_definition(

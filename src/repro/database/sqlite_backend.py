@@ -9,7 +9,7 @@ reproduces the architectural move with the standard-library ``sqlite3``:
 * conjunctive clause bodies are **compiled into single SQL statements** —
   satisfiability, binding enumeration, head-tuple computation, and
   FOIL-style binding counts all run set-at-a-time inside SQLite's join
-  planner instead of the tuple-at-a-time Python backtracking join;
+  planner instead of the evaluator's generic Python join;
 * query-based coverage of a whole example set is one statement: the example
   tuples are loaded into a temp table and joined against an ``EXISTS`` of
   the compiled body, so testing a clause against N examples costs one
@@ -20,7 +20,8 @@ Anything else raises :class:`BackendValueError` on insert; lookups for such
 values simply return the empty set (they cannot have been stored).  Bodies
 the compiler cannot express (e.g. more atoms than SQLite's join limit) raise
 :class:`CompilationNotSupported`, and the caller falls back to the generic
-tuple-at-a-time path.
+join of :class:`~repro.database.query.QueryEvaluator`, which reads these
+same tables through the relation-store protocol.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ from typing import (
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Variable
-from ..obs import registry as obs_registry
+from ..obs import Counter, registry as obs_registry
 from .schema import RelationSchema
 
 Row = Tuple[object, ...]
-
-#: Per-pool label for registry series (a fresh pool must read zero).
-_POOL_SEQ = itertools.count(1)
 
 # SQLite refuses joins of more than 64 tables; stay safely below.
 MAX_COMPILED_ATOMS = 60
@@ -68,7 +66,7 @@ class BackendValueError(TypeError):
 class CompilationNotSupported(Exception):
     """The body/clause cannot be compiled to a single SQL statement.
 
-    Callers catch this and fall back to generic tuple-at-a-time evaluation.
+    Callers catch this and fall back to the evaluator's generic join.
     """
 
 
@@ -316,8 +314,8 @@ class _CompiledBody:
 
     ``empty`` marks bodies that are statically unsatisfiable on this instance
     (unknown relation, arity mismatch, unstorable constant) — their result is
-    the empty set, which is exactly what the tuple-at-a-time join would
-    produce, so no fallback is needed.
+    the empty set, which is exactly what the generic join would produce, so
+    no fallback is needed.
     """
 
     __slots__ = ("from_items", "where", "params", "variable_columns", "empty")
@@ -341,8 +339,8 @@ def compile_conjunction(
 
     ``resolve_table`` maps an atom to the table holding its predicate's
     extension (``None`` marks the body statically empty on this store);
-    ``binding`` pins variables to concrete values (the initial binding of the
-    backtracking join); ``outer_columns`` pins variables to columns of an
+    ``binding`` pins variables to concrete values (the bound variables of
+    the generic join); ``outer_columns`` pins variables to columns of an
     enclosing query (set-at-a-time coverage references the candidate temp
     table this way); ``alias_condition`` emits one extra parameter-free
     condition per atom (the saturation store uses it to keep every atom
@@ -582,8 +580,8 @@ class SQLiteBackend:
     ) -> _CompiledBody:
         """Translate a conjunctive body into FROM/WHERE fragments.
 
-        ``binding`` pins variables to concrete values (the initial binding of
-        the backtracking join); ``outer_columns`` pins variables to columns of
+        ``binding`` pins variables to concrete values (the bound variables of
+        the generic join); ``outer_columns`` pins variables to columns of
         an enclosing query (used by set-at-a-time coverage, where head
         variables reference the candidate-example temp table).
         """
@@ -668,12 +666,13 @@ class SQLiteBackend:
             result.update(zip(variables, row))
             yield result
 
-    def head_tuples(
-        self, clause: HornClause, max_results: Optional[int] = None
-    ) -> Set[Row]:
+    def head_tuples(self, clause: HornClause) -> Set[Row]:
         """All head tuples produced by a (safe) clause, as one SELECT DISTINCT."""
         if not clause.body:
             raise CompilationNotSupported("empty body: nothing to join")
+        if not clause.head.terms:
+            # Nothing to select: the result is the empty tuple or nothing.
+            return {()} if self.satisfiable(clause.body) else set()
         compiled = self._compile_body(clause.body)
         if compiled.empty:
             return set()
@@ -694,8 +693,6 @@ class SQLiteBackend:
                 raise ValueError(f"unbound head variable {term}")
             select_parts.append(column)
         sql = self._sql_for(compiled, "DISTINCT " + ", ".join(select_parts))
-        if max_results is not None:
-            sql += f" LIMIT {int(max_results)}"
         cursor = self._connection.execute(sql, head_params + compiled.params)
         return {tuple(row) for row in cursor}
 
@@ -724,7 +721,7 @@ class SQLiteBackend:
         makes batched scoring beat the per-clause sequential path.  The
         result maps each input index to its covered candidate set, or to
         ``None`` when that clause cannot be compiled (the caller falls back
-        to the tuple-at-a-time join).
+        to the generic join).
         """
         results: Dict[int, Optional[Set[Row]]] = {}
         groups: Dict[Tuple[object, ...], List[Tuple[int, HornClause]]] = {}
@@ -754,7 +751,7 @@ class SQLiteBackend:
                     results[index] = set(projection.viable) if satisfied else set()
                 continue
             if projection.stored_keys is None:
-                # Unstorable candidate values: tuple-at-a-time fallback.
+                # Unstorable candidate values: generic-join fallback.
                 for index, _ in members:
                     results[index] = None
                 continue
@@ -830,7 +827,7 @@ class SQLiteBackend:
 
         Sharing one candidate temp table per head signature amortizes the
         per-clause setup the sequential path pays N times.  Entries are
-        ``None`` for clauses that need the tuple-at-a-time fallback.  The
+        ``None`` for clauses that need the generic-join fallback.  The
         single-connection backend ignores ``parallelism``; the pooled
         subclass fans groups out across snapshot connections.
         """
@@ -871,8 +868,10 @@ class SQLiteReadPool:
         self._source_owned = bool(source_owned)
         self._lock = threading.Lock()
         self._idle: List[Tuple[sqlite3.Connection, object]] = []
-        self._c_snapshots = obs_registry().counter(
-            "sqlite.pool.snapshots", pool=next(_POOL_SEQ)
+        # The pool's own count (a fresh pool reads zero) feeds one shared
+        # process-wide series.
+        self._c_snapshots = Counter(
+            parent=obs_registry().counter("sqlite.pool.snapshots")
         )
 
     @property

@@ -23,7 +23,6 @@ covering loop uses to score a whole generation of refinements in one call
 
 from __future__ import annotations
 
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -41,12 +40,17 @@ from .bottom_clause import (
     BottomClauseConfig,
 )
 from .examples import Example
-from ..obs import registry as obs_registry
+from ..obs import Counter, registry as obs_registry
 
-#: Per-engine label for registry series: each engine instance keeps its own
-#: series, so counters on a fresh engine start at zero (tests and benchmarks
-#: read them as plain attributes, which stay the stable surface).
-_ENGINE_SEQ = itertools.count(1)
+
+def _engine_counter(name: str) -> Counter:
+    """One engine's own count, feeding the shared process-wide series.
+
+    A fresh engine reads zero (tests and benchmarks read the counts as plain
+    attributes, which stay the stable surface), and creating engines adds no
+    registry series.
+    """
+    return Counter(parent=obs_registry().counter(name))
 
 
 def examples_mask(covered: Iterable[Example], examples: Sequence[Example]) -> int:
@@ -182,15 +186,10 @@ class SubsumptionCoverageEngine:
         # workers never race to create two stores (whose independent id
         # sequences would collide in _compiled_ids).
         self._materialize_lock = threading.Lock()
-        _labels = {"engine": next(_ENGINE_SEQ)}
-        self._c_tests = obs_registry().counter(
-            "coverage.subsumption.tests", **_labels
-        )
-        self._c_cache_hits = obs_registry().counter(
-            "coverage.subsumption.cache_hits", **_labels
-        )
-        self._c_compiled_statements = obs_registry().counter(
-            "coverage.subsumption.compiled_statements", **_labels
+        self._c_tests = _engine_counter("coverage.subsumption.tests")
+        self._c_cache_hits = _engine_counter("coverage.subsumption.cache_hits")
+        self._c_compiled_statements = _engine_counter(
+            "coverage.subsumption.compiled_statements"
         )
 
     @property
@@ -579,9 +578,7 @@ class QueryCoverageEngine:
     def __init__(self, instance: DatabaseInstance):
         self.instance = instance
         self.evaluator = QueryEvaluator(instance)
-        self._c_tests = obs_registry().counter(
-            "coverage.query.tests", engine=next(_ENGINE_SEQ)
-        )
+        self._c_tests = _engine_counter("coverage.query.tests")
 
     @property
     def coverage_tests_performed(self) -> int:

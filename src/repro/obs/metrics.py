@@ -13,6 +13,8 @@ Design constraints, in order:
 Series are identified by ``(name, labels)``: asking for the same pair twice
 returns the same object, which is what lets short-lived owners (a coverage
 engine per fold, a read pool per backend) accumulate into stable series.
+Such an owner keeps its own count in an unregistered :class:`Counter` whose
+``parent`` is the shared series, so creating owners never adds series.
 Names are dotted (``coverage.subsumption.tests``); the Prometheus exposition
 rewrites dots to underscores since Prometheus metric names cannot contain
 them.
@@ -36,19 +38,27 @@ def _labels_key(labels: Dict[str, object]) -> LabelsKey:
 
 
 class Counter:
-    """A monotonically increasing number."""
+    """A monotonically increasing number.
 
-    __slots__ = ("_lock", "_value")
+    A counter made with a ``parent`` adds every increment to the parent as
+    well: its owner reads its own count (zero when fresh) while the parent,
+    a registry series, counts process-wide.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_lock", "_value", "_parent")
+
+    def __init__(self, parent: Optional[Counter] = None) -> None:
         self._lock = threading.Lock()
         self._value = 0
+        self._parent = parent
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge to go down")
         with self._lock:
             self._value += amount
+        if self._parent is not None:
+            self._parent.inc(amount)
 
     @property
     def value(self) -> int:
@@ -225,8 +235,8 @@ class Registry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A point-in-time, JSON-friendly copy, isolated from later updates.
 
-        Series keys render labels Prometheus-style:
-        ``coverage.subsumption.tests{engine="3"}``.
+        Series keys render labels Prometheus-style, as
+        ``name{label="value"}``; an unlabelled series is its bare name.
         """
         with self._lock:
             counters = dict(self._counters)

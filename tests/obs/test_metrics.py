@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
 
+from repro.database.instance import DatabaseInstance
+from repro.database.schema import RelationSchema, Schema
+from repro.database.sqlite_backend import SQLiteReadPool
+from repro.learning.coverage import QueryCoverageEngine, SubsumptionCoverageEngine
+from repro.learning.evaluation import evaluate_definition
+from repro.learning.examples import ExampleSet
+from repro.logic.clauses import HornDefinition
+from repro.logic.parser import parse_clause
+from repro.obs import registry as process_registry
 from repro.obs.metrics import Counter, Gauge, Histogram, Registry
 
 
@@ -18,6 +28,14 @@ def test_counter_basics():
     counter.inc()
     counter.inc(5)
     assert counter.value == 6
+
+
+def test_child_counter_feeds_its_parent():
+    parent = Counter()
+    first, second = Counter(parent=parent), Counter(parent=parent)
+    first.inc(2)
+    second.inc(3)
+    assert (first.value, second.value, parent.value) == (2, 3, 5)
 
 
 def test_counter_rejects_negative_increments():
@@ -202,3 +220,51 @@ def test_concurrent_get_or_create_yields_one_series():
     for thread in threads:
         thread.join()
     assert registry.total("race.hits") == 8000
+
+
+def test_engines_and_pools_add_no_series():
+    """Coverage engines, evaluations and read pools share one series per
+    name: making 50 of each leaves the number of series unchanged, while a
+    fresh object still reads zero and the totals count process-wide."""
+    schema = Schema(
+        [RelationSchema("publication", ["title", "person"])], name="coauthors"
+    )
+    instance = DatabaseInstance(schema)
+    instance.add_tuples("publication", [("t1", "s1"), ("t1", "p1"), ("t2", "s2")])
+    clause = parse_clause("advisedBy(x, y) :- publication(t, x), publication(t, y).")
+    test_set = ExampleSet("advisedBy", [("s1", "p1")], [("s2", "p1")])
+    examples = test_set.all_examples()
+    definition = HornDefinition("advisedBy", [clause])
+    source = sqlite3.connect(":memory:", check_same_thread=False)
+    totals = ("coverage.query.tests", "coverage.subsumption.tests",
+              "sqlite.pool.snapshots")
+
+    def one_of_each():
+        query = QueryCoverageEngine(instance)
+        subsumption = SubsumptionCoverageEngine(instance)
+        pool = SQLiteReadPool(source, lambda: 0)
+        fresh = (query.coverage_tests_performed, subsumption.coverage_tests_performed,
+                 subsumption.cache_hits, subsumption.compiled_statements,
+                 pool.snapshots_taken)
+        assert fresh == (0, 0, 0, 0, 0)
+        query.covered_examples(clause, examples)
+        subsumption.covered_examples(clause, examples)
+        with pool.lease():
+            pass
+        pool.close()
+        evaluate_definition(definition, instance, test_set)
+
+    def series_count():
+        return sum(len(kind) for kind in process_registry().snapshot().values())
+
+    one_of_each()
+    before = series_count()
+    start = [process_registry().total(name) for name in totals]
+    for _ in range(50):
+        one_of_each()
+    assert series_count() == before
+    grown = [process_registry().total(name) - s for name, s in zip(totals, start)]
+    # Per round: 2 query tests in the engine plus 2 in the evaluation's
+    # engine, 2 subsumption tests, 1 snapshot.
+    assert grown == [50 * 4, 50 * 2, 50]
+    source.close()
