@@ -63,7 +63,6 @@ class CastorParameters(ProGolemParameters):
         minimize_bottom_clauses: bool = False,
         ensure_safe: bool = True,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
         prefetch: Optional[bool] = None,
     ):
         super().__init__(
@@ -76,7 +75,6 @@ class CastorParameters(ProGolemParameters):
             bottom_clause=bottom_clause or CastorBottomClauseConfig(),
             seed=seed,
             max_seconds=max_seconds,
-            parallelism=parallelism,
             prefetch=prefetch,
         )
         self.use_subset_inds = bool(use_subset_inds)
@@ -124,8 +122,9 @@ class CastorClauseLearner(ProGolemClauseLearner):
         parameters: CastorParameters,
         coverage: SubsumptionCoverageEngine,
         working_schema: Optional[Schema] = None,
+        parallelism: int = 1,
     ):
-        super().__init__(schema, parameters, coverage)
+        super().__init__(schema, parameters, coverage, parallelism=parallelism)
         # ``working_schema`` carries the (possibly promoted) IND set actually used.
         self.working_schema = working_schema or schema
         self.parameters: CastorParameters = parameters
@@ -192,19 +191,10 @@ class CastorLearner(ProGolemLearner):
         schema: Schema,
         parameters: Optional[CastorParameters] = None,
         threads: int = 1,
-        backend: Optional[str] = None,
-        parallelism: Optional[int] = None,
-        saturation_store=None,
         context=None,
     ):
         super().__init__(
-            schema,
-            parameters or CastorParameters(),
-            threads=threads,
-            parallelism=parallelism,
-            saturation_store=saturation_store,
-            backend=backend,
-            context=context,
+            schema, parameters or CastorParameters(), threads=threads, context=context
         )
         self.parameters: CastorParameters = self.parameters
         self._working_schema: Optional[Schema] = None
@@ -243,7 +233,6 @@ class CastorLearner(ProGolemLearner):
             self._working_schema,
             config,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
 
@@ -252,7 +241,11 @@ class CastorLearner(ProGolemLearner):
     ) -> CastorClauseLearner:
         working_schema = self._working_schema or self.working_schema_for(instance)
         return CastorClauseLearner(
-            self.schema, self.parameters, coverage, working_schema=working_schema
+            self.schema,
+            self.parameters,
+            coverage,
+            working_schema=working_schema,
+            parallelism=self.parallelism,
         )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:

@@ -12,22 +12,21 @@ The harness drives the paper's Section 9 methodology:
 
 Every entry point runs on the **session API**
 (:class:`~repro.session.session.LearningSession` /
-:class:`~repro.session.config.SessionConfig`): pass ``session=`` to share
-one session — and therefore one set of prepared instances and saturation
-stores — across many calls, or keep passing the legacy
-``backend=``/``parallelism=`` keywords and the harness wraps them in a
-per-call session for you.
+:class:`~repro.session.config.SessionConfig`): ``session=`` is the only way
+evaluation settings reach a harness call.  Passing one session to many calls
+also shares its prepared instances and saturation stores; without it, a
+call runs on a default ``LearningSession()`` of its own.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Dict, List, Optional, Sequence
 
 from ..database.schema import Schema
 from ..learning.evaluation import CrossValidationReport, cross_validate, evaluate_definition
 from ..logic.clauses import HornDefinition
-from ..session.config import SessionConfig, warn_once as _warn_once
 from ..session.session import LearningSession
 from ..transform.equivalence import definition_results
 
@@ -46,16 +45,6 @@ class LearnerSpec:
 
     def __repr__(self) -> str:
         return f"LearnerSpec({self.name!r})"
-
-
-def _reject_knobs_with_session(**knobs: object) -> None:
-    """Per-call knobs and an explicit session cannot both win — say so."""
-    set_knobs = {name: value for name, value in knobs.items() if value is not None}
-    if set_knobs:
-        raise ValueError(
-            f"{sorted(set_knobs)} cannot be combined with session=; "
-            "configure them on the session's SessionConfig instead"
-        )
 
 
 class VariantResult:
@@ -99,30 +88,11 @@ class VariantResult:
         )
 
 
-def _session_for(
+def _session_scope(
     session: Optional[LearningSession],
-    backend: Optional[str],
-    parallelism: Optional[int],
-    reuse_saturation_store: bool = True,
-) -> tuple:
-    """Resolve the (session, owns_session) pair every entry point needs.
-
-    The owned config never carries ``presaturate``: the keyword stays the
-    single source of truth inside :func:`run_variant` (including the
-    legacy warn-and-run path for ``presaturate`` without a shared store,
-    which direct ``SessionConfig`` construction rejects).
-    """
-    if session is not None:
-        _reject_knobs_with_session(backend=backend, parallelism=parallelism)
-        return session, False
-    owned = LearningSession(
-        SessionConfig(
-            backend=backend,
-            parallelism=parallelism,
-            reuse_saturation_store=reuse_saturation_store,
-        )
-    )
-    return owned, True
+) -> ContextManager[LearningSession]:
+    """The caller's session (left open), or a default one closed on exit."""
+    return nullcontext(session) if session is not None else LearningSession()
 
 
 def run_variant(
@@ -131,59 +101,21 @@ def run_variant(
     learner_spec: LearnerSpec,
     folds: int = 3,
     seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
-    reuse_saturation_store: bool = True,
-    presaturate: bool = False,
     session: Optional[LearningSession] = None,
 ) -> VariantResult:
     """Cross-validate one learner on one schema variant of the dataset.
 
-    With ``session=`` the run rides that session's prepared instances and
-    shared saturation stores (repeat calls start warm; ``backend`` and
-    ``parallelism`` then live on the session's :class:`SessionConfig` and
-    may not be passed here).  Without it, the legacy keywords are wrapped
-    in a per-call session: ``backend`` selects the storage/evaluation
-    backend, ``parallelism`` the clause-scoring fan-out (results are
-    identical for every value; only wall-clock time changes).  With
-    ``reuse_saturation_store`` (default),
-    learners with compiled subsumption coverage share one warm
-    :class:`SaturationStore` across the folds of this variant; fold
-    results are identical either way.  ``presaturate`` additionally
-    materializes every example's saturation into that shared store
-    *before* the folds run — one batched call, excluded from the per-fold
-    learning times.
+    The run rides ``session``'s configuration, prepared instances and shared
+    saturation stores, so repeat calls on one session start warm.  Every
+    fold learner of a variant gets the same warm store; fold results are
+    identical to a cold run.
     """
-    session, owns_session = _session_for(
-        session, backend, parallelism, reuse_saturation_store
-    )
-    config = session.config
-    effective_reuse = reuse_saturation_store and config.reuse_saturation_store
-    effective_presaturate = presaturate or config.presaturate
-    try:
+    with _session_scope(session) as active:
         schema = bundle.schema(variant_name)
-        instance = session.prepare(bundle.instance(variant_name))
-        supplier = session.store_supplier(instance) if effective_reuse else None
+        instance = active.prepare(bundle.instance(variant_name))
 
         def factory() -> object:
-            learner = session.apply(learner_spec.build(schema))
-            if supplier is not None and hasattr(learner, "saturation_store"):
-                # Keyed by the learner's saturation config: folds and
-                # repeat runs of one spec share a warm store, differently
-                # configured learners never do.
-                learner.saturation_store = supplier(learner)
-            return learner
-
-        if effective_presaturate:
-            if effective_reuse:
-                session.presaturate(factory(), instance, bundle.examples)
-            else:
-                # Without a shared store the warm-up would be thrown away
-                # with the first fold's engine — say so, don't double-pay.
-                _warn_once(
-                    "presaturate=True has no effect with "
-                    "reuse_saturation_store=False; ignoring it"
-                )
+            return active.bind(learner_spec.build(schema), instance)
 
         if folds <= 1:
             learner = factory()
@@ -219,9 +151,6 @@ def run_variant(
             definition,
             folds=folds,
         )
-    finally:
-        if owns_session:
-            session.close()
 
 
 def run_schema_sweep(
@@ -230,10 +159,6 @@ def run_schema_sweep(
     variants: Optional[Sequence[str]] = None,
     folds: int = 3,
     seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
-    reuse_saturation_store: bool = True,
-    presaturate: bool = False,
     session: Optional[LearningSession] = None,
 ) -> List[VariantResult]:
     """Run every learner on every schema variant (one of the paper's tables).
@@ -242,35 +167,20 @@ def run_schema_sweep(
     every learner×variant cell after the first on a variant starts from
     that variant's warm instance and saturation store.
     """
-    session, owns_session = _session_for(
-        session, backend, parallelism, reuse_saturation_store
-    )
-    try:
+    with _session_scope(session) as active:
         variants = list(variants or bundle.variant_names)
         # Convert once up front (and once per *session*, not per call): the
         # converted bundle caches the re-materialized instance per variant,
         # so repeat sweeps on one session land on the same instances and
         # stores.
-        bundle = session.prepare_bundle(bundle)
-        results: List[VariantResult] = []
-        for learner_spec in learner_specs:
-            for variant_name in variants:
-                results.append(
-                    run_variant(
-                        bundle,
-                        variant_name,
-                        learner_spec,
-                        folds,
-                        seed,
-                        reuse_saturation_store=reuse_saturation_store,
-                        presaturate=presaturate,
-                        session=session,
-                    )
-                )
-        return results
-    finally:
-        if owns_session:
-            session.close()
+        bundle = active.prepare_bundle(bundle)
+        return [
+            run_variant(
+                bundle, variant_name, learner_spec, folds, seed, session=active
+            )
+            for learner_spec in learner_specs
+            for variant_name in variants
+        ]
 
 
 class SchemaIndependenceReport:
@@ -289,14 +199,22 @@ class SchemaIndependenceReport:
         self.definitions = definitions
 
     @property
+    def is_vacuous(self) -> bool:
+        """True when every variant's result relation is empty: equal outputs
+        then say nothing about schema independence."""
+        return not any(self.result_sizes.values())
+
+    @property
     def is_schema_independent(self) -> bool:
-        """True when the learner produced equivalent outputs on every variant pair."""
-        return all(self.pairwise_equivalent.values())
+        """True when the learner produced equivalent, non-empty outputs on
+        every variant pair (a vacuous report is never independent)."""
+        return not self.is_vacuous and all(self.pairwise_equivalent.values())
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "learner": self.learner,
             "schema_independent": self.is_schema_independent,
+            "vacuous": self.is_vacuous,
             "result_sizes": dict(self.result_sizes),
             "pairwise_equivalent": dict(self.pairwise_equivalent),
         }
@@ -304,7 +222,8 @@ class SchemaIndependenceReport:
     def __repr__(self) -> str:
         return (
             f"SchemaIndependenceReport({self.learner!r}, "
-            f"independent={self.is_schema_independent})"
+            f"independent={self.is_schema_independent}, "
+            f"vacuous={self.is_vacuous})"
         )
 
 
@@ -312,9 +231,6 @@ def check_schema_independence(
     bundle,
     learner_spec: LearnerSpec,
     variants: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
     session: Optional[LearningSession] = None,
 ) -> SchemaIndependenceReport:
     """Learn on every variant with the full training data and compare outputs.
@@ -323,35 +239,21 @@ def check_schema_independence(
     own variant's instance and the result relations are compared across
     variants (Definition 3.10 instantiated on the actual data).
     """
-    del seed  # accepted for signature compatibility; learning is seeded by parameters
-    session, owns_session = _session_for(session, backend, parallelism)
-    try:
+    with _session_scope(session) as active:
         variants = list(variants or bundle.variant_names)
-        bundle = session.prepare_bundle(bundle)
+        bundle = active.prepare_bundle(bundle)
         definitions: Dict[str, HornDefinition] = {}
         results: Dict[str, frozenset] = {}
         for variant_name in variants:
-            schema = bundle.schema(variant_name)
-            instance = session.prepare(bundle.instance(variant_name))
-            learner = learner_spec.build(schema)
-            store = (
-                session.saturation_store_for(instance, learner)
-                if hasattr(learner, "saturation_store")
-                else None
+            instance = active.prepare(bundle.instance(variant_name))
+            learner = active.bind(
+                learner_spec.build(bundle.schema(variant_name)), instance
             )
-            session.apply(learner, saturation_store=store)
-            if session.config.presaturate:
-                # Honored here like in run_variant: an explicit setting is
-                # never silently ignored (warn paths live in presaturate).
-                session.presaturate(learner, instance, bundle.examples)
             definition = learner.learn(instance, bundle.examples)
             definitions[variant_name] = definition
             results[variant_name] = frozenset(
                 definition_results(definition, instance)
             )
-    finally:
-        if owns_session:
-            session.close()
 
     pairwise: Dict[str, bool] = {}
     for i, first in enumerate(variants):

@@ -34,10 +34,11 @@ class FoilParameters:
     literals): the top candidates by coverage are each extended by one more
     literal and the best gaining *pair* is added.
 
-    ``parallelism`` bounds how many candidate refinements one scoring batch
-    may evaluate concurrently (identical results for every value);
     ``max_seconds`` is the covering loop's soft deadline — when it elapses,
-    the clauses accepted so far are returned.
+    the clauses accepted so far are returned.  How many candidate
+    refinements one scoring batch evaluates at once is the learner's
+    ``parallelism``, set through
+    :class:`~repro.session.config.SessionConfig`, not a parameter here.
     """
 
     def __init__(
@@ -50,7 +51,6 @@ class FoilParameters:
         lookahead_extensions: int = 60,
         refinement: Optional[RefinementConfig] = None,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
     ):
         self.max_clause_length = int(max_clause_length)
         self.min_precision = float(min_precision)
@@ -60,7 +60,6 @@ class FoilParameters:
         self.lookahead_extensions = int(lookahead_extensions)
         self.refinement = refinement or RefinementConfig()
         self.max_seconds = max_seconds
-        self.parallelism = max(1, int(parallelism))
 
 
 class _FoilClauseLearner:
@@ -68,13 +67,17 @@ class _FoilClauseLearner:
 
     learner_label = "FOIL"
 
-    def __init__(self, schema: Schema, parameters: FoilParameters, coverage: QueryCoverageEngine):
+    def __init__(
+        self,
+        schema: Schema,
+        parameters: FoilParameters,
+        coverage: QueryCoverageEngine,
+        parallelism: int = 1,
+    ):
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(
-            coverage, parallelism=getattr(parameters, "parallelism", 1)
-        )
+        self.batch = BatchCoverageEngine(coverage, parallelism=parallelism)
 
     def learn_clause(
         self,
@@ -202,35 +205,25 @@ class FoilLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[FoilParameters] = None,
-        backend: Optional[str] = None,
-        parallelism: Optional[int] = None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or FoilParameters()
-        # Deliberately only the backend half of the mixin's knob set: query
-        # coverage has no saturations and no compiled subsumption, and
-        # phantom attributes would make apply() silently accept settings
-        # this learner cannot honor.
-        self.backend = backend
-        if parallelism is not None:
-            self.parameters.parallelism = max(1, int(parallelism))
+        # Deliberately no saturation_store: query coverage has no
+        # saturations, and a phantom attribute would make apply() silently
+        # accept a store this learner cannot use.
+        self.backend: Optional[str] = None
+        # Clause-level scoring fan-out; results are identical for every value.
+        self.parallelism = 1
         self._apply_context(context)
-
-    @property
-    def parallelism(self) -> int:
-        """Clause-level scoring fan-out (the experiment harness sets this)."""
-        return self.parameters.parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.parameters.parallelism = max(1, int(value))
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition of the examples' target relation."""
         instance = self._prepare_instance(instance)
         coverage = QueryCoverageEngine(instance)
-        clause_learner = _FoilClauseLearner(self.schema, self.parameters, coverage)
+        clause_learner = _FoilClauseLearner(
+            self.schema, self.parameters, coverage, parallelism=self.parallelism
+        )
         covering = CoveringLearner(
             clause_learner,
             coverage_fn=coverage.covered_examples,
@@ -244,7 +237,6 @@ class FoilLearner(EvaluationKnobs):
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,
                 max_seconds=self.parameters.max_seconds,
-                parallelism=self.parameters.parallelism,
             ),
         )
         return covering.learn(instance, examples)

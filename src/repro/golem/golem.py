@@ -173,19 +173,12 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
         schema: Schema,
         parameters: Optional[GolemParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-        saturation_store=None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or GolemParameters()
         self.threads = max(1, int(threads))
-        self._init_evaluation_knobs(
-            backend=backend, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.threads = max(1, int(parallelism))
+        self._init_evaluation_knobs()
         self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
@@ -194,7 +187,6 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
         clause_learner = _GolemClauseLearner(self.parameters, coverage)

@@ -790,8 +790,8 @@ def make_coverage_engine(
     ``"subsumption-compiled"`` forcing the SQL saturation-store path and
     ``"subsumption-python"`` forcing the pure-Python engine) or query
     (join-based) coverage; ``backend`` converts the instance first when it
-    differs from the instance's current backend (the ``--backend`` knob of
-    the experiment harness and benchmarks).
+    differs from the instance's current backend (the benchmarks'
+    ``--backend`` flag).
     """
     if backend is not None and backend != instance.backend_name:
         instance = instance.with_backend(backend)

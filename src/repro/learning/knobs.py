@@ -1,11 +1,11 @@
 """Shared evaluation-knob plumbing for the learner family.
 
-Every learner carries the same three evaluation settings — ``backend``,
-``saturation_store``, ``compiled_coverage`` — plus the uniform ``context=``
-construction hook and the same ``learn()`` preamble (convert the
-instance).  :class:`EvaluationKnobs` is that plumbing in exactly one place,
-so a change to backend normalization lands everywhere at once instead of in
-per-learner copies.
+A learner's evaluation settings — ``backend``, ``parallelism`` and, for the
+subsumption learners, ``saturation_store`` — are attributes that only
+:meth:`SessionConfig.apply <repro.session.config.SessionConfig.apply>` and
+the session write; constructors take them through the uniform ``context=``
+keyword and nothing else.  :class:`EvaluationKnobs` is that plumbing plus
+the shared ``learn()`` preamble (convert the instance), in exactly one place.
 """
 
 from __future__ import annotations
@@ -20,30 +20,23 @@ class EvaluationKnobs:
 
     Learners whose engines have no saturations (FOIL's query coverage) use
     only :meth:`_apply_context` and :meth:`_prepare_instance`, declaring
-    ``backend`` themselves — phantom store/compiled attributes would make
-    ``SessionConfig.apply`` silently accept settings they cannot honor.
+    ``backend`` themselves — a phantom store attribute would make
+    ``SessionConfig.apply`` silently hand them a store they cannot use.
     """
 
-    def _init_evaluation_knobs(
-        self,
-        backend: Optional[str] = None,
-        saturation_store=None,
-    ) -> None:
+    def _init_evaluation_knobs(self) -> None:
         # Storage/evaluation backend the learner wants the instance on
         # (None = use the instance as given); it only moves work, never
         # changes results.
-        self.backend = backend
+        self.backend: Optional[str] = None
         # Optional shared SaturationStore for the compiled coverage path
         # (sessions hand one out so repeated runs start warm).
-        self.saturation_store = saturation_store
-        # Compiled-subsumption override: True/False force the SQL/Python
-        # decision procedure, None keeps the engine's backend-based default.
-        self.compiled_coverage: Optional[bool] = None
+        self.saturation_store = None
 
     def _apply_context(self, context) -> None:
         """Uniform construction path: ``context`` is a SessionConfig or a
         LearningSession; its ``apply`` pushes every knob it carries.  Call
-        last in ``__init__`` so the context overrides the plain kwargs."""
+        last in ``__init__``, once the defaults are in place."""
         if context is not None:
             context.apply(self)
 

@@ -171,19 +171,12 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         schema: Schema,
         parameters: Optional[ProgolParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-        saturation_store=None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProgolParameters()
         self.threads = max(1, int(threads))
-        self._init_evaluation_knobs(
-            backend=backend, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.threads = max(1, int(parallelism))
+        self._init_evaluation_knobs()
         self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
@@ -193,7 +186,6 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
         clause_learner = _ProgolClauseLearner(self.schema, self.parameters, coverage)
@@ -224,10 +216,10 @@ class AlephFoilLearner(ProgolLearner):
         clause_length: int = 10,
         parameters: Optional[ProgolParameters] = None,
         threads: int = 1,
-        **kwargs,
+        context=None,
     ):
         if parameters is None:
             parameters = ProgolParameters(
                 clause_length=clause_length, open_list_size=1, scoring="gain"
             )
-        super().__init__(schema, parameters, threads=threads, **kwargs)
+        super().__init__(schema, parameters, threads=threads, context=context)

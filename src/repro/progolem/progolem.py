@@ -38,12 +38,11 @@ from .armg import armg
 class ProGolemParameters:
     """ProGolem's knobs (``sample``, ``beamwidth``, ``minprec`` in GILPS).
 
-    ``parallelism`` bounds how many candidate clauses one generation's
-    scoring batch may evaluate concurrently (clause-level fan-out, distinct
-    from the coverage engine's per-example ``threads`` knob); results are
-    identical for every value.  ``max_seconds`` is the covering loop's soft
-    deadline: when it elapses, learning stops and the clauses accepted so
-    far are returned.
+    These settle what is learned; how many candidate clauses one scoring
+    batch evaluates at once is the learner's ``parallelism``, set through
+    :class:`~repro.session.config.SessionConfig`.  ``max_seconds`` is the
+    covering loop's soft deadline: when it elapses, learning stops and the
+    clauses accepted so far are returned.
 
     ``prefetch`` overlaps the generation's saturation materialization with
     seed-clause construction (see :mod:`repro.learning.prefetch`): ``None``
@@ -64,7 +63,6 @@ class ProGolemParameters:
         bottom_clause: Optional[BottomClauseConfig] = None,
         seed: int = 0,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
         prefetch: Optional[bool] = None,
     ):
         self.sample_size = int(sample_size)
@@ -76,7 +74,6 @@ class ProGolemParameters:
         self.bottom_clause = bottom_clause or BottomClauseConfig(max_depth=2)
         self.seed = int(seed)
         self.max_seconds = max_seconds
-        self.parallelism = max(1, int(parallelism))
         self.prefetch = prefetch
 
 
@@ -84,7 +81,9 @@ class ProGolemClauseLearner:
     """LearnClause: ARMG-driven beam search from a seed bottom clause.
 
     Subclassed by Castor, which overrides bottom-clause construction, the
-    ARMG step, and the final reduction.
+    ARMG step, and the final reduction.  ``parallelism`` bounds how many
+    candidate clauses one scoring batch evaluates at once (results are
+    identical for every value).
     """
 
     #: Name stamped on learn.* spans (Castor's subclass overrides it).
@@ -95,13 +94,12 @@ class ProGolemClauseLearner:
         schema: Schema,
         parameters: ProGolemParameters,
         coverage: SubsumptionCoverageEngine,
+        parallelism: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(
-            coverage, parallelism=getattr(parameters, "parallelism", 1)
-        )
+        self.batch = BatchCoverageEngine(coverage, parallelism=parallelism)
         self._rng = random.Random(parameters.seed)
 
     def _prefetch_enabled(self, instance: DatabaseInstance) -> bool:
@@ -267,29 +265,16 @@ class ProGolemLearner(EvaluationKnobs):
         schema: Schema,
         parameters: Optional[ProGolemParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        saturation_store=None,
-        backend: Optional[str] = None,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
         self.threads = threads
-        self._init_evaluation_knobs(
-            backend=backend, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.parameters.parallelism = max(1, int(parallelism))
+        # Clause-level scoring fan-out, distinct from the coverage engine's
+        # per-example ``threads``; results are identical for every value.
+        self.parallelism = 1
+        self._init_evaluation_knobs()
         self._apply_context(context)
-
-    @property
-    def parallelism(self) -> int:
-        """Clause-level scoring fan-out (the experiment harness sets this)."""
-        return self.parameters.parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.parameters.parallelism = max(1, int(value))
 
     def make_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         """Build the coverage engine (overridden by Castor to add IND awareness)."""
@@ -297,14 +282,15 @@ class ProGolemLearner(EvaluationKnobs):
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
 
     def make_clause_learner(
         self, instance: DatabaseInstance, coverage: SubsumptionCoverageEngine
     ) -> ProGolemClauseLearner:
-        return self.clause_learner_class(self.schema, self.parameters, coverage)
+        return self.clause_learner_class(
+            self.schema, self.parameters, coverage, parallelism=self.parallelism
+        )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         instance = self._prepare_instance(instance)
@@ -323,7 +309,6 @@ class ProGolemLearner(EvaluationKnobs):
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,
                 max_seconds=self.parameters.max_seconds,
-                parallelism=self.parameters.parallelism,
             ),
         )
         return covering.learn(instance, examples)

@@ -23,13 +23,13 @@ from __future__ import annotations
 import copy
 import pickle  # repro: noqa[REP001] -- dumps-only structural fingerprint for store sharing; bytes never cross a process boundary and nothing is ever unpickled
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
 from ..database.sqlite_backend import SaturationStore
 from ..obs import registry as obs_registry, span as obs_span, tracer as obs_tracer
-from .config import SessionConfig, warn_once
+from .config import SessionConfig
 
 if TYPE_CHECKING:  # resolved lazily at runtime; annotations only
     from ..learning.examples import ExampleSet
@@ -69,7 +69,7 @@ def _resolve_kind(kind: str) -> type:
 
 class SessionLearner:
     """A learner bound to its session: ``learn()`` rides the session's
-    prepared instances, shared stores, and presaturation policy.
+    prepared instances and shared stores.
 
     Everything else (parameters, name, knobs) delegates to the wrapped
     learner, so the wrapper stays invisible to code that inspects it.
@@ -85,19 +85,10 @@ class SessionLearner:
         return self._learner
 
     def learn(self, instance: DatabaseInstance, examples: "ExampleSet") -> Any:
-        session = self._session
-        prepared = session.prepare(instance)
-        # Lazy like the harness path: no SQLite-backed store is ever opened
-        # for learners without the knob (FOIL's query coverage).
-        store = (
-            session.saturation_store_for(prepared, self._learner)
-            if hasattr(self._learner, "saturation_store")
-            else None
+        prepared = self._session.prepare(instance)
+        return self._session.bind(self._learner, prepared).learn(
+            prepared, examples
         )
-        session.apply(self._learner, saturation_store=store)
-        if session.config.presaturate:
-            session.presaturate(self._learner, prepared, examples)
-        return self._learner.learn(prepared, examples)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._learner, name)
@@ -117,13 +108,9 @@ class SessionLearner:
 class LearningSession:
     """Owner of backend + saturation-store lifecycle."""
 
-    def __init__(
-        self, config: Optional[SessionConfig] = None, **overrides: object
-    ) -> None:
+    def __init__(self, config: Optional[SessionConfig] = None) -> None:
         if config is None:
-            config = SessionConfig(**overrides)
-        elif overrides:
-            config = config.merged(**overrides)
+            config = SessionConfig()
         self.config = config
         self._lock = threading.RLock()
         # id(source) -> (source, prepared, data token); the source reference
@@ -153,9 +140,9 @@ class LearningSession:
         The cache watches the source's :meth:`~DatabaseInstance.data_token`:
         a mutation between runs re-converts the instance and drops its
         saturation stores (whose clauses describe the old data), so
-        session runs always see current contents — same semantics as the
-        legacy per-``learn()`` conversion, minus the cost when nothing
-        changed.
+        session runs always see current contents — same semantics as a
+        learner's own per-``learn()`` conversion, minus the cost when
+        nothing changed.
         """
         self._ensure_open()
         with self._lock:
@@ -217,9 +204,8 @@ class LearningSession:
 
     def saturation_store_for(
         self, instance: DatabaseInstance, learner: Any = None
-    ) -> Optional[SaturationStore]:
-        """The shared warm store for a prepared instance (or ``None`` when
-        ``reuse_saturation_store=False``).
+    ) -> SaturationStore:
+        """The shared warm store for a prepared instance.
 
         Stores are keyed per (instance, learner configuration): the store
         dedups saturations by example only, so two learners whose builders
@@ -229,8 +215,6 @@ class LearningSession:
         clauses.  Same-configured learners (cross-validation folds, repeat
         runs of one spec) land on the same warm store.
         """
-        if not self.config.reuse_saturation_store:
-            return None
         key = (id(instance), self._learner_fingerprint(learner))
         with self._lock:
             store = self._stores.get(key)
@@ -256,16 +240,6 @@ class LearningSession:
             )
         except Exception:  # noqa: BLE001 - exotic parameters: isolate, don't fail
             return id(learner)
-
-    def store_supplier(
-        self, instance: DatabaseInstance
-    ) -> Optional[Callable[..., SaturationStore]]:
-        """Lazy-store variant of :meth:`saturation_store_for` (no SQLite
-        connection is opened for learners that never ask).  Callers pass
-        the learner so stores stay keyed per saturation configuration."""
-        if not self.config.reuse_saturation_store:
-            return None
-        return lambda learner=None: self.saturation_store_for(instance, learner)
 
     # ------------------------------------------------------------------ #
     # Incremental updates
@@ -350,13 +324,23 @@ class LearningSession:
     # ------------------------------------------------------------------ #
     # Learners
     # ------------------------------------------------------------------ #
-    def apply(
-        self, learner: Any, saturation_store: Optional[SaturationStore] = None
-    ) -> Any:
+    def apply(self, learner: Any) -> Any:
         """Normalize a learner onto this session's config (see
         :meth:`SessionConfig.apply`); lets a session double as the
         ``context=`` argument of any learner constructor."""
-        return self.config.apply(learner, saturation_store=saturation_store)
+        return self.config.apply(learner)
+
+    def bind(self, learner: Any, instance: DatabaseInstance) -> Any:
+        """Normalize ``learner`` for a run on the prepared ``instance``: the
+        config's knobs plus the shared warm store, keyed by the learner's
+        saturation config so folds and repeat runs of one spec share it.
+        Learners without the knob (FOIL's query coverage) never open one."""
+        store = (
+            self.saturation_store_for(instance, learner)
+            if hasattr(learner, "saturation_store")
+            else None
+        )
+        return self.config.apply(learner, saturation_store=store)
 
     def learner(
         self,
@@ -383,44 +367,6 @@ class LearningSession:
         else:
             learner = cls(schema, parameters=parameters, context=self, **kwargs)
         return SessionLearner(self, learner)
-
-    def presaturate(
-        self, learner: Any, instance: DatabaseInstance, examples: "ExampleSet"
-    ) -> None:
-        """Warm the shared saturation store for a whole example set.
-
-        Builds the learner's coverage engine once and materializes every
-        example's saturation through the batched entry point — one call —
-        so learning starts from a warm store.  Warns once (never errors) for
-        learners/engines without the machinery.
-        """
-        make_engine = getattr(learner, "make_coverage_engine", None)
-        if make_engine is None:
-            warn_once(
-                f"learner {type(learner).__name__} has no coverage-engine "
-                "factory; ignoring presaturate=True"
-            )
-            return
-        store = self.saturation_store_for(instance, learner)
-        if store is None:
-            warn_once(
-                "presaturate=True has no effect with "
-                "reuse_saturation_store=False; ignoring it"
-            )
-            return
-        self.apply(learner, saturation_store=store)
-        engine = make_engine(instance)
-        materialize = getattr(engine, "materialize", None)
-        if materialize is None or not getattr(engine, "compiled_enabled", False):
-            # Without the compiled store the warm-up would only fill this
-            # throwaway engine's private cache — skip instead of double-paying.
-            warn_once(
-                "presaturate=True has no shared store to warm on "
-                f"{type(engine).__name__} (backend "
-                f"{getattr(instance, 'backend_name', '?')!r}); ignoring it"
-            )
-            return
-        materialize(examples.all_examples())
 
     # ------------------------------------------------------------------ #
     # Harness entry points
@@ -474,14 +420,12 @@ class LearningSession:
         bundle: Any,
         learner: Any,
         variants: Optional[List[str]] = None,
-        seed: int = 0,
     ) -> Any:
         """Direct empirical schema-independence check (Definition 3.10)."""
         from ..experiments.harness import check_schema_independence
 
         return check_schema_independence(
-            bundle, self._as_spec(learner), variants=variants, seed=seed,
-            session=self,
+            bundle, self._as_spec(learner), variants=variants, session=self
         )
 
     def _as_spec(self, learner: Any, parameters: Any = None) -> Any:

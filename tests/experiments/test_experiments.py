@@ -34,6 +34,16 @@ class _FixedLearner:
 FIXED_SPEC = LearnerSpec("Fixed", lambda schema: _FixedLearner(schema))
 
 
+class _EmptyLearner:
+    """A stand-in learner that never accepts a clause."""
+
+    def __init__(self, schema):
+        self.schema = schema
+
+    def learn(self, instance, examples) -> HornDefinition:
+        return HornDefinition("advisedBy")
+
+
 class TestHarness:
     def test_run_variant_single_split(self):
         bundle = uwcse.load(TINY_CONFIG, seed=5)
@@ -56,6 +66,34 @@ class TestHarness:
         report = check_schema_independence(bundle, FIXED_SPEC, variants=["original", "4nf"])
         assert report.is_schema_independent
         assert set(report.result_sizes) == {"original", "4nf"}
+
+    def test_all_empty_results_are_vacuous_not_independent(self):
+        """Equal empty result relations say nothing about independence."""
+        bundle = uwcse.load(TINY_CONFIG, seed=5)
+        spec = LearnerSpec("Empty", _EmptyLearner)
+        report = check_schema_independence(bundle, spec, variants=["original", "4nf"])
+        assert report.is_vacuous
+        assert not report.is_schema_independent
+        assert report.result_sizes == {"original": 0, "4nf": 0}
+        assert report.as_dict()["vacuous"] is True
+
+    def test_one_empty_variant_is_dependent_not_vacuous(self):
+        bundle = uwcse.load(TINY_CONFIG, seed=5)
+        original = bundle.schema("original")
+
+        def factory(schema):
+            if schema is original:
+                return _FixedLearner(schema)
+            return _EmptyLearner(schema)
+
+        report = check_schema_independence(
+            bundle, LearnerSpec("Mixed", factory), variants=["original", "4nf"]
+        )
+        assert report.result_sizes["original"] > 0
+        assert report.result_sizes["4nf"] == 0
+        assert not report.is_vacuous
+        assert not report.is_schema_independent
+        assert report.as_dict()["vacuous"] is False
 
     def test_table13_stored_procedures_speedup_reported(self):
         results = table13_stored_procedures(seed=1, datasets=("uwcse",))

@@ -5,7 +5,8 @@ Every placement — single-connection ``sqlite`` and the snapshot-pooled
 the same, non-empty definition as the ``memory`` backend, on each schema
 variant and for every learner that finds the planted rule.  Castor runs
 with the benchmark's settings (``perfbench/workloads.py``), the others
-with their defaults, on a UW-CSE bundle small enough for tier-1.
+with their defaults, on a UW-CSE bundle small enough for tier-1.  Nor does
+the saturation store a session shares between runs: it only saves work.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro import LearningSession, SessionConfig
 from repro.castor.bottom_clause import CastorBottomClauseConfig
 from repro.castor.castor import CastorParameters
 from repro.datasets import uwcse
+from repro.session.session import _learner_kinds
 
 #: ``(backend, parallelism)`` of the reference run.
 REFERENCE = ("memory", None)
@@ -98,3 +100,31 @@ def test_definitions_are_placement_invariant(
     expected = reference(kind, variant)
     assert expected, f"{kind} learned nothing on {variant}"
     assert learn(bundle, kind, variant, *placement) == expected
+
+
+#: Every learner that decides coverage by subsumption, and so answers it
+#: from a saturation store on the SQLite backends.
+STORE_KINDS = ("castor", "golem", "progolem", "progol", "aleph-foil")
+
+
+@pytest.mark.parametrize("backend", ("sqlite", "sqlite-pooled"))
+@pytest.mark.parametrize("kind", STORE_KINDS)
+def test_shared_saturation_store_never_changes_the_definition(
+    tiny_schema, tiny_instance, tiny_examples, kind, backend
+):
+    """A learner on its session's shared store, cold and then warm from its
+    own first run, learns what a learner with a private store learns."""
+    config = SessionConfig(backend=backend)
+    private = _learner_kinds()[kind](tiny_schema, context=config)
+    expected = [str(clause) for clause in private.learn(tiny_instance, tiny_examples)]
+    assert expected, f"{kind} learned nothing"
+    with LearningSession(config) as session:
+        learner = session.learner(kind, tiny_schema)
+        cold = [str(clause) for clause in learner.learn(tiny_instance, tiny_examples)]
+        warm = [str(clause) for clause in learner.learn(tiny_instance, tiny_examples)]
+        store = session.saturation_store_for(
+            session.prepare(tiny_instance), learner.wrapped
+        )
+        assert len(store) > 0, "coverage never reached the shared store"
+    assert cold == expected
+    assert warm == expected

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro import LearningSession, SessionConfig
-from repro.castor.castor import CastorLearner
+from repro.castor.castor import CastorLearner, CastorParameters
 from repro.datasets import uwcse
 from repro.experiments.harness import LearnerSpec, run_variant
-from repro.foil.foil import FoilLearner
+from repro.foil.foil import FoilLearner, FoilParameters
 from repro.golem.golem import GolemLearner
 from repro.learning.bottom_clause import BottomClauseConfig
+from repro.learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.session.session import SessionLearner
 
@@ -123,6 +124,84 @@ def test_repeat_sweeps_stay_warm(tiny_bundle):
         assert session._stores == stores_after_first
 
 
+@pytest.mark.parametrize(
+    "learner_class,parameters_class",
+    [
+        (CastorLearner, CastorParameters),
+        (FoilLearner, FoilParameters),
+        (ProGolemLearner, ProGolemParameters),
+    ],
+    ids=["castor", "foil", "progolem"],
+)
+def test_learn_scores_at_the_learner_parallelism(
+    learner_class, parameters_class, tiny_bundle, monkeypatch
+):
+    """learn() hands the learner's own parallelism to the batch engine its
+    clause learner scores candidates with."""
+    widths = []
+    build = BatchCoverageEngine.__init__
+
+    def spy(self, engine, parallelism=1):
+        widths.append(parallelism)
+        build(self, engine, parallelism)
+
+    monkeypatch.setattr(BatchCoverageEngine, "__init__", spy)
+    variant = tiny_bundle.variant_names[0]
+    # A zero deadline stops the covering loop before its first clause: the
+    # batch engine is built by then, and the test stays fast.
+    learner = learner_class(
+        tiny_bundle.schema(variant),
+        parameters_class(max_seconds=0.0),
+        context=SessionConfig(parallelism=3),
+    )
+    learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
+    assert widths == [3]
+
+
+#: Whether a subsumption engine decides coverage with one SQL statement per
+#: clause (the compiled path) on each backend; the Python engine otherwise.
+COMPILED_ON = {"memory": False, "sqlite": True, "sqlite-pooled": True}
+
+#: The registry kinds that decide coverage by subsumption (FOIL runs queries).
+SUBSUMPTION_KINDS = ("castor", "golem", "progolem", "progol", "aleph-foil")
+
+
+class _EngineBuilt(Exception):
+    """Stops ``learn()`` as soon as its coverage engine exists."""
+
+
+@pytest.mark.parametrize("backend", sorted(COMPILED_ON))
+@pytest.mark.parametrize("kind", SUBSUMPTION_KINDS)
+def test_the_backend_decides_the_subsumption_procedure(
+    kind, backend, tiny_bundle, monkeypatch
+):
+    """Learners build their coverage engine with ``compiled=None``: it runs
+    on the session's prepared instance, takes the compiled path exactly on
+    the SQLite backends, and materializes into the session's shared store."""
+    build = SubsumptionCoverageEngine.__init__
+
+    def stop_once_built(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        raise _EngineBuilt(self)
+
+    monkeypatch.setattr(SubsumptionCoverageEngine, "__init__", stop_once_built)
+    variant = tiny_bundle.variant_names[0]
+    # A private copy: preparing on memory marks the instance itself managed,
+    # and later tests mutate the module's shared one directly.
+    instance = tiny_bundle.instance(variant).copy()
+    with LearningSession(SessionConfig(backend=backend)) as session:
+        learner = session.learner(kind, tiny_bundle.schema(variant))
+        with pytest.raises(_EngineBuilt) as built:
+            learner.learn(instance, tiny_bundle.examples)
+        engine = built.value.args[0]
+        prepared = session.prepare(instance)
+        assert engine.instance is prepared
+        assert prepared.backend_name == backend
+        assert engine.compiled_enabled is COMPILED_ON[backend]
+        store = session.saturation_store_for(prepared, learner.wrapped)
+        assert engine._compiled_store is store
+
+
 def test_session_learner_registry(tiny_bundle):
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
     with LearningSession(SessionConfig(parallelism=2)) as session:
@@ -138,15 +217,17 @@ def test_session_learner_registry(tiny_bundle):
 # session.run / session.learner parity with the per-run path
 # --------------------------------------------------------------------- #
 def test_session_run_matches_legacy_run_variant(tiny_bundle):
+    """A cold per-call session and a warm shared one learn the same."""
     variant = tiny_bundle.variant_names[0]
-    legacy = run_variant(
-        tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-    )
+    with LearningSession(SessionConfig(backend="sqlite")) as cold:
+        per_call = run_variant(
+            tiny_bundle, variant, progolem_spec(), folds=2, session=cold
+        )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         through_session = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
         repeat = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
-    assert as_key(through_session) == as_key(legacy)
-    assert as_key(repeat) == as_key(legacy)
+    assert as_key(through_session) == as_key(per_call)
+    assert as_key(repeat) == as_key(per_call)
 
 
 def test_session_learner_learn_matches_direct_learner(tiny_bundle):
@@ -154,7 +235,7 @@ def test_session_learner_learn_matches_direct_learner(tiny_bundle):
     schema = tiny_bundle.schema(variant)
     instance = tiny_bundle.instance(variant)
     direct = ProGolemLearner(
-        schema, progolem_parameters(), backend="sqlite"
+        schema, progolem_parameters(), context=SessionConfig(backend="sqlite")
     ).learn(instance, tiny_bundle.examples)
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         learner = session.learner("progolem", schema, progolem_parameters())
@@ -243,10 +324,12 @@ def test_multi_spec_sweep_matches_per_run_path(tiny_bundle):
             ),
         ),
     )
-    isolated = [
-        run_variant(tiny_bundle, variant, spec, folds=2, backend="sqlite")
-        for spec in (progolem_spec(), deep_spec)
-    ]
+    isolated = []
+    for spec in (progolem_spec(), deep_spec):
+        with LearningSession(SessionConfig(backend="sqlite")) as session:
+            isolated.append(
+                run_variant(tiny_bundle, variant, spec, folds=2, session=session)
+            )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         swept = session.sweep(
             tiny_bundle, [progolem_spec(), deep_spec],
@@ -280,34 +363,6 @@ def test_storeless_learner_opens_no_store(tiny_bundle):
         learner = session.learner("foil", tiny_bundle.schema(variant))
         learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
         assert session._stores == {}
-
-
-def test_reuse_disabled_hands_out_no_store(tiny_bundle):
-    variant = tiny_bundle.variant_names[0]
-    with LearningSession(
-        SessionConfig(backend="sqlite", reuse_saturation_store=False)
-    ) as session:
-        prepared = session.prepare(tiny_bundle.instance(variant))
-        assert session.saturation_store_for(prepared) is None
-        assert session.store_supplier(prepared) is None
-
-
-# --------------------------------------------------------------------- #
-# Harness integration rules
-# --------------------------------------------------------------------- #
-def test_per_call_knobs_rejected_with_explicit_session(tiny_bundle):
-    variant = tiny_bundle.variant_names[0]
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
-        with pytest.raises(ValueError, match="SessionConfig"):
-            run_variant(
-                tiny_bundle, variant, progolem_spec(), backend="memory",
-                session=session,
-            )
-        with pytest.raises(ValueError, match="parallelism"):
-            run_variant(
-                tiny_bundle, variant, progolem_spec(), parallelism=2,
-                session=session,
-            )
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ messages, and apply() is the single warn-once normalization path."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import warnings
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from repro.database import RelationSchema, Schema, backend_names
 from repro.database import backend as backend_module
 from repro.progolem.progolem import ProGolemLearner
-from repro.session import COVERAGE_STRATEGIES, SessionConfig
+from repro.experiments import harness
+from repro.session import LearningSession, SessionConfig
 from repro.session.session import _learner_kinds
 
 BACKENDS = ["memory", "sqlite", "sqlite-pooled"]
@@ -29,9 +31,6 @@ def test_backends_and_fields_are_the_single_process_set():
     assert [field.name for field in dataclasses.fields(SessionConfig)] == [
         "backend",
         "parallelism",
-        "coverage",
-        "reuse_saturation_store",
-        "presaturate",
         "trace",
     ]
 
@@ -61,38 +60,6 @@ def test_out_of_range_counts():
         SessionConfig(parallelism=0)
 
 
-def test_unknown_coverage_strategy_lists_options():
-    with pytest.raises(ValueError, match="subsumption-compiled"):
-        SessionConfig(coverage="compiled")
-    for strategy in COVERAGE_STRATEGIES:
-        if strategy == "query":
-            continue
-        assert SessionConfig(coverage=strategy).coverage == strategy
-
-
-def test_presaturate_needs_the_shared_store():
-    with pytest.raises(ValueError, match="reuse_saturation_store"):
-        SessionConfig(presaturate=True, reuse_saturation_store=False)
-
-
-def test_presaturate_incoherent_with_query_coverage():
-    with pytest.raises(ValueError, match="no saturations"):
-        SessionConfig(presaturate=True, coverage="query")
-
-
-# --------------------------------------------------------------------- #
-# merged()
-# --------------------------------------------------------------------- #
-def test_merged_overrides_and_revalidates():
-    base = SessionConfig(backend="sqlite-pooled", parallelism=2)
-    bumped = base.merged(parallelism=4)
-    assert bumped.parallelism == 4 and bumped.backend == "sqlite-pooled"
-    assert base.parallelism == 2  # immutable
-    with pytest.raises(ValueError, match="sqlite-pooled"):
-        base.merged(backend="sqlite")
-    assert base.merged() is base
-
-
 # --------------------------------------------------------------------- #
 # apply(): the single normalization path
 # --------------------------------------------------------------------- #
@@ -106,13 +73,10 @@ class OtherKnoblessLearner:
 
 def test_apply_sets_knobs_the_learner_exposes():
     learner = ProGolemLearner(schema())
-    config = SessionConfig(
-        backend="sqlite-pooled", parallelism=5, coverage="subsumption-python"
-    )
+    config = SessionConfig(backend="sqlite-pooled", parallelism=5)
     assert config.apply(learner) is learner
     assert learner.parallelism == 5
     assert learner.backend == "sqlite-pooled"
-    assert learner.compiled_coverage is False
 
 
 def test_apply_warns_once_on_learners_without_the_knob():
@@ -148,28 +112,6 @@ def make_learner(kind):
     return _learner_kinds()[kind](schema())
 
 
-def family(kind):
-    """FOIL scores by query coverage; every other kind by subsumption."""
-    return "query" if kind == "foil" else "subsumption"
-
-
-#: ``(family, strategy) -> outcome``: ``("compiled", flag)`` sets
-#: ``compiled_coverage``; ``("honored",)`` changes nothing silently;
-#: ``("warns", pattern)`` leaves the learner alone and warns once.
-COVERAGE_OUTCOMES = {
-    ("subsumption", "auto"): ("honored",),
-    ("subsumption", "subsumption"): ("honored",),
-    ("subsumption", "subsumption-compiled"): ("compiled", True),
-    ("subsumption", "subsumption-python"): ("compiled", False),
-    ("subsumption", "query"): ("warns", "always uses subsumption coverage"),
-    ("query", "auto"): ("honored",),
-    ("query", "subsumption"): ("warns", "always uses query coverage"),
-    ("query", "subsumption-compiled"): ("warns", "no compiled-subsumption knob"),
-    ("query", "subsumption-python"): ("warns", "no compiled-subsumption knob"),
-    ("query", "query"): ("honored",),
-}
-
-
 @pytest.fixture
 def fresh_warnings(monkeypatch):
     """Forget earlier warn-once reports so this test sees its own."""
@@ -186,23 +128,35 @@ def test_apply_pushes_placement_onto_every_kind(kind, fresh_warnings):
     assert learner.parallelism == 3
 
 
-@pytest.mark.parametrize("strategy", COVERAGE_STRATEGIES)
 @pytest.mark.parametrize("kind", KINDS)
-def test_apply_honors_or_warns_once_about_coverage(kind, strategy, fresh_warnings):
-    config = SessionConfig(coverage=strategy)
-    learner = make_learner(kind)
-    before = getattr(learner, "compiled_coverage", None)
-    outcome = COVERAGE_OUTCOMES[(family(kind), strategy)]
-    if outcome[0] == "warns":
-        with pytest.warns(RuntimeWarning, match=outcome[1]):
-            config.apply(learner)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config.apply(learner)
-    expected = outcome[1] if outcome[0] == "compiled" else before
-    assert getattr(learner, "compiled_coverage", None) == expected
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # The same situation again is silent: already reported.
-        config.apply(make_learner(kind))
+def test_sessions_sharing_parameters_keep_their_own_parallelism(kind):
+    """Regression: two sessions handed one Parameters object used to
+    overwrite each other's parallelism through it.  The setting now lives
+    on each learner, and the caller's object is never written."""
+    params = type(make_learner(kind).parameters)()
+    before = dict(vars(params))
+    with LearningSession(SessionConfig(parallelism=4)) as wide_session:
+        with LearningSession(SessionConfig(parallelism=1)) as narrow_session:
+            wide = wide_session.learner(kind, schema(), params)
+            narrow = narrow_session.learner(kind, schema(), params)
+            assert (wide.parallelism, narrow.parallelism) == (4, 1)
+            assert wide.parameters is params and narrow.parameters is params
+    assert vars(params) == before
+
+
+def test_context_and_session_are_the_only_evaluation_keywords():
+    """Learners take evaluation settings through ``context=`` (plus the
+    Figure 2 ``threads`` sweep); harness entry points through ``session=``."""
+    learning = {"schema", "parameters", "clause_length"}
+    for kind, learner_class in _learner_kinds().items():
+        keywords = set(inspect.signature(learner_class).parameters) - learning
+        expected = {"context"} if kind == "foil" else {"threads", "context"}
+        assert keywords == expected, kind
+    for entry in (
+        harness.run_variant,
+        harness.run_schema_sweep,
+        harness.check_schema_independence,
+    ):
+        keywords = set(inspect.signature(entry).parameters)
+        assert "session" in keywords
+        assert not keywords & {"backend", "parallelism", "saturation_store"}
