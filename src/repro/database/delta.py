@@ -18,17 +18,31 @@ Semantics (the contract every consumer relies on):
 * **Conservative footprint.** :meth:`touched_values` reports every value
   in every listed row regardless of whether the op was effective.
   Invalidation built on it may therefore over-approximate, never
-  under-approximate.
+  under-approximate.  :class:`FootprintIndex` looks those values up
+  against the footprints of derived state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Generic,
+    Hashable,
+    Iterable,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 Row = Tuple[object, ...]
 DeltaOp = Tuple[str, str, Tuple[Row, ...]]
 
 _VALID_OPS = ("add", "remove")
+
+K = TypeVar("K", bound=Hashable)
 
 
 class Delta:
@@ -152,3 +166,55 @@ class Delta:
 
     def __repr__(self) -> str:
         return f"Delta({len(self._ops)} ops, {self.row_count} rows)"
+
+
+class FootprintIndex(Generic[K]):
+    """Inverted index from values to the keys whose footprint holds them.
+
+    A key is one piece of derived state (a stored saturation, a cached
+    one) and its footprint is the set of values a delta must touch to
+    change it.  :meth:`touching` looks up only the values it is given, so
+    finding what a delta invalidates costs O(touched values + keys found),
+    however many footprints are filed.  Values compare by Python equality
+    and hashing; a caller that needs another equality files and looks up
+    values already mapped into it.  Not thread-safe: the owner serializes
+    access.
+    """
+
+    __slots__ = ("_keys", "_footprints")
+
+    def __init__(self) -> None:
+        self._keys: Dict[object, Set[K]] = {}
+        # Each footprint once, deduplicated, so discard() finds every entry.
+        self._footprints: Dict[K, Tuple[object, ...]] = {}
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._footprints
+
+    def add(self, key: K, values: Iterable[object]) -> None:
+        """File ``key``, not filed yet, under every value of its footprint."""
+        footprint = tuple(dict.fromkeys(values))
+        self._footprints[key] = footprint
+        for value in footprint:
+            keys = self._keys.get(value)
+            if keys is None:
+                self._keys[value] = {key}
+            else:
+                keys.add(key)
+
+    def discard(self, key: K) -> None:
+        """Forget ``key``'s footprint; a no-op for a key never filed."""
+        for value in self._footprints.pop(key, ()):
+            keys = self._keys[value]
+            keys.discard(key)
+            if not keys:
+                del self._keys[value]
+
+    def touching(self, values: Iterable[object]) -> Set[K]:
+        """Every filed key whose footprint holds at least one of ``values``."""
+        found: Set[K] = set()
+        for value in values:
+            keys = self._keys.get(value)
+            if keys is not None:
+                found.update(keys)
+        return found

@@ -49,6 +49,7 @@ from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Variable
 from ..obs import Counter, registry as obs_registry
+from .delta import FootprintIndex
 from .schema import RelationSchema
 
 Row = Tuple[object, ...]
@@ -1043,12 +1044,14 @@ class SaturationStore:
         self._body_tables: Dict[Tuple[str, int], str] = {}
         self._ids = itertools.count(1)
         self._key_ids: Dict[Tuple[str, Row], int] = {}
-        self._size = 0
+        self._id_keys: Dict[int, Tuple[str, Row]] = {}
+        # Live ids filed under their stored head and body values.
+        self._footprints: FootprintIndex[int] = FootprintIndex()
         self._stale_statistics = False
         self._analyzed_size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._id_keys)
 
     # ------------------------------------------------------------------ #
     # Materialization
@@ -1097,6 +1100,7 @@ class SaturationStore:
         if existing is not None:
             return existing
         prepared: Dict[Tuple[str, int], List[Row]] = {}
+        footprint: List[object] = list(stored_head)
         for atom in body:
             if atom.arity == 0:
                 raise BackendValueError("cannot materialize a zero-arity atom")
@@ -1107,6 +1111,7 @@ class SaturationStore:
                         f"saturation atom {atom} is not ground"
                     )
                 values.append(_storable(term.value))
+            footprint.extend(values)
             prepared.setdefault((atom.predicate, atom.arity), []).append(tuple(values))
 
         with self._lock:
@@ -1128,7 +1133,8 @@ class SaturationStore:
                     [(example_id, *row) for row in rows],
                 )
             self._key_ids[(target, stored_head)] = example_id
-            self._size += 1
+            self._id_keys[example_id] = (target, stored_head)
+            self._footprints.add(example_id, footprint)
             self._stale_statistics = True
             return example_id
 
@@ -1147,40 +1153,12 @@ class SaturationStore:
             return None
         return self._key_ids.get((target, stored))
 
-    def stored_key(
-        self, target: str, head_values: Sequence[object]
-    ) -> Optional[Tuple[str, Row]]:
-        """The dedup key this store files ``(target, head_values)`` under.
+    def has_id(self, example_id: int) -> bool:
+        """Whether the saturation stored under ``example_id`` is still here.
 
-        ``None`` when the head contains unstorable values (such an example
-        can never be materialized here).  Lets callers correlate their own
-        example objects with keys returned by :meth:`invalidate_touching`.
+        Ids are never reused, so ``False`` means it was dropped.
         """
-        try:
-            return (target, tuple(_storable(v) for v in head_values))
-        except BackendValueError:
-            return None
-
-    def remove_example(
-        self, target: str, head_values: Sequence[object]
-    ) -> Optional[int]:
-        """Drop one materialized saturation by its dedup key.
-
-        Returns the removed example's id, or ``None`` when the key was not
-        materialized (including heads with unstorable values, which can
-        never have been stored).  Incremental maintenance uses this to
-        retract-and-repair saturations a delta invalidated.
-        """
-        try:
-            stored = tuple(_storable(v) for v in head_values)
-        except BackendValueError:
-            return None
-        with self._lock:
-            example_id = self._key_ids.pop((target, stored), None)
-            if example_id is None:
-                return None
-            self._delete_ids({example_id})
-            return example_id
+        return example_id in self._footprints
 
     def invalidate_touching(
         self, values: Iterable[object]
@@ -1194,57 +1172,34 @@ class SaturationStore:
         saturation — dropping exactly the intersecting examples (for the
         caller to rebuild) keeps delta maintenance byte-identical to a cold
         rebuild.  Returns the ``(target, head tuple)`` keys dropped.
+
+        Footprints are indexed as stored, so values match by SQLite's
+        equality (``1 == 1.0 == True``, ``"1" != b"1"``).  The lookup costs
+        O(values + dropped saturations) and runs no SQL unless something
+        is dropped.
         """
-        storable: List[object] = []
+        lookup: List[object] = []
         for value in values:
             try:
-                storable.append(_storable(value))
+                stored = _storable(value)
             except BackendValueError:
                 continue  # never stored, cannot intersect any footprint
-        if not storable:
-            return []
+            if stored == stored:  # SQLite stores NaN as NULL, equal to nothing
+                lookup.append(stored)
         with self._lock:
-            if not self._key_ids:
-                return []
-            self._connection.execute(
-                "CREATE TEMP TABLE IF NOT EXISTS _touch (v PRIMARY KEY) WITHOUT ROWID"
-            )
-            self._connection.execute("DELETE FROM _touch")
-            self._connection.executemany(
-                "INSERT OR IGNORE INTO _touch VALUES (?)", [(v,) for v in storable]
-            )
-            dead: Set[int] = set()
-            for (_target, arity), table in self._head_tables.items():
-                condition = " OR ".join(
-                    f"h{i} IN (SELECT v FROM _touch)" for i in range(arity)
-                )
-                dead.update(
-                    row[0]
-                    for row in self._connection.execute(
-                        f"SELECT ex FROM {table} WHERE {condition}"
-                    )
-                )
-            for (_predicate, arity), table in self._body_tables.items():
-                condition = " OR ".join(
-                    f"c{i} IN (SELECT v FROM _touch)" for i in range(arity)
-                )
-                dead.update(
-                    row[0]
-                    for row in self._connection.execute(
-                        f"SELECT DISTINCT ex FROM {table} WHERE {condition}"
-                    )
-                )
-            self._connection.execute("DELETE FROM _touch")
+            dead = self._footprints.touching(lookup)
             if not dead:
                 return []
-            dropped = [key for key, ex in self._key_ids.items() if ex in dead]
-            for key in dropped:
-                del self._key_ids[key]
+            dropped = [self._id_keys[example_id] for example_id in sorted(dead)]
             self._delete_ids(dead)
             return dropped
 
     def _delete_ids(self, ids: Set[int]) -> None:
-        """Purge rows for ``ids`` from every head and body table (lock held)."""
+        """Purge ``ids`` from the key maps, the footprint index and every
+        head and body table (lock held)."""
+        for example_id in ids:
+            del self._key_ids[self._id_keys.pop(example_id)]
+            self._footprints.discard(example_id)
         self._connection.execute(
             "CREATE TEMP TABLE IF NOT EXISTS _dead (ex INTEGER PRIMARY KEY) WITHOUT ROWID"
         )
@@ -1261,7 +1216,6 @@ class SaturationStore:
                 f"DELETE FROM {table} WHERE ex IN (SELECT ex FROM _dead)"
             )
         self._connection.execute("DELETE FROM _dead")
-        self._size -= len(ids)
         self._stale_statistics = True
 
     def contents(self) -> Dict[Tuple[str, Row], FrozenSet[Tuple[str, Row]]]:
@@ -1317,12 +1271,13 @@ class SaturationStore:
                 # *relative* cardinalities, which barely move under small
                 # churn.  Re-analyze only when the store has grown or shrunk
                 # past 2x since the statistics were last taken.
+                size = len(self._id_keys)
                 if not (
-                    0 < self._analyzed_size // 2 <= self._size
-                    and self._size <= self._analyzed_size * 2
+                    0 < self._analyzed_size // 2 <= size
+                    and size <= self._analyzed_size * 2
                 ):
                     self._connection.execute("ANALYZE")
-                    self._analyzed_size = self._size
+                    self._analyzed_size = size
                 self._stale_statistics = False
 
             where: List[str] = []
@@ -1388,6 +1343,6 @@ class SaturationStore:
 
     def __repr__(self) -> str:
         return (
-            f"SaturationStore({self._size} examples, "
+            f"SaturationStore({len(self._id_keys)} examples, "
             f"{len(self._body_tables)} predicates)"
         )

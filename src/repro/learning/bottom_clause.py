@@ -468,38 +468,6 @@ class BatchSaturationEngine:
         """Evaluate a pre-assembled :class:`SaturationBatch`."""
         return self.build_batch(batch.examples, variablize=batch.variablize)
 
-    def apply_delta(
-        self,
-        store,
-        delta,
-        examples: Sequence[Example] = (),
-    ) -> List[Example]:
-        """Retract-and-repair a saturation store after a data delta.
-
-        Drops every stored saturation whose footprint (head values plus
-        ground-body constants) intersects the delta's touched values — the
-        only saturations whose frontier expansion the delta can reach — and
-        rebuilds the dropped ones found in ``examples`` through the normal
-        batch construction path.  Because untouched saturations are provably
-        unaffected and touched ones are reconstructed from scratch against
-        the updated instance, the store ends byte-identical to a cold
-        rebuild.  Returns the examples that were rebuilt.
-        """
-        touched = delta.touched_values()
-        if not touched:
-            return []
-        dropped = set(store.invalidate_touching(touched))
-        if not dropped:
-            return []
-        rebuilt = [
-            example
-            for example in dict.fromkeys(examples)
-            if store.stored_key(example.target, example.values) in dropped
-        ]
-        if rebuilt:
-            self.materialize_into(store, rebuilt)
-        return rebuilt
-
     def materialize_into(
         self,
         store,

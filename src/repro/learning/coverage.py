@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..database.delta import Delta
+from ..database.delta import Delta, FootprintIndex
 from ..database.instance import DatabaseInstance
 from ..database.query import QueryEvaluator
 from ..database.sqlite_backend import CompilationNotSupported, SaturationStore
@@ -51,6 +51,16 @@ def _engine_counter(name: str) -> Counter:
     registry series.
     """
     return Counter(parent=obs_registry().counter(name))
+
+
+def _footprint(example: Example, saturation: HornClause) -> Iterator[object]:
+    """The values a delta must touch to change ``saturation``: the example's
+    head values and every constant of its ground body."""
+    yield from example.values
+    for atom in saturation.body:
+        for term in atom.terms:
+            if isinstance(term, Constant):
+                yield term.value
 
 
 def examples_mask(covered: Iterable[Example], examples: Sequence[Example]) -> int:
@@ -224,6 +234,8 @@ class SubsumptionCoverageEngine:
         self._coverage_cache.clear()
         self._compiled_ids.clear()
         self._compiled_failed.clear()
+        # Footprints of cached saturations, filed lazily by apply_delta.
+        self._footprints: FootprintIndex[Example] = FootprintIndex()
 
     def _make_builder(
         self,
@@ -505,16 +517,22 @@ class SubsumptionCoverageEngine:
         :meth:`prepare`/:meth:`materialize`) against the updated instance,
         which makes the repaired state byte-identical to a cold rebuild.
 
+        The intersecting examples come from a :class:`FootprintIndex` over
+        the cached saturations, matching values by Python equality.  It is
+        filed here, not while learning: the first delta files every cached
+        saturation, later ones only those rebuilt since.
+
         Returns the set of invalidated examples.
         """
         touched = delta.touched_values()
         if not touched:
             return set()
-        invalidated: Set[Example] = set()
         with self._materialize_lock:
-            for example, clause in self._saturation_cache.items():
-                if self._footprint_intersects(example, clause, touched):
-                    invalidated.add(example)
+            footprints = self._footprints
+            for example, saturation in self._saturation_cache.items():
+                if example not in footprints:
+                    footprints.add(example, _footprint(example, saturation))
+            invalidated = footprints.touching(touched)
             store = self._compiled_store
             if store is not None:
                 # Drop intersecting saturations store-wide (idempotent: a
@@ -522,14 +540,15 @@ class SubsumptionCoverageEngine:
                 # drop), then resync compiled ids against what survived —
                 # this also catches rows another engine already dropped.
                 store.invalidate_touching(touched)
-                for example, example_id in list(self._compiled_ids.items()):
-                    if store.existing_id(example.target, example.values) != example_id:
+                for example, example_id in self._compiled_ids.items():
+                    if not store.has_id(example_id):
                         invalidated.add(example)
             with self._lock:
                 for example in invalidated:
                     self._saturation_cache.pop(example, None)
                     self._saturation_index_cache.pop(example, None)
                     self._compiled_ids.pop(example, None)
+                    footprints.discard(example)
                 if invalidated:
                     stale = [
                         key for key in self._coverage_cache if key[1] in invalidated
@@ -537,20 +556,6 @@ class SubsumptionCoverageEngine:
                     for key in stale:
                         del self._coverage_cache[key]
         return invalidated
-
-    @staticmethod
-    def _footprint_intersects(
-        example: Example, saturation: HornClause, touched: frozenset
-    ) -> bool:
-        """True when any touched value occurs in the saturation's footprint."""
-        for value in example.values:
-            if value in touched:
-                return True
-        for atom in saturation.body:
-            for term in atom.terms:
-                if isinstance(term, Constant) and term.value in touched:
-                    return True
-        return False
 
     def mark_generalization_covers(
         self, general_clause: HornClause, covered: Iterable[Example]

@@ -282,14 +282,53 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
     return _TRACER.span(name, **attrs)
 
 
+def git_sha(start: Optional[str] = None) -> Optional[str]:
+    """The commit checked out in the git work tree holding ``start``.
+
+    Reads ``.git/HEAD`` and the ref it names, loose or in ``packed-refs``,
+    without running git.  ``start`` defaults to this module's directory, so
+    the answer names the checkout the running code came from.  ``None``
+    outside a checkout, for a ``.git`` file (worktrees and submodules), and
+    for a branch with no commit yet.
+    """
+    directory = os.path.abspath(start or os.path.dirname(__file__))
+    while not os.path.exists(os.path.join(directory, ".git")):
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            return None
+        directory = parent
+    git = os.path.join(directory, ".git")
+    try:
+        with open(os.path.join(git, "HEAD"), encoding="utf-8") as handle:
+            head = handle.read().strip()
+        if not head.startswith("ref: "):
+            return head or None
+        ref = head[len("ref: "):]
+        loose = os.path.join(git, *ref.split("/"))
+        if os.path.isfile(loose):
+            with open(loose, encoding="utf-8") as handle:
+                return handle.read().strip() or None
+        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as handle:
+            for line in handle:
+                fields = line.split()
+                if len(fields) == 2 and fields[1] == ref:
+                    return fields[0]
+    except OSError:  # a .git file, or no packed-refs
+        pass
+    return None
+
+
 def provenance(**extra: Any) -> Dict[str, Any]:
     """The shared provenance block embedded in every ``BENCH_*`` artifact.
 
     Callers add run-specific configuration (backend, parallelism)
     as keyword arguments; the base block records where the numbers came
-    from so two artifacts are comparable at a glance.
+    from (commit, host, interpreter) so two artifacts are comparable at a
+    glance.
     """
     return {
+        "git_sha": git_sha(),
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import LearningSession, SessionConfig
 from repro.database import Delta
 from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
@@ -233,6 +234,64 @@ class TestWarmStoreSurvival:
         instance.apply_delta(delta)
         assert engine.apply_delta(delta) == set()
         assert store.existing_id("q", e1.values) == warm_id
+
+
+# --------------------------------------------------------------------- #
+# Cost: a delta that drops nothing runs no SQL on the store
+# --------------------------------------------------------------------- #
+def _record_statements(store):
+    """The SQL statements ``store`` executes from now on, as a growing list."""
+    executed = []
+    store._connection.set_trace_callback(executed.append)
+    return executed
+
+
+class TestInvalidationLooksUpInsteadOfScanning:
+    def test_disjoint_values_run_no_statement(self):
+        instance = DatabaseInstance(tiny_schema(), backend="sqlite")
+        instance.add_tuples("r", [(f"x{i}", f"b{i}") for i in range(12)])
+        instance.add_tuples("s", [(f"x{i}", i) for i in range(12)])
+        examples = [Example("q", (f"x{i}",), True) for i in range(12)]
+        store = SaturationStore()
+        SubsumptionCoverageEngine(
+            instance,
+            BottomClauseConfig(max_depth=2),
+            compiled=True,
+            saturation_store=store,
+        ).materialize(examples)
+        assert len(store) == 12
+
+        executed = _record_statements(store)
+        assert store.invalidate_touching(["z", "1", b"x1", 12, 3.5]) == []
+        assert executed == []
+        assert len(store) == 12
+
+    def test_engine_after_session_update_runs_no_statement(self):
+        """The session already dropped what the delta touched, so the
+        engine's own pass over the shared store only resyncs its ids."""
+        source = DatabaseInstance(tiny_schema())
+        with source.transaction():
+            source.add_tuples("r", [("x1", "b1")])
+            source.add_tuples("s", [("x2", "c2")])
+        e1 = Example("q", ("x1",), True)
+        e2 = Example("q", ("x2",), True)
+        with LearningSession(SessionConfig(backend="sqlite")) as session:
+            prepared = session.prepare(source)
+            store = session.saturation_store_for(prepared)
+            engine = SubsumptionCoverageEngine(
+                prepared,
+                BottomClauseConfig(max_depth=2),
+                compiled=True,
+                saturation_store=store,
+            )
+            engine.materialize([e1, e2])
+            delta = Delta.add("r", [("x1", "b9")])
+            session.update(source, delta)
+            assert store.existing_id("q", e1.values) is None
+
+            executed = _record_statements(store)
+            assert engine.apply_delta(delta) == {e1}
+            assert executed == []
 
 
 # --------------------------------------------------------------------- #

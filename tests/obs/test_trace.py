@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 from repro.obs import provenance, span, tracer
 from repro.obs.report import load_spans, phase_table, render_tree
-from repro.obs.trace import _NULL_SPAN, Tracer
+from repro.obs.trace import _NULL_SPAN, Tracer, git_sha
 
 
 def test_disabled_tracer_returns_the_shared_null_span():
@@ -98,3 +99,52 @@ def test_provenance_block_has_the_shared_fields():
     for key in ("python", "implementation", "platform", "machine", "pid"):
         assert key in block
     assert block["benchmark"] == "x" and block["parallelism"] == 2
+    assert block["cpu_count"] == os.cpu_count()
+    assert block["git_sha"] == git_sha()
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+def _checkout(root, head, refs=None, packed=None):
+    """A work tree at ``root`` whose ``.git`` holds just the given files."""
+    git = root / ".git"
+    git.mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    for ref, sha in (refs or {}).items():
+        path = git / ref
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(sha + "\n")
+    if packed is not None:
+        (git / "packed-refs").write_text(packed)
+    inner = root / "src" / "pkg"
+    inner.mkdir(parents=True)
+    return str(inner)
+
+
+def test_git_sha_follows_loose_and_packed_refs(tmp_path):
+    loose = _checkout(
+        tmp_path / "loose", "ref: refs/heads/main", refs={"refs/heads/main": SHA}
+    )
+    assert git_sha(loose) == SHA
+    packed = _checkout(
+        tmp_path / "packed",
+        "ref: refs/heads/main",
+        packed=(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/mainline\n"
+            f"{SHA} refs/heads/main\n"
+            f"^{'e' * 40}\n"
+        ),
+    )
+    assert git_sha(packed) == SHA
+    assert git_sha(_checkout(tmp_path / "detached", SHA)) == SHA
+
+
+def test_git_sha_is_none_without_a_readable_commit(tmp_path):
+    unborn = _checkout(tmp_path / "unborn", "ref: refs/heads/main")
+    assert git_sha(unborn) is None
+    linked = tmp_path / "linked"
+    linked.mkdir()
+    (linked / ".git").write_text("gitdir: /elsewhere\n")
+    assert git_sha(str(linked)) is None
