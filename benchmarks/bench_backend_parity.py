@@ -40,7 +40,7 @@ from repro.datasets import hiv, uwcse
 from repro.learning.coverage import (
     BatchCoverageEngine,
     QueryCoverageEngine,
-    make_coverage_engine,
+    SubsumptionCoverageEngine,
 )
 from repro.learning.examples import Example
 from repro.logic.clauses import HornClause
@@ -110,7 +110,7 @@ def time_batched(
     best = float("inf")
     for _ in range(repeats):
         batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance), parallelism=parallelism
+            QueryCoverageEngine(instance, parallelism=parallelism)
         )
         start = time.perf_counter()
         covered = [
@@ -125,20 +125,20 @@ def time_subsumption(
     instance: DatabaseInstance,
     clauses: Sequence[HornClause],
     examples: Sequence[Example],
-    strategy: str,
+    compiled: bool,
     saturation_cache: Dict[Example, HornClause],
     saturation_store=None,
 ) -> Tuple[float, List[frozenset]]:
     """Wall time of subsumption coverage over all clauses (fresh engine).
 
     Saturations are shared between the compared engines (building them is
-    identical work for both paths).  For the compiled strategy, passing a
+    identical work for both paths).  For the compiled path, passing a
     pre-materialized ``saturation_store`` measures the warm steady state a
     learning run reaches after its first generation; without it the timing
     includes one-off store materialization.
     """
-    engine = make_coverage_engine(
-        instance, strategy=strategy, saturation_store=saturation_store
+    engine = SubsumptionCoverageEngine(
+        instance, compiled=compiled, saturation_store=saturation_store
     )
     engine._saturation_cache = saturation_cache
     start = time.perf_counter()
@@ -229,14 +229,14 @@ def run_workload(
 
     saturation_cache: Dict[Example, HornClause] = {}
     python_seconds, python_sets = time_subsumption(
-        base_instance, clauses, examples, "subsumption-python", saturation_cache
+        base_instance, clauses, examples, False, saturation_cache
     )
     shared_store = SaturationStore()
     compiled_cold_seconds, compiled_sets = time_subsumption(
         base_instance,
         clauses,
         examples,
-        "subsumption-compiled",
+        True,
         saturation_cache,
         saturation_store=shared_store,
     )
@@ -244,7 +244,7 @@ def run_workload(
         base_instance,
         clauses,
         examples,
-        "subsumption-compiled",
+        True,
         saturation_cache,
         saturation_store=shared_store,
     )
@@ -309,7 +309,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--parallelism",
         type=int,
         default=4,
-        help="clause-level fan-out for the batched/pooled path (default: 4)",
+        help="snapshot connections the batched query path fans clauses out "
+        "over on sqlite-pooled (default: 4)",
     )
     parser.add_argument(
         "--json",

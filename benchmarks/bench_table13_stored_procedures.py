@@ -13,7 +13,7 @@ Two usage modes:
 
       PYTHONPATH=src python benchmarks/bench_table13_stored_procedures.py
           [--quick] [--backend {memory,sqlite,both}] [--repeats N]
-          [--seed N] [--parallelism N] [--json PATH]
+          [--seed N] [--json PATH]
 
   The gate asserts the two paths construct **byte-identical** bottom
   clauses for the UW-CSE/HIV positive-example sets; exit status is non-zero
@@ -35,7 +35,6 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.castor.stored_procedures import compare_stored_procedure_modes
 from repro.database.instance import DatabaseInstance
 from repro.datasets import hiv, uwcse
-from repro.learning.bottom_clause import BatchSaturationEngine
 from repro.learning.examples import Example
 from repro.obs import provenance
 
@@ -91,13 +90,12 @@ def time_saturation(
     config: CastorBottomClauseConfig,
     compiled: bool,
     repeats: int,
-    parallelism: int,
 ) -> Tuple[float, List[str]]:
     """Best-of-``repeats`` wall time of saturating the whole example set.
 
-    ``compiled=True`` is this PR's path: batched level-synchronous
-    construction over the backend's set-at-a-time saturation capability
-    (one :class:`BatchSaturationEngine` call for the whole set).
+    ``compiled=True`` is the batched path: level-synchronous construction
+    over the backend's set-at-a-time saturation capability (one
+    ``build_ground_many`` call for the whole set).
     ``compiled=False`` is the pre-batching baseline: one example at a time,
     one Python ``tuples_containing`` round-trip per frontier constant.  The
     builder is constructed inside the timed region on every repeat so
@@ -111,8 +109,7 @@ def time_saturation(
             instance, config=config, use_compiled_lookups=compiled
         )
         if compiled:
-            engine = BatchSaturationEngine(builder, parallelism=parallelism)
-            clauses = [str(c) for c in engine.build_ground_batch(examples)]
+            clauses = [str(c) for c in builder.build_ground_many(examples)]
         else:
             clauses = [str(builder.build_ground(example)) for example in examples]
         best = min(best, time.perf_counter() - start)
@@ -162,7 +159,6 @@ def run_workload(
     backends: Sequence[str],
     config: CastorBottomClauseConfig,
     repeats: int,
-    parallelism: int,
 ) -> Tuple[Dict[str, object], bool]:
     """Benchmark one dataset; returns the result record and a parity flag."""
     variant = bundle.variant_names[0]
@@ -191,10 +187,10 @@ def run_workload(
             else base_instance.with_backend(backend)
         )
         compiled_seconds, compiled_clauses = time_saturation(
-            instance, examples, config, True, repeats, parallelism
+            instance, examples, config, True, repeats
         )
         python_seconds, python_clauses = time_saturation(
-            instance, examples, config, False, repeats, parallelism
+            instance, examples, config, False, repeats
         )
         record["saturation_seconds"][backend] = {
             "compiled": compiled_seconds,
@@ -240,11 +236,7 @@ def run_workload(
         )
 
     table13 = compare_stored_procedure_modes(
-        base_instance,
-        examples,
-        bundle.schema(variant),
-        config=config,
-        parallelism=parallelism,
+        base_instance, examples, bundle.schema(variant), config=config
     )
     record["table13"] = table13
     print(
@@ -268,12 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=None, help="timing repeats")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="thread fan-out for batched construction (default: 1)",
-    )
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -300,9 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ("uwcse", uwcse.load(uwcse_config, seed=args.seed)),
         ("hiv", hiv.load(hiv_config, seed=args.seed)),
     ):
-        record, parity = run_workload(
-            name, bundle, backends, config, repeats, args.parallelism
-        )
+        record, parity = run_workload(name, bundle, backends, config, repeats)
         records.append(record)
         all_parity &= parity
 
@@ -314,7 +298,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "quick": bool(args.quick),
                 "repeats": repeats,
                 "seed": args.seed,
-                "parallelism": args.parallelism,
             },
             "parity_ok": bool(all_parity),
             "workloads": records,

@@ -40,7 +40,7 @@ def main() -> None:
         bottom_clause=CastorBottomClauseConfig(max_depth=3, max_distinct_variables=15),
     )
     train, test = bundle.examples.train_test_split(test_fraction=0.3, seed=0)
-    with LearningSession(SessionConfig(backend="sqlite-pooled", parallelism=2)) as session:
+    with LearningSession(SessionConfig(backend="sqlite-pooled")) as session:
         for variant in bundle.variant_names:
             schema = bundle.schema(variant)
             instance = bundle.instance(variant)

@@ -11,7 +11,7 @@ but integrates inclusion dependencies at every step:
 * **negative reduction** removes whole inclusion-class instances instead of
   individual literals (Lemma 7.8) and keeps clauses safe (Section 7.3);
 * clauses are **minimized** before and after generalization (Section 7.5.5)
-  and coverage tests are cached and optionally parallelized (Section 7.5.3/4).
+  and coverage tests are cached (Section 7.5.3/4).
 
 Modes:
 
@@ -91,18 +91,13 @@ class CastorCoverageEngine(SubsumptionCoverageEngine):
         instance: DatabaseInstance,
         schema: Schema,
         config: CastorBottomClauseConfig,
-        threads: int = 1,
         compiled: Optional[bool] = None,
         saturation_store=None,
     ):
         # Bound before super().__init__, whose _make_builder call reads it.
         self.working_schema = schema
         super().__init__(
-            instance,
-            config,
-            threads=threads,
-            compiled=compiled,
-            saturation_store=saturation_store,
+            instance, config, compiled=compiled, saturation_store=saturation_store
         )
 
     def _make_builder(self, instance: DatabaseInstance, saturation_config):
@@ -122,9 +117,8 @@ class CastorClauseLearner(ProGolemClauseLearner):
         parameters: CastorParameters,
         coverage: SubsumptionCoverageEngine,
         working_schema: Optional[Schema] = None,
-        parallelism: int = 1,
     ):
-        super().__init__(schema, parameters, coverage, parallelism=parallelism)
+        super().__init__(schema, parameters, coverage)
         # ``working_schema`` carries the (possibly promoted) IND set actually used.
         self.working_schema = working_schema or schema
         self.parameters: CastorParameters = parameters
@@ -190,12 +184,9 @@ class CastorLearner(ProGolemLearner):
         self,
         schema: Schema,
         parameters: Optional[CastorParameters] = None,
-        threads: int = 1,
         context=None,
     ):
-        super().__init__(
-            schema, parameters or CastorParameters(), threads=threads, context=context
-        )
+        super().__init__(schema, parameters or CastorParameters(), context=context)
         self.parameters: CastorParameters = self.parameters
         self._working_schema: Optional[Schema] = None
 
@@ -232,7 +223,6 @@ class CastorLearner(ProGolemLearner):
             instance,
             self._working_schema,
             config,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
 
@@ -245,7 +235,6 @@ class CastorLearner(ProGolemLearner):
             self.parameters,
             coverage,
             working_schema=working_schema,
-            parallelism=self.parallelism,
         )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:

@@ -12,7 +12,7 @@ the builders ride it.
   ``use_stored_procedures=True``) the IND/inclusion-class metadata is
   compiled once per schema, frontier expansion goes through the compiled
   backend capability, and whole example batches are saturated in one
-  :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call.
+  level-synchronous ``build_ground_many`` call.
 * **Without stored procedures** the runner re-derives the schema metadata for
   every example and issues one client-side ``tuples_containing`` round-trip
   per frontier constant — the tuple-at-a-time client path the paper's
@@ -26,12 +26,10 @@ absolute numbers.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
-from ..learning.bottom_clause import BatchSaturationEngine
 from ..learning.examples import Example
 from ..logic.clauses import HornClause
 from .bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
@@ -47,7 +45,6 @@ class StoredProcedureRunner:
         config: Optional[CastorBottomClauseConfig] = None,
         use_stored_procedures: bool = True,
         backend: Optional[str] = None,
-        parallelism: int = 1,
     ):
         if backend is not None and backend != instance.backend_name:
             instance = instance.with_backend(backend)
@@ -55,21 +52,13 @@ class StoredProcedureRunner:
         self.schema = schema or instance.schema
         self.config = config or CastorBottomClauseConfig()
         self.use_stored_procedures = bool(use_stored_procedures)
-        # Bottom clauses of independent examples are built concurrently when
-        # parallelism > 1 (lookups on SQLite-family backends release the GIL);
-        # output order always matches input order.
-        self.parallelism = max(1, int(parallelism))
         self._compiled_builder: Optional[CastorBottomClauseBuilder] = None
-        self._batch_engine: Optional[BatchSaturationEngine] = None
         if self.use_stored_procedures:
             # Compile once: this is the "create the stored procedure the first
             # time Castor runs on a schema" step.  Frontier lookups go through
             # the backend's set-at-a-time saturation capability.
             self._compiled_builder = CastorBottomClauseBuilder(
                 self.instance, self.schema, self.config, use_compiled_lookups=True
-            )
-            self._batch_engine = BatchSaturationEngine(
-                self._compiled_builder, parallelism=self.parallelism
             )
 
     # ------------------------------------------------------------------ #
@@ -88,16 +77,12 @@ class StoredProcedureRunner:
         """Bottom clauses for a batch of examples (in input order).
 
         The stored-procedure path saturates the whole batch in one
-        :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call;
-        the client path pays per example, as the real client would.
+        level-synchronous call; the client path pays per example, as the
+        real client would.
         """
         if self.use_stored_procedures:
-            return self._batch_engine.build_ground_batch(examples)
-        if self.parallelism == 1 or len(examples) < 2:
-            return [self.build_bottom_clause(example) for example in examples]
-        workers = min(self.parallelism, len(examples))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.build_bottom_clause, examples))
+            return self._compiled_builder.build_ground_many(examples)
+        return [self.build_bottom_clause(example) for example in examples]
 
     def timed_run(self, examples: Sequence[Example]) -> Dict[str, float]:
         """Build bottom clauses for all examples and report elapsed seconds."""
@@ -119,24 +104,13 @@ def compare_stored_procedure_modes(
     schema: Optional[Schema] = None,
     config: Optional[CastorBottomClauseConfig] = None,
     backend: Optional[str] = None,
-    parallelism: int = 1,
 ) -> Dict[str, float]:
     """Run the same workload with and without stored procedures (Table 13)."""
     with_sp = StoredProcedureRunner(
-        instance,
-        schema,
-        config,
-        use_stored_procedures=True,
-        backend=backend,
-        parallelism=parallelism,
+        instance, schema, config, use_stored_procedures=True, backend=backend
     ).timed_run(examples)
     without_sp = StoredProcedureRunner(
-        instance,
-        schema,
-        config,
-        use_stored_procedures=False,
-        backend=backend,
-        parallelism=parallelism,
+        instance, schema, config, use_stored_procedures=False, backend=backend
     ).timed_run(examples)
     speedup = (
         without_sp["seconds"] / with_sp["seconds"] if with_sp["seconds"] > 0 else 0.0

@@ -481,9 +481,10 @@ class SQLiteBackend:
     def __init__(self, connection: Optional[sqlite3.Connection] = None):
         if connection is None:
             # With a serialized SQLite build the library itself locks around
-            # every call, so the connection may be shared by the coverage
-            # engine's worker threads.  Autocommit keeps the database free of
-            # open write transactions, which snapshot pools require.
+            # every call, so the connection may be shared with the pooled
+            # subclass's snapshot workers and the saturation prefetcher.
+            # Autocommit keeps the database free of open write transactions,
+            # which snapshot pools require.
             connection = sqlite3.connect(
                 ":memory:",
                 check_same_thread=not _sqlite_is_serialized(),
@@ -494,8 +495,8 @@ class SQLiteBackend:
         self._relations: Dict[str, SQLiteRelation] = {}
         self._temp_ids = itertools.count(1)
         # One reusable frontier-values temp table for saturation queries
-        # (created lazily); the lock serializes its refill when batched
-        # construction fans out over threads.
+        # (created lazily); the lock serializes its refill when the
+        # saturation prefetcher and the caller saturate at the same time.
         self._frontier_table: Optional[str] = None
         self._frontier_lock = threading.Lock()
         # Bumped on every successful relation mutation; versions the data

@@ -1,6 +1,6 @@
 """Experiment harness, per-table/figure drivers, and text reporting."""
 
-from .figures import figure2_parallelization, figure3_query_complexity
+from .figures import figure3_query_complexity
 from .harness import (
     LearnerSpec,
     SchemaIndependenceReport,
@@ -37,7 +37,6 @@ __all__ = [
     "aleph_progol_spec",
     "castor_spec",
     "check_schema_independence",
-    "figure2_parallelization",
     "figure3_query_complexity",
     "foil_spec",
     "format_dataset_statistics",

@@ -1,72 +1,21 @@
-"""Drivers that regenerate the paper's figures (Figures 2 and 3).
+"""Driver that regenerates the paper's Figure 3 (A2's query complexity).
 
-The figures are reported as data series (lists of points) rather than plots —
-the benchmark harness prints the series, and EXPERIMENTS.md records them next
-to the paper's curves.
+The figure is reported as a data series (a list of points) rather than a
+plot; the benchmark harness prints the series.  Figure 2 (parallel coverage
+tests) has no driver: coverage runs on the caller's thread, and
+``BENCH_figure2.json`` records why the paper's curve does not reproduce.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..castor.castor import CastorLearner, CastorParameters
-from ..castor.bottom_clause import CastorBottomClauseConfig
-from ..datasets import hiv, imdb, uwcse
+from ..datasets import uwcse
 from ..querybased.a2 import A2Learner, A2Parameters
 from ..querybased.oracle import HornOracle
 from ..querybased.random_definitions import RandomDefinitionConfig, RandomDefinitionGenerator
 from ..transform.transformation import SchemaTransformation
-
-
-# --------------------------------------------------------------------- #
-# Figure 2: impact of parallel coverage testing on Castor's running time
-# --------------------------------------------------------------------- #
-def figure2_parallelization(
-    dataset: str = "hiv",
-    thread_counts: Sequence[int] = (1, 2, 4, 8),
-    seed: int = 0,
-    variant: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Castor end-to-end learning time as a function of coverage-test threads.
-
-    Returns one point per thread count: ``{"threads": k, "seconds": t}``.
-    The paper's Figure 2 shows diminishing returns beyond 16-32 threads on the
-    HIV datasets and no benefit on IMDb (few coverage tests needed); the same
-    qualitative shape is expected here at reduced scale.
-    """
-    if dataset == "hiv":
-        bundle = hiv.load_small(seed)
-        variant = variant or "initial"
-    elif dataset == "imdb":
-        bundle = imdb.load(seed=seed)
-        variant = variant or "jmdb"
-    elif dataset == "uwcse":
-        bundle = uwcse.load(seed=seed)
-        variant = variant or "original"
-    else:
-        raise ValueError(f"unknown dataset {dataset!r}")
-
-    schema = bundle.schema(variant)
-    instance = bundle.instance(variant)
-    series: List[Dict[str, float]] = []
-    for threads in thread_counts:
-        learner = CastorLearner(
-            schema,
-            CastorParameters(
-                sample_size=3,
-                beam_width=2,
-                max_armg_rounds=5,
-                bottom_clause=CastorBottomClauseConfig(max_depth=3, max_distinct_variables=15),
-            ),
-            threads=threads,
-        )
-        start = time.perf_counter()
-        learner.learn(instance, bundle.examples)
-        elapsed = time.perf_counter() - start
-        series.append({"threads": float(threads), "seconds": elapsed})
-    return series
 
 
 # --------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ needed to push them up.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..castor.castor import CastorLearner, CastorParameters
@@ -17,7 +18,7 @@ from ..castor.bottom_clause import CastorBottomClauseConfig
 from ..castor.stored_procedures import compare_stored_procedure_modes
 from ..database.schema import Schema
 from ..datasets import hiv, imdb, uwcse
-from ..datasets.base import DatasetBundle
+from ..datasets.base import DatasetBundle, SchemaVariant
 from ..foil.foil import FoilLearner, FoilParameters
 from ..learning.bottom_clause import BottomClauseConfig
 from ..progol.progol import AlephFoilLearner, ProgolLearner, ProgolParameters
@@ -30,7 +31,6 @@ from .reporting import format_paper_table
 # Learner factories (shared parameter choices, Section 9.1.2)
 # --------------------------------------------------------------------- #
 def castor_spec(
-    threads: int = 1,
     use_subset_inds: bool = False,
     promote_inds_from_data: bool = False,
     name: str = "Castor",
@@ -50,7 +50,6 @@ def castor_spec(
                     max_depth=3, max_distinct_variables=15
                 ),
             ),
-            threads=threads,
         )
 
     return LearnerSpec(name, factory)
@@ -196,22 +195,28 @@ def table12_general_inds(
 
 
 def _downgrade_bundle_inds(bundle: DatasetBundle) -> DatasetBundle:
-    """Replace every variant's schema INDs-with-equality by subset-form INDs.
+    """A copy of ``bundle`` whose variant schemas have subset-form INDs only.
 
-    The underlying data is unchanged; only the constraint metadata visible to
-    the learner is weakened, matching the Table 12 protocol.
+    Every IND with equality is downgraded.  The underlying data is
+    unchanged; only the constraint metadata visible to the learner is
+    weakened, matching the Table 12 protocol.  ``bundle`` is left as it was:
+    its variants, schemas and materialized instances are shared with other
+    callers (``DatasetBundle.with_backend`` views, session-scoped fixtures).
     """
+    variants = []
     for name in bundle.variant_names:
-        variant = bundle.variant(name)
-        transformation = variant.transformation
-        weakened = transformation.target_schema.with_subset_inds_only(
-            name=transformation.target_schema.name
-        )
-        transformation.target_schema = weakened
-        # Materialized instances must carry the weakened schema too.
-        if name in bundle._materialized:
-            del bundle._materialized[name]
-    return bundle
+        transformation = copy.copy(bundle.transformation(name))
+        schema = transformation.target_schema
+        transformation.target_schema = schema.with_subset_inds_only(name=schema.name)
+        variants.append(SchemaVariant(name, transformation))
+    return DatasetBundle(
+        bundle.name,
+        bundle.base_instance,
+        bundle.examples,
+        variants,
+        bundle.target,
+        backend=bundle.backend,
+    )
 
 
 # --------------------------------------------------------------------- #

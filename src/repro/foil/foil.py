@@ -35,9 +35,9 @@ class FoilParameters:
     literal and the best gaining *pair* is added.
 
     ``max_seconds`` is the covering loop's soft deadline — when it elapses,
-    the clauses accepted so far are returned.  How many candidate
-    refinements one scoring batch evaluates at once is the learner's
-    ``parallelism``, set through
+    the clauses accepted so far are returned.  How many snapshot
+    connections one scoring batch fans out over on ``sqlite-pooled`` is the
+    learner's ``parallelism``, set through
     :class:`~repro.session.config.SessionConfig`, not a parameter here.
     """
 
@@ -72,12 +72,11 @@ class _FoilClauseLearner:
         schema: Schema,
         parameters: FoilParameters,
         coverage: QueryCoverageEngine,
-        parallelism: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(coverage, parallelism=parallelism)
+        self.batch = BatchCoverageEngine(coverage)
 
     def learn_clause(
         self,
@@ -213,17 +212,16 @@ class FoilLearner(EvaluationKnobs):
         # saturations, and a phantom attribute would make apply() silently
         # accept a store this learner cannot use.
         self.backend: Optional[str] = None
-        # Clause-level scoring fan-out; results are identical for every value.
+        # Snapshot-connection fan-out of batched scoring on sqlite-pooled;
+        # results are identical for every value.
         self.parallelism = 1
         self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition of the examples' target relation."""
         instance = self._prepare_instance(instance)
-        coverage = QueryCoverageEngine(instance)
-        clause_learner = _FoilClauseLearner(
-            self.schema, self.parameters, coverage, parallelism=self.parallelism
-        )
+        coverage = QueryCoverageEngine(instance, parallelism=self.parallelism)
+        clause_learner = _FoilClauseLearner(self.schema, self.parameters, coverage)
         covering = CoveringLearner(
             clause_learner,
             coverage_fn=coverage.covered_examples,

@@ -8,11 +8,9 @@ from .bottom_clause import (
 )
 from .coverage import (
     BatchCoverageEngine,
-    CoverageBatch,
     CoverageResult,
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
-    make_coverage_engine,
 )
 from .covering import ClauseLearner, CoveringLearner, CoveringParameters
 from .evaluation import (
@@ -34,7 +32,6 @@ __all__ = [
     "BottomClauseBuilder",
     "BottomClauseConfig",
     "ClauseLearner",
-    "CoverageBatch",
     "CoverageResult",
     "CoveringLearner",
     "CoveringParameters",
@@ -50,6 +47,5 @@ __all__ = [
     "cross_validate",
     "evaluate_definition",
     "examples_from_instance",
-    "make_coverage_engine",
     "sample_closed_world_negatives",
 ]

@@ -377,131 +377,6 @@ class BottomClauseBuilder:
         return count >= budget
 
 
-class SaturationBatch:
-    """One generation of examples to saturate against a shared instance.
-
-    The saturation analogue of
-    :class:`~repro.learning.coverage.CoverageBatch`: a value object callers
-    assemble before handing the whole generation to
-    :class:`BatchSaturationEngine` in one call.
-    """
-
-    __slots__ = ("examples", "variablize")
-
-    def __init__(self, examples: Sequence[Example], variablize: bool = False):
-        self.examples: List[Example] = list(examples)
-        self.variablize = bool(variablize)
-
-    def __len__(self) -> int:
-        return len(self.examples)
-
-    def __repr__(self) -> str:
-        kind = "bottom clauses" if self.variablize else "saturations"
-        return f"SaturationBatch({len(self.examples)} examples, {kind})"
-
-
-class BatchSaturationEngine:
-    """Materialize bottom clauses / saturations for whole example sets.
-
-    Wraps a builder (:class:`BottomClauseBuilder` or Castor's IND-aware
-    subclass) and answers batch requests, optionally across a thread pool.
-    Results are identical for every ``parallelism`` value — construction
-    order inside one example's clause never depends on it.
-    """
-
-    def __init__(self, builder: BottomClauseBuilder, parallelism: int = 1):
-        self.builder = builder
-        self.parallelism = max(1, int(parallelism))
-
-    def build_batch(
-        self, examples: Sequence[Example], variablize: bool = False
-    ) -> List[HornClause]:
-        """One clause per example, in input order.
-
-        Locally the builder constructs the generation level-synchronously
-        (one frontier lookup per depth level for all examples); on the
-        per-value lookup path ``parallelism > 1`` additionally chunks the
-        generation round-robin across a thread pool, each chunk still
-        level-synchronized internally.
-        """
-        example_list = list(examples)
-        if not example_list:
-            return []
-        build_many = (
-            self.builder.build_many if variablize else self.builder.build_ground_many
-        )
-        # Thread chunking only pays on the per-value lookup path.  With
-        # compiled lookups one level-synchronized batch is already optimal:
-        # chunking would multiply the per-level statements (one per chunk,
-        # serialized on the backend's frontier lock) and split the
-        # batch-scoped join cache.
-        if (
-            self.parallelism > 1
-            and len(example_list) > 1
-            and not getattr(self.builder, "use_compiled_lookups", False)
-        ):
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = min(self.parallelism, len(example_list))
-            chunks: List[List[int]] = [[] for _ in range(workers)]
-            for index in range(len(example_list)):
-                chunks[index % workers].append(index)
-            results: List[Optional[HornClause]] = [None] * len(example_list)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for indices, clauses in zip(
-                    chunks,
-                    pool.map(
-                        lambda idx: build_many([example_list[i] for i in idx]),
-                        chunks,
-                    ),
-                ):
-                    for position, clause in zip(indices, clauses):
-                        results[position] = clause
-            return results
-        return build_many(example_list)
-
-    def build_ground_batch(self, examples: Sequence[Example]) -> List[HornClause]:
-        """Ground saturations for a whole example generation, in input order."""
-        return self.build_batch(examples, variablize=False)
-
-    def run(self, batch: SaturationBatch) -> List[HornClause]:
-        """Evaluate a pre-assembled :class:`SaturationBatch`."""
-        return self.build_batch(batch.examples, variablize=batch.variablize)
-
-    def materialize_into(
-        self,
-        store,
-        examples: Sequence[Example],
-        saturation_fn=None,
-    ) -> Dict[Example, int]:
-        """Saturate a generation and feed a
-        :class:`~repro.database.sqlite_backend.SaturationStore` — one batch
-        call, no per-example Python construction loop.  Returns the store id
-        per example; examples the store rejects (unstorable values) are
-        silently skipped, mirroring the coverage engine's fallback.
-
-        ``saturation_fn`` lets a caller with an already-warm saturation
-        cache (the coverage engine) supply the clauses instead of
-        rebuilding them.
-        """
-        from ..database.sqlite_backend import BackendValueError
-
-        example_list = list(dict.fromkeys(examples))
-        if saturation_fn is None:
-            clauses = self.build_ground_batch(example_list)
-        else:
-            clauses = [saturation_fn(example) for example in example_list]
-        ids: Dict[Example, int] = {}
-        for example, clause in zip(example_list, clauses):
-            try:
-                ids[example] = store.add_example(
-                    example.target, example.values, clause.body
-                )
-            except BackendValueError:
-                continue
-        return ids
-
-
 def build_bottom_clause(
     instance: DatabaseInstance,
     example: Example,

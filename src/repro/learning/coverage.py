@@ -4,8 +4,7 @@ Two strategies are provided, mirroring Section 7.5:
 
 * **Subsumption coverage** — a clause covers example ``e`` iff it θ-subsumes
   the ground bottom clause of ``e``.  This is Castor's (and ProGolem's)
-  strategy; saturations are built once per example and cached.  Coverage of
-  independent examples can be tested in parallel with a thread pool, and a
+  strategy; saturations are built once per example and cached, and a
   per-(clause, example) cache plus a generality shortcut ("if C covers e then
   any generalization of C covers e") avoids repeated work.  When enabled,
   the **compiled** path materializes saturations into a
@@ -17,28 +16,29 @@ Two strategies are provided, mirroring Section 7.5:
 
 Both engines additionally answer **batched** requests — N candidate clauses
 against one example set — through :class:`BatchCoverageEngine`, which the
-covering loop uses to score a whole generation of refinements in one call
-(fanned out across a connection pool on the ``sqlite-pooled`` backend).
+covering loop uses to score a whole generation of refinements in one call.
+Coverage runs on the caller's thread; the one fan-out is the query engine's
+``parallelism`` on the ``sqlite-pooled`` backend, which spreads a batch over
+snapshot connections.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..database.delta import Delta, FootprintIndex
 from ..database.instance import DatabaseInstance
 from ..database.query import QueryEvaluator
-from ..database.sqlite_backend import CompilationNotSupported, SaturationStore
+from ..database.sqlite_backend import (
+    BackendValueError,
+    CompilationNotSupported,
+    SaturationStore,
+)
 from ..logic.clauses import HornClause
 from ..logic.subsumption import GroundClauseIndex, SubsumptionEngine
 from ..logic.terms import Constant
-from .bottom_clause import (
-    BatchSaturationEngine,
-    BottomClauseBuilder,
-    BottomClauseConfig,
-)
+from .bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from .examples import Example
 from ..obs import Counter, registry as obs_registry
 
@@ -135,7 +135,7 @@ class CoverageResult:
 
 
 class SubsumptionCoverageEngine:
-    """θ-subsumption-based coverage with saturation caching and parallelism.
+    """θ-subsumption-based coverage with saturation and coverage caching.
 
     Parameters
     ----------
@@ -143,9 +143,6 @@ class SubsumptionCoverageEngine:
         The background database.
     saturation_config:
         Limits for ground bottom-clause construction of examples.
-    threads:
-        Number of worker threads used for coverage tests (Figure 2 studies
-        the effect of this knob); 1 means fully sequential.
     compiled:
         ``True`` pushes set-at-a-time coverage into SQL: saturations are
         additionally materialized into a
@@ -172,7 +169,6 @@ class SubsumptionCoverageEngine:
         self,
         instance: DatabaseInstance,
         saturation_config: Optional[BottomClauseConfig] = None,
-        threads: int = 1,
         compiled: Optional[bool] = None,
         saturation_store: Optional[SaturationStore] = None,
     ):
@@ -186,15 +182,14 @@ class SubsumptionCoverageEngine:
         # clears them on rebind).
         self.builder = self._make_builder(instance, saturation_config)
         self.subsumption = SubsumptionEngine()
-        self.threads = max(1, int(threads))
         if compiled is None:
             compiled = instance.backend_name.startswith("sqlite")
         self.compiled_enabled = bool(compiled)
         self._compiled_store: Optional[SaturationStore] = saturation_store
         self._lock = threading.Lock()
-        # Serializes store creation + materialization so concurrent batch
-        # workers never race to create two stores (whose independent id
-        # sequences would collide in _compiled_ids).
+        # Serializes store creation + materialization so the saturation
+        # prefetcher's thread and the caller never race to create two stores
+        # (whose independent id sequences would collide in _compiled_ids).
         self._materialize_lock = threading.Lock()
         self._c_tests = _engine_counter("coverage.subsumption.tests")
         self._c_cache_hits = _engine_counter("coverage.subsumption.cache_hits")
@@ -220,15 +215,11 @@ class SubsumptionCoverageEngine:
 
     @builder.setter
     def builder(self, value: BottomClauseBuilder) -> None:
-        # Keep the batch saturator wired to the live builder: callers (and
-        # some tests) rebind ``engine.builder`` to swap construction
-        # semantics, and the batched prepare() path must follow — a stale
-        # saturator would silently cache clauses from the old builder.
-        # Already-cached saturations (and the coverage decisions derived
-        # from them) describe the OLD builder's semantics, so they are
-        # dropped alongside.
+        # Callers (and some tests) rebind ``engine.builder`` to swap
+        # construction semantics.  Already-cached saturations (and the
+        # coverage decisions derived from them) describe the OLD builder's
+        # semantics, so they are dropped.
         self._builder = value
-        self.saturator = BatchSaturationEngine(value)
         self._saturation_cache.clear()
         self._saturation_index_cache.clear()
         self._coverage_cache.clear()
@@ -245,8 +236,8 @@ class SubsumptionCoverageEngine:
         """Factory hook for the engine's bottom-clause builder.
 
         Subclasses (Castor) override it to supply an IND-aware builder;
-        the base constructor wires the batch saturator around whatever
-        this returns, so overriding here never needs a post-hoc rebind.
+        the base constructor installs whatever this returns, so overriding
+        here never needs a post-hoc rebind.
         """
         return BottomClauseBuilder(
             instance, saturation_config or BottomClauseConfig(max_depth=3)
@@ -274,10 +265,9 @@ class SubsumptionCoverageEngine:
     def prepare(self, examples: Iterable[Example]) -> None:
         """Pre-build saturations for a whole example generation — one call.
 
-        Missing saturations are built through the
-        :class:`~repro.learning.bottom_clause.BatchSaturationEngine`, which
-        constructs the whole generation level-synchronously instead of a
-        per-example construction loop here.
+        The builder constructs the missing saturations of the whole
+        generation level-synchronously (one frontier lookup per depth level)
+        instead of a per-example construction loop here.
         """
         missing = [
             example
@@ -289,7 +279,7 @@ class SubsumptionCoverageEngine:
         if len(missing) == 1:
             self.saturation(missing[0])
             return
-        clauses = self.saturator.build_ground_batch(missing)
+        clauses = self.builder.build_ground_many(missing)
         for example, clause in zip(missing, clauses):
             self._saturation_cache[example] = clause
 
@@ -320,8 +310,7 @@ class SubsumptionCoverageEngine:
         """The subset of ``examples`` covered by ``clause``.
 
         On the compiled path one SQL statement tests the clause against every
-        materialized saturation; otherwise the examples are tested one by one
-        (optionally across the engine's thread pool).
+        materialized saturation; otherwise the examples are tested one by one.
         """
         if self.compiled_enabled and len(examples) >= self.COMPILED_MIN_EXAMPLES:
             # The compiled route batch-prepares inside _materialize.
@@ -330,33 +319,17 @@ class SubsumptionCoverageEngine:
                 return compiled
         if len(examples) > 1:
             self.prepare(examples)
-        if self.threads == 1 or len(examples) < 4:
-            return [e for e in examples if self.covers(clause, e)]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            flags = list(pool.map(lambda e: self.covers(clause, e), examples))
-        return [example for example, flag in zip(examples, flags) if flag]
+        return [e for e in examples if self.covers(clause, e)]
 
     def covered_examples_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Covered subsets for N clauses against one example list, in order.
 
         Saturations are materialized once for the whole batch; each clause
         then costs one compiled statement (or the cached/Python fallback).
-        ``parallelism`` fans clauses out across threads — results are
-        identical and in input order for any value.
         """
-        clause_list = list(clauses)
-        if parallelism <= 1 or len(clause_list) < 2:
-            return [self.covered_examples(c, examples) for c in clause_list]
-        workers = min(int(parallelism), len(clause_list))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda c: self.covered_examples(c, examples), clause_list)
-            )
+        return [self.covered_examples(c, examples) for c in clauses]
 
     def covered_mask(self, clause: HornClause, examples: Sequence[Example]) -> int:
         """Positional coverage bitmask of ``clause`` over ``examples``.
@@ -368,15 +341,10 @@ class SubsumptionCoverageEngine:
         return examples_mask(self.covered_examples(clause, examples), examples)
 
     def covered_masks_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order."""
-        covered_lists = self.covered_examples_batch(
-            clauses, examples, parallelism=parallelism
-        )
+        covered_lists = self.covered_examples_batch(clauses, examples)
         return [examples_mask(covered, examples) for covered in covered_lists]
 
     # ------------------------------------------------------------------ #
@@ -386,7 +354,9 @@ class SubsumptionCoverageEngine:
         """Add any not-yet-stored saturations to the compiled store.
 
         Missing saturations are built for the whole batch in one
-        :meth:`prepare` call before the per-example store inserts.
+        :meth:`prepare` call before the per-example store inserts; examples
+        the store rejects (unstorable values) are remembered and answered by
+        the Python engine.
         """
         with self._materialize_lock:
             store = self._compiled_store
@@ -415,13 +385,13 @@ class SubsumptionCoverageEngine:
             if not remaining:
                 return
             self.prepare(remaining)
-            ids = self.saturator.materialize_into(
-                store, remaining, saturation_fn=self.saturation
-            )
-            self._compiled_ids.update(ids)
-            self._compiled_failed.update(
-                example for example in remaining if example not in ids
-            )
+            for example in remaining:
+                try:
+                    self._compiled_ids[example] = store.add_example(
+                        example.target, example.values, self.saturation(example).body
+                    )
+                except BackendValueError:
+                    self._compiled_failed.add(example)
 
     def materialize(self, examples: Sequence[Example]) -> None:
         """Public entry point: saturate + store a whole example set in batch.
@@ -578,11 +548,17 @@ class QueryCoverageEngine:
     to the evaluator in one call, which backends with compiled queries (the
     SQLite backend) answer with a single SQL statement — the Python analogue
     of the paper's stored-procedure coverage path (Section 7.5.2).
+
+    ``parallelism`` is how many snapshot connections one batched call fans
+    its clauses out over on the ``sqlite-pooled`` backend; every other
+    backend answers a batch on the caller's thread and ignores it.  Results
+    are identical for every value.
     """
 
-    def __init__(self, instance: DatabaseInstance):
+    def __init__(self, instance: DatabaseInstance, parallelism: int = 1):
         self.instance = instance
         self.evaluator = QueryEvaluator(instance)
+        self.parallelism = max(1, int(parallelism))
         self._c_tests = _engine_counter("coverage.query.tests")
 
     @property
@@ -604,10 +580,7 @@ class QueryCoverageEngine:
         return [example for example in examples if example.values in covered]
 
     def covered_examples_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Covered subsets for N clauses against one example list, in order.
 
@@ -619,7 +592,7 @@ class QueryCoverageEngine:
         clause_list = list(clauses)
         values = [example.values for example in examples]
         covered_sets = self.evaluator.covered_tuples_batch(
-            clause_list, values, parallelism=parallelism
+            clause_list, values, parallelism=self.parallelism
         )
         self._c_tests.inc(len(examples) * len(clause_list))
         return [
@@ -632,15 +605,10 @@ class QueryCoverageEngine:
         return examples_mask(self.covered_examples(clause, examples), examples)
 
     def covered_masks_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order."""
-        covered_lists = self.covered_examples_batch(
-            clauses, examples, parallelism=parallelism
-        )
+        covered_lists = self.covered_examples_batch(clauses, examples)
         return [examples_mask(covered, examples) for covered in covered_lists]
 
     def evaluate(
@@ -656,86 +624,29 @@ class QueryCoverageEngine:
         )
 
 
-class CoverageBatch:
-    """One generation of candidate clauses to score against shared examples.
-
-    A convenience value object for callers that assemble scoring work in one
-    place (the covering loop's beam expansion, FOIL's refinement scoring)
-    before handing it to :class:`BatchCoverageEngine`.
-    """
-
-    __slots__ = ("clauses", "positives", "negatives")
-
-    def __init__(
-        self,
-        clauses: Iterable[HornClause],
-        positives: Sequence[Example] = (),
-        negatives: Sequence[Example] = (),
-    ):
-        self.clauses: List[HornClause] = list(clauses)
-        self.positives: List[Example] = list(positives)
-        self.negatives: List[Example] = list(negatives)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    def __repr__(self) -> str:
-        return (
-            f"CoverageBatch({len(self.clauses)} clauses, "
-            f"+{len(self.positives)}/-{len(self.negatives)} examples)"
-        )
-
-
 class BatchCoverageEngine:
     """Score N candidate clauses against one example set in a single call.
 
     Wraps either coverage engine and dispatches to its batched entry point,
     so the covering loop stays agnostic of the subsumption-vs-query
-    distinction.  Results always come back in input order and are identical
-    for every ``parallelism`` value — parallelism only changes wall-clock
-    time, never which examples a clause covers.
+    distinction.  Results always come back in input order.
     """
 
-    def __init__(self, engine, parallelism: int = 1):
+    def __init__(self, engine):
         self.engine = engine
-        self.parallelism = max(1, int(parallelism))
 
     def covered_examples_batch(
         self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Per-clause covered subsets of ``examples``, in input order."""
-        clause_list = list(clauses)
-        batch = getattr(self.engine, "covered_examples_batch", None)
-        if batch is not None:
-            return batch(clause_list, examples, parallelism=self.parallelism)
-        if self.parallelism > 1 and len(clause_list) > 1:
-            workers = min(self.parallelism, len(clause_list))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda c: self.engine.covered_examples(c, examples),
-                        clause_list,
-                    )
-                )
-        return [self.engine.covered_examples(c, examples) for c in clause_list]
+        return self.engine.covered_examples_batch(list(clauses), examples)
 
     def covered_masks_batch(
         self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[int]:
-        """Positional coverage bitmasks for N clauses, in input order.
-
-        Routes through the same pooled/batched machinery as
-        :meth:`covered_examples_batch`, one int per clause (bit ``i`` =
-        example ``i``).
-        """
-        clause_list = list(clauses)
-        masks = getattr(self.engine, "covered_masks_batch", None)
-        if masks is not None:
-            return masks(clause_list, examples, parallelism=self.parallelism)
-        return [
-            examples_mask(covered, examples)
-            for covered in self.covered_examples_batch(clause_list, examples)
-        ]
+        """Positional coverage bitmasks for N clauses, in input order: one
+        int per clause, bit ``i`` = example ``i``."""
+        return self.engine.covered_masks_batch(list(clauses), examples)
 
     def evaluate_batch(
         self,
@@ -764,10 +675,6 @@ class BatchCoverageEngine:
             for pos, neg in zip(positive_masks, negative_masks)
         ]
 
-    def run(self, batch: CoverageBatch) -> List[CoverageResult]:
-        """Evaluate a pre-assembled :class:`CoverageBatch`."""
-        return self.evaluate_batch(batch.clauses, batch.positives, batch.negatives)
-
     def apply_delta(self, delta: Delta) -> Set[Example]:
         """Forward a data delta to the wrapped engine's cache repair.
 
@@ -779,49 +686,3 @@ class BatchCoverageEngine:
         if repair is None:
             return set()
         return repair(delta)
-
-
-def make_coverage_engine(
-    instance: DatabaseInstance,
-    strategy: str = "subsumption",
-    saturation_config: Optional[BottomClauseConfig] = None,
-    threads: int = 1,
-    backend: Optional[str] = None,
-    saturation_store: Optional[SaturationStore] = None,
-):
-    """Build a coverage engine, optionally re-materializing on another backend.
-
-    ``strategy`` selects subsumption (Castor/ProGolem, with
-    ``"subsumption-compiled"`` forcing the SQL saturation-store path and
-    ``"subsumption-python"`` forcing the pure-Python engine) or query
-    (join-based) coverage; ``backend`` converts the instance first when it
-    differs from the instance's current backend (the benchmarks'
-    ``--backend`` flag).
-    """
-    if backend is not None and backend != instance.backend_name:
-        instance = instance.with_backend(backend)
-    if strategy == "subsumption":
-        return SubsumptionCoverageEngine(
-            instance,
-            saturation_config,
-            threads=threads,
-            saturation_store=saturation_store,
-        )
-    if strategy == "subsumption-compiled":
-        return SubsumptionCoverageEngine(
-            instance,
-            saturation_config,
-            threads=threads,
-            compiled=True,
-            saturation_store=saturation_store,
-        )
-    if strategy == "subsumption-python":
-        return SubsumptionCoverageEngine(
-            instance, saturation_config, threads=threads, compiled=False
-        )
-    if strategy == "query":
-        return QueryCoverageEngine(instance)
-    raise ValueError(
-        f"unknown coverage strategy {strategy!r}; expected 'subsumption', "
-        "'subsumption-compiled', 'subsumption-python', or 'query'"
-    )

@@ -1,7 +1,7 @@
 """Shared evaluation-knob plumbing for the learner family.
 
-A learner's evaluation settings — ``backend``, ``parallelism`` and, for the
-subsumption learners, ``saturation_store`` — are attributes that only
+A learner's evaluation settings — ``backend``, FOIL's ``parallelism`` and,
+for the subsumption learners, ``saturation_store`` — are attributes that only
 :meth:`SessionConfig.apply <repro.session.config.SessionConfig.apply>` and
 the session write; constructors take them through the uniform ``context=``
 keyword and nothing else.  :class:`EvaluationKnobs` is that plumbing plus
@@ -46,14 +46,3 @@ class EvaluationKnobs:
             instance = instance.with_backend(self.backend)
         return instance
 
-
-class ThreadsAsParallelism:
-    """Mixin for learners whose only fan-out is the engine thread pool."""
-
-    @property
-    def parallelism(self) -> int:
-        return self.threads
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.threads = max(1, int(value))

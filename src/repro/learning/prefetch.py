@@ -6,10 +6,10 @@ score: the whole generation's saturations (and, on compiled engines, their
 before any search work started, and whatever the batch prepare left undone
 stalled the first scoring call.  :class:`SaturationPrefetcher` removes that
 barrier — :meth:`~repro.learning.coverage.SubsumptionCoverageEngine.materialize`
-runs on a background thread (reusing the engine's
-:class:`~repro.learning.bottom_clause.BatchSaturationEngine`) while the
-caller builds the seed clause, and the learner joins under a
-``learn.prefetch`` span before the beam loop touches coverage.
+runs on a background thread (one level-synchronous batch through the
+engine's builder) while the caller builds the seed clause, and the learner
+joins under a ``learn.prefetch`` span before the beam loop touches
+coverage.
 
 Materialization is idempotent and deterministic, so overlapping it changes
 wall-clock time only, never results.  Callers must gate on the backend's

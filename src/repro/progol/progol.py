@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..foil.gain import coverage_score, foil_gain, precision
-from ..learning.knobs import EvaluationKnobs, ThreadsAsParallelism
+from ..learning.knobs import EvaluationKnobs
 from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
@@ -161,7 +161,7 @@ class _ProgolClauseLearner:
         return coverage_score(covered_pos, covered_neg, length)
 
 
-class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
+class ProgolLearner(EvaluationKnobs):
     """Aleph-Progol style learner (default settings) with a configurable beam."""
 
     name = "Aleph-Progol"
@@ -170,12 +170,10 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         self,
         schema: Schema,
         parameters: Optional[ProgolParameters] = None,
-        threads: int = 1,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProgolParameters()
-        self.threads = max(1, int(threads))
         self._init_evaluation_knobs()
         self._apply_context(context)
 
@@ -185,7 +183,6 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
         clause_learner = _ProgolClauseLearner(self.schema, self.parameters, coverage)
@@ -215,11 +212,10 @@ class AlephFoilLearner(ProgolLearner):
         schema: Schema,
         clause_length: int = 10,
         parameters: Optional[ProgolParameters] = None,
-        threads: int = 1,
         context=None,
     ):
         if parameters is None:
             parameters = ProgolParameters(
                 clause_length=clause_length, open_list_size=1, scoring="gain"
             )
-        super().__init__(schema, parameters, threads=threads, context=context)
+        super().__init__(schema, parameters, context=context)

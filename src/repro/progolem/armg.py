@@ -15,7 +15,7 @@ this using INDs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from ..learning.examples import Example
@@ -28,7 +28,6 @@ def find_blocking_atom(
     example: Example,
     coverage: SubsumptionCoverageEngine,
     batch: Optional[BatchCoverageEngine] = None,
-    probe_width: Optional[int] = None,
 ) -> Optional[int]:
     """Index of the first blocking atom of ``clause`` w.r.t. ``example``.
 
@@ -37,54 +36,33 @@ def find_blocking_atom(
     full clause already covers the example (no blocking atom).
 
     Because prefix coverage is anti-monotone in the prefix length (adding
-    literals can only lose coverage), the least failing prefix is bracketed
-    by section search.  With ``batch`` supplied, each round's ``probe_width``
-    prefix probes go through the batch seam as ONE batched evaluation
-    (poolable); without it, probes are direct subsumption tests
-    and width defaults to 1, which is exactly the classic binary search.
+    literals can only lose coverage), the least failing prefix is found by
+    binary search.  With ``batch`` supplied, each prefix probe goes through
+    the batch seam (the learner's coverage engine, compiled path and cache
+    included); without it, probes are direct subsumption tests.
     """
     saturation = coverage.saturation(example)
     saturation_index = coverage.saturation_index(example)
-    if probe_width is None:
-        probe_width = batch.parallelism if batch is not None else 1
-    probe_width = max(1, int(probe_width))
-    covers: Dict[int, bool] = {}
 
-    def probe(lengths: List[int]) -> None:
-        pending = [length for length in dict.fromkeys(lengths) if length not in covers]
-        if not pending:
-            return
-        prefixes = [
-            HornClause(clause.head, clause.body[:length]) for length in pending
-        ]
+    def prefix_covers(length: int) -> bool:
+        prefix = HornClause(clause.head, clause.body[:length])
         if batch is None:
-            for length, prefix in zip(pending, prefixes):
-                covers[length] = coverage.subsumption.covers_example(
-                    prefix, saturation, saturation_index
-                )
-        else:
-            masks = batch.covered_masks_batch(prefixes, [example])
-            for length, mask in zip(pending, masks):
-                covers[length] = bool(mask & 1)
+            return coverage.subsumption.covers_example(
+                prefix, saturation, saturation_index
+            )
+        return bool(batch.covered_masks_batch([prefix], [example])[0] & 1)
 
     total = len(clause.body)
-    probe([total])
-    if covers[total]:
+    if prefix_covers(total):
         return None
     low, high = 1, total
     # Invariant: prefix of length high does NOT cover; prefix of length low-1 covers.
     while low < high:
-        width = high - low
-        sections = min(probe_width, width)
-        points = sorted(
-            {low + (width * (j + 1)) // (sections + 1) for j in range(sections)}
-        )
-        probe(points)
-        for length in points:
-            if covers[length]:
-                low = max(low, length + 1)
-            else:
-                high = min(high, length)
+        middle = (low + high) // 2
+        if prefix_covers(middle):
+            low = middle + 1
+        else:
+            high = middle
     return low - 1
 
 
@@ -95,22 +73,18 @@ def armg(
     post_removal_hook: Optional[Callable[[HornClause, Atom], HornClause]] = None,
     max_iterations: int = 1000,
     batch: Optional[BatchCoverageEngine] = None,
-    probe_width: Optional[int] = None,
 ) -> HornClause:
     """Asymmetric relative minimal generalization of ``bottom_clause`` w.r.t. ``example``.
 
     ``post_removal_hook`` is called after each blocking-atom removal with the
     partially reduced clause and the removed atom, and must return the clause
     to continue with — Castor uses it to enforce IND consistency (Section
-    7.2.1).  The standard ProGolem behaviour passes no hook.  ``batch`` /
-    ``probe_width`` forward to :func:`find_blocking_atom`'s batched prefix
-    probes.
+    7.2.1).  The standard ProGolem behaviour passes no hook.  ``batch``
+    forwards to :func:`find_blocking_atom`'s prefix probes.
     """
     current = bottom_clause
     for _ in range(max_iterations):
-        blocking_index = find_blocking_atom(
-            current, example, coverage, batch=batch, probe_width=probe_width
-        )
+        blocking_index = find_blocking_atom(current, example, coverage, batch=batch)
         if blocking_index is None:
             break
         removed_atom = current.body[blocking_index]

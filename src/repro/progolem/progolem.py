@@ -38,11 +38,9 @@ from .armg import armg
 class ProGolemParameters:
     """ProGolem's knobs (``sample``, ``beamwidth``, ``minprec`` in GILPS).
 
-    These settle what is learned; how many candidate clauses one scoring
-    batch evaluates at once is the learner's ``parallelism``, set through
-    :class:`~repro.session.config.SessionConfig`.  ``max_seconds`` is the
-    covering loop's soft deadline: when it elapses, learning stops and the
-    clauses accepted so far are returned.
+    These settle what is learned.  ``max_seconds`` is the covering loop's
+    soft deadline: when it elapses, learning stops and the clauses accepted
+    so far are returned.
 
     ``prefetch`` overlaps the generation's saturation materialization with
     seed-clause construction (see :mod:`repro.learning.prefetch`): ``None``
@@ -81,9 +79,7 @@ class ProGolemClauseLearner:
     """LearnClause: ARMG-driven beam search from a seed bottom clause.
 
     Subclassed by Castor, which overrides bottom-clause construction, the
-    ARMG step, and the final reduction.  ``parallelism`` bounds how many
-    candidate clauses one scoring batch evaluates at once (results are
-    identical for every value).
+    ARMG step, and the final reduction.
     """
 
     #: Name stamped on learn.* spans (Castor's subclass overrides it).
@@ -94,12 +90,11 @@ class ProGolemClauseLearner:
         schema: Schema,
         parameters: ProGolemParameters,
         coverage: SubsumptionCoverageEngine,
-        parallelism: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(coverage, parallelism=parallelism)
+        self.batch = BatchCoverageEngine(coverage)
         self._rng = random.Random(parameters.seed)
 
     def _prefetch_enabled(self, instance: DatabaseInstance) -> bool:
@@ -123,8 +118,8 @@ class ProGolemClauseLearner:
     def generalize(self, clause: HornClause, example: Example) -> HornClause:
         """One ARMG application (plain ProGolem semantics).
 
-        Blocking-atom prefix probes route through the learner's batch engine
-        so each search round is one batched (poolable) evaluation.
+        Blocking-atom prefix probes route through the learner's batch
+        engine.
         """
         return armg(clause, example, self.coverage, batch=self.batch)
 
@@ -204,8 +199,7 @@ class ProGolemClauseLearner:
             sample = sample[: self.parameters.sample_size]
             # Generate the whole generation first, then score it as ONE batch:
             # all candidates share the same example lists, so the coverage
-            # backend amortizes evaluation across them (and fans clauses out
-            # over its connection pool when parallelism > 1).
+            # backend amortizes evaluation across them.
             generation: List[HornClause] = []
             for clause in beam:
                 for example in sample:
@@ -264,15 +258,10 @@ class ProGolemLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[ProGolemParameters] = None,
-        threads: int = 1,
         context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
-        self.threads = threads
-        # Clause-level scoring fan-out, distinct from the coverage engine's
-        # per-example ``threads``; results are identical for every value.
-        self.parallelism = 1
         self._init_evaluation_knobs()
         self._apply_context(context)
 
@@ -281,16 +270,13 @@ class ProGolemLearner(EvaluationKnobs):
         return SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
 
     def make_clause_learner(
         self, instance: DatabaseInstance, coverage: SubsumptionCoverageEngine
     ) -> ProGolemClauseLearner:
-        return self.clause_learner_class(
-            self.schema, self.parameters, coverage, parallelism=self.parallelism
-        )
+        return self.clause_learner_class(self.schema, self.parameters, coverage)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         instance = self._prepare_instance(instance)

@@ -1,13 +1,14 @@
 """`SessionConfig`: the one way evaluation settings reach a learner.
 
-The paper's Castor has two evaluation settings, and neither changes what is
-learned: where coverage tests run (the backend) and how many run at once
-(parallelism).  :class:`SessionConfig` carries both, plus the per-run
-tracing switch, and is the only route they take into the learning stack:
+Two evaluation settings never change what is learned: where coverage tests
+run (the backend) and how many snapshot connections FOIL's batched scoring
+fans out over on ``sqlite-pooled`` (parallelism).  :class:`SessionConfig`
+carries both, plus the per-run tracing switch, and is the only route they
+take into the learning stack:
 
-* construction **validates coherence** (e.g. ``parallelism=4`` on the
-  single-connection ``sqlite`` backend is a configuration error with an
-  actionable message, not a warning buried in a log);
+* construction **validates coherence** (e.g. ``parallelism=4`` on
+  ``memory`` or the single-connection ``sqlite`` backend is a configuration
+  error with an actionable message, not a warning buried in a log);
 * :meth:`SessionConfig.apply` is the single normalization path that pushes
   the settings onto a learner, warning once about any setting a learner
   cannot honor.
@@ -15,7 +16,7 @@ tracing switch, and is the only route they take into the learning stack:
 Learners take a config (or a session) through their ``context=`` keyword::
 
     config = SessionConfig(backend="sqlite-pooled", parallelism=4)
-    learner = CastorLearner(schema, context=config)
+    learner = FoilLearner(schema, context=config)
 
 or, preferably, come from a :class:`~repro.session.session.LearningSession`,
 which also owns the prepared instances and shared saturation stores.
@@ -27,6 +28,12 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..database.backend import backend_names, warn_once
+
+#: Why a backend cannot fan one batch out over more than one connection.
+_NO_FAN_OUT = {
+    "memory": "evaluation runs on the caller's thread",
+    "sqlite": "every statement serializes on its one connection",
+}
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,10 @@ class SessionConfig:
         (``memory``/``sqlite``/``sqlite-pooled``); ``None`` leaves instances
         as given.
     parallelism:
-        Clause-scoring fan-out on learners that expose the knob.  Results
+        How many snapshot connections FOIL's batched query coverage fans
+        its candidate clauses out over on ``sqlite-pooled``, the one
+        backend that accepts more than 1.  The subsumption learners run
+        coverage on the caller's thread and have no such knob.  Results
         are identical for every value; only wall-clock time changes.
     trace:
         Enable span tracing for this session (see :mod:`repro.obs`).  Every
@@ -76,13 +86,12 @@ class SessionConfig:
         if (
             self.parallelism is not None
             and self.parallelism > 1
-            and self.backend == "sqlite"
+            and self.backend in _NO_FAN_OUT
         ):
             raise ValueError(
                 f"parallelism={self.parallelism} cannot fan out on the "
-                "single-connection 'sqlite' backend (every statement "
-                "serializes on one connection); use 'sqlite-pooled' "
-                "(snapshot read pool) or 'memory'"
+                f"{self.backend!r} backend ({_NO_FAN_OUT[self.backend]}); "
+                "use 'sqlite-pooled' (snapshot read pool)"
             )
 
     # ------------------------------------------------------------------ #
@@ -96,7 +105,8 @@ class SessionConfig:
         matching attribute; an explicit setting a learner cannot honor
         warns once per distinct situation — never silently ignored, never
         an error (these knobs only move work; results are identical for
-        every value).
+        every value).  ``parallelism=1`` asks for no fan-out, so a learner
+        without the knob honors it as is.
 
         ``saturation_store`` is handed to learners with the knob (learners
         without saturations — FOIL's query coverage — skip it silently, as
@@ -105,7 +115,7 @@ class SessionConfig:
         if self.parallelism is not None:
             if hasattr(learner, "parallelism"):
                 learner.parallelism = self.parallelism
-            else:
+            elif self.parallelism > 1:
                 warn_once(
                     f"learner {type(learner).__name__} has no "
                     "'parallelism' knob; ignoring "

@@ -7,7 +7,7 @@ store — and hands out learners already normalized onto one validated
 
     from repro import LearningSession, SessionConfig
 
-    with LearningSession(SessionConfig(backend="sqlite-pooled", parallelism=4)) as session:
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
         learner = session.learner("castor", schema, parameters)
         definition = learner.learn(instance, examples)
         result = session.run(bundle, "original", "progolem", folds=3)

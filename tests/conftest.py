@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.database import (
@@ -11,8 +13,12 @@ from repro.database import (
     RelationSchema,
     Schema,
 )
+from repro.database import backend as backend_module
 from repro.datasets import hiv, imdb, uwcse
 from repro.transform import DecomposeOperation, SchemaTransformation
+
+#: Learner kinds with a fan-out to size (FOIL's batched query scoring).
+FAN_OUT_KINDS = ("foil",)
 
 
 @pytest.fixture(params=["memory", "sqlite", "sqlite-pooled"])
@@ -21,6 +27,21 @@ def backend(request) -> str:
     instance fixtures so every database/learning coverage test runs against
     the dict-indexed memory backend and both SQLite backends."""
     return request.param
+
+
+@pytest.fixture
+def ignored_fan_out(monkeypatch):
+    """``(kind, parallelism) -> context``: expects the warning a session
+    sized for a fan-out gives a learner kind without one, with the
+    warn-once registry reset; a no-op context otherwise."""
+
+    def expect(kind, parallelism):
+        if kind in FAN_OUT_KINDS or parallelism in (None, 1):
+            return contextlib.nullcontext()
+        monkeypatch.setattr(backend_module, "_WARNED", set())
+        return pytest.warns(RuntimeWarning, match="no 'parallelism' knob")
+
+    return expect
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.database import backend_names, create_backend
 from repro.database.instance import DatabaseInstance
 from repro.database.query import QueryEvaluator
-from repro.learning.coverage import QueryCoverageEngine, make_coverage_engine
+from repro.learning.coverage import QueryCoverageEngine
 from repro.logic.parser import parse_clause
 
 BACKENDS = ("memory", "sqlite", "sqlite-pooled")
@@ -145,13 +145,6 @@ class TestBackendPlumbing:
             assert converted.backend_name == backend
             assert converted.same_contents(simple_instance)
             assert converted == simple_instance
-
-    def test_make_coverage_engine_backend_knob(self, uwcse_bundle):
-        instance = uwcse_bundle.instance(uwcse_bundle.variant_names[0])
-        engine = make_coverage_engine(instance, strategy="query", backend="sqlite")
-        assert engine.instance.backend_name == "sqlite"
-        with pytest.raises(ValueError):
-            make_coverage_engine(instance, strategy="magic")
 
     def test_bundle_with_backend(self, uwcse_bundle):
         sqlite_bundle = uwcse_bundle.with_backend("sqlite")

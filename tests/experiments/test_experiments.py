@@ -10,7 +10,11 @@ from repro.experiments.reporting import (
     format_table,
     results_as_matrix,
 )
-from repro.experiments.tables import castor_spec, table13_stored_procedures
+from repro.experiments.tables import (
+    _downgrade_bundle_inds,
+    castor_spec,
+    table13_stored_procedures,
+)
 from repro.logic.clauses import HornDefinition
 from repro.logic.parser import parse_clause
 
@@ -106,6 +110,40 @@ class TestHarness:
         bundle = uwcse.load(TINY_CONFIG, seed=5)
         learner = castor_spec().build(bundle.schema("original"))
         assert learner.name == "Castor"
+
+    def test_downgrade_bundle_inds_leaves_its_input_unchanged(self):
+        """Table 12 weakens a copy.  The bundle it is given, often a shared
+        fixture, and every ``with_backend`` view of it keep their equality
+        INDs and their materialized instances."""
+
+        def equality_inds(schema):
+            return sum(ind.with_equality for ind in schema.inclusion_dependencies)
+
+        bundle = uwcse.load(TINY_CONFIG, seed=5)
+        view = bundle.with_backend("sqlite")
+        before = {}
+        for name in bundle.variant_names:
+            instance = bundle.instance(name)
+            before[name] = (bundle.schema(name), instance, instance.schema)
+        counts = {name: equality_inds(bundle.schema(name)) for name in before}
+        assert any(counts.values())
+
+        downgraded = _downgrade_bundle_inds(bundle)
+
+        for name, (schema, instance, instance_schema) in before.items():
+            assert bundle.schema(name) is schema
+            assert equality_inds(schema) == counts[name]
+            assert equality_inds(view.schema(name)) == counts[name]
+            assert bundle.instance(name) is instance
+            assert instance.schema is instance_schema
+            assert equality_inds(instance.schema) == counts[name]
+            weakened = downgraded.schema(name)
+            assert equality_inds(weakened) == 0
+            assert len(weakened.inclusion_dependencies) == len(
+                schema.inclusion_dependencies
+            )
+            assert downgraded.instance(name).schema == weakened
+            assert downgraded.instance(name).same_contents(instance)
 
 
 class TestFigures:

@@ -12,6 +12,7 @@ from repro.experiments.harness import (
     check_schema_independence,
     run_variant,
 )
+from repro.experiments.tables import foil_spec
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.learning.bottom_clause import BottomClauseConfig
 
@@ -42,15 +43,24 @@ def progolem_spec() -> LearnerSpec:
 # --------------------------------------------------------------------- #
 # Placement settings threaded through the harness entry points
 # --------------------------------------------------------------------- #
-#: ``(backend, parallelism)`` placements compared against single-connection
-#: ``sqlite``.
+#: ``(learner, backend, parallelism)`` placements, each compared against the
+#: same learner on single-connection ``sqlite``.  FOIL's batched scoring is
+#: the one fan-out, and only ``sqlite-pooled`` takes it; ProGolem runs
+#: coverage on the caller's thread and ignores it with a warning.
 PLACEMENTS = [
-    ("memory", None),
-    ("memory", 2),
-    ("sqlite-pooled", 1),
-    ("sqlite-pooled", 2),
+    ("progolem", "memory", None),
+    ("progolem", "sqlite-pooled", 1),
+    ("progolem", "sqlite-pooled", 2),
+    ("foil", "sqlite-pooled", 2),
 ]
-PLACEMENT_IDS = ["memory", "memory-p2", "sqlite-pooled-p1", "sqlite-pooled-p2"]
+PLACEMENT_IDS = [
+    "memory",
+    "sqlite-pooled-p1",
+    "sqlite-pooled-p2",
+    "foil-sqlite-pooled-p2",
+]
+
+SPECS = {"progolem": progolem_spec, "foil": foil_spec}
 
 
 def placed(backend, parallelism=None) -> LearningSession:
@@ -59,46 +69,63 @@ def placed(backend, parallelism=None) -> LearningSession:
 
 @pytest.fixture(scope="module")
 def baseline(tiny_bundle):
-    """Harness results on the ``sqlite`` backend."""
+    """``learner -> harness results`` on the ``sqlite`` backend."""
     variants = tiny_bundle.variant_names[:2]
-    with placed("sqlite") as session:
-        return {
-            "run": run_variant(
-                tiny_bundle, variants[0], progolem_spec(), folds=2, session=session
-            ),
-            "independence": check_schema_independence(
-                tiny_bundle, progolem_spec(), variants=variants, session=session
-            ),
-        }
+    results = {}
+
+    def get(learner):
+        if learner not in results:
+            spec = SPECS[learner]
+            with placed("sqlite") as session:
+                results[learner] = {
+                    "run": run_variant(
+                        tiny_bundle, variants[0], spec(), folds=2, session=session
+                    ),
+                    "independence": check_schema_independence(
+                        tiny_bundle, spec(), variants=variants, session=session
+                    ),
+                }
+        return results[learner]
+
+    return get
 
 
-@pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+@pytest.mark.parametrize(
+    "learner,backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS
+)
 def test_run_variant_is_placement_invariant(
-    tiny_bundle, baseline, backend, parallelism
+    tiny_bundle, baseline, learner, backend, parallelism, ignored_fan_out
 ):
-    with placed(backend, parallelism) as session:
+    expected = baseline(learner)["run"]
+    with placed(backend, parallelism) as session, ignored_fan_out(
+        learner, parallelism
+    ):
         result = run_variant(
             tiny_bundle,
             tiny_bundle.variant_names[0],
-            progolem_spec(),
+            SPECS[learner](),
             folds=2,
             session=session,
         )
-    assert as_key(result) == as_key(baseline["run"])
+    assert as_key(result) == as_key(expected)
 
 
-@pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+@pytest.mark.parametrize(
+    "learner,backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS
+)
 def test_check_schema_independence_is_placement_invariant(
-    tiny_bundle, baseline, backend, parallelism
+    tiny_bundle, baseline, learner, backend, parallelism, ignored_fan_out
 ):
-    with placed(backend, parallelism) as session:
+    expected = baseline(learner)["independence"]
+    with placed(backend, parallelism) as session, ignored_fan_out(
+        learner, parallelism
+    ):
         result = check_schema_independence(
             tiny_bundle,
-            progolem_spec(),
+            SPECS[learner](),
             variants=tiny_bundle.variant_names[:2],
             session=session,
         )
-    expected = baseline["independence"]
     assert result.result_sizes == expected.result_sizes
     assert result.pairwise_equivalent == expected.pairwise_equivalent
 

@@ -3,7 +3,9 @@
 Every placement — single-connection ``sqlite`` and the snapshot-pooled
 ``sqlite-pooled`` at parallelism 1 and 2 — must learn literal-for-literal
 the same, non-empty definition as the ``memory`` backend, on each schema
-variant and for every learner that finds the planted rule.  Castor runs
+variant and for every learner that finds the planted rule.  Parallelism 2
+sizes FOIL's batched scoring, the one fan-out; the subsumption learners run
+coverage on the caller's thread, so they warn that they ignore it.  Castor runs
 with the benchmark's settings (``perfbench/workloads.py``), the others
 with their defaults, on a UW-CSE bundle small enough for tier-1.  Nor does
 the saturation store a session shares between runs: it only saves work.
@@ -11,12 +13,15 @@ the saturation store a session shares between runs: it only saves work.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import LearningSession, SessionConfig
 from repro.castor.bottom_clause import CastorBottomClauseConfig
 from repro.castor.castor import CastorParameters
 from repro.datasets import uwcse
+from repro.logic.subsumption import SubsumptionEngine
 from repro.session.session import _learner_kinds
 
 #: ``(backend, parallelism)`` of the reference run.
@@ -36,7 +41,6 @@ VARIANTS = ("4nf", "denormalized1")
 #: Learners that recover the planted co-author rule on this bundle.  Golem's
 #: pairwise rlgg learns nothing at this size, so it is not compared here.
 KINDS = ("castor", "foil", "progolem", "progol", "aleph-foil")
-
 
 def castor_parameters() -> CastorParameters:
     return CastorParameters(
@@ -95,11 +99,14 @@ def reference(bundle):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_definitions_are_placement_invariant(
-    bundle, reference, kind, variant, placement
+    bundle, reference, kind, variant, placement, ignored_fan_out
 ):
     expected = reference(kind, variant)
     assert expected, f"{kind} learned nothing on {variant}"
-    assert learn(bundle, kind, variant, *placement) == expected
+    _, parallelism = placement
+    with ignored_fan_out(kind, parallelism):
+        learned = learn(bundle, kind, variant, *placement)
+    assert learned == expected
 
 
 #: Every learner that decides coverage by subsumption, and so answers it
@@ -128,3 +135,25 @@ def test_shared_saturation_store_never_changes_the_definition(
         assert len(store) > 0, "coverage never reached the shared store"
     assert cold == expected
     assert warm == expected
+
+
+@pytest.mark.parametrize("kind", STORE_KINDS)
+def test_subsumption_coverage_runs_on_the_callers_thread(
+    tiny_schema, tiny_instance, tiny_examples, kind, monkeypatch
+):
+    """Every subsumption test a learner makes on ``memory`` runs on the
+    thread that called ``learn()``: no pool fans coverage out."""
+    threads = []
+    covers_example = SubsumptionEngine.covers_example
+
+    def spy(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return covers_example(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsumptionEngine, "covers_example", spy)
+    learner = _learner_kinds()[kind](
+        tiny_schema, context=SessionConfig(backend="memory")
+    )
+    learner.learn(tiny_instance, tiny_examples)
+    assert threads, f"{kind} made no subsumption test"
+    assert set(threads) == {threading.get_ident()}

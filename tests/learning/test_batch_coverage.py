@@ -1,8 +1,9 @@
 """Batched candidate scoring: order, determinism, and compiled-path parity.
 
 The batch API's contract is that results come back in input order and are
-identical for every ``parallelism`` value and every backend — parallelism
-may only change wall-clock time, never which examples a clause covers.
+identical on every backend and, for the query engine, for every
+``parallelism`` value — parallelism may only change wall-clock time, never
+which examples a clause covers.
 """
 
 import pytest
@@ -11,11 +12,9 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.database.sqlite_backend import SaturationStore
 from repro.learning.coverage import (
     BatchCoverageEngine,
-    CoverageBatch,
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
     examples_mask,
-    make_coverage_engine,
 )
 from repro.learning.examples import Example
 
@@ -41,11 +40,13 @@ def _value_sets(per_clause_lists):
     return [frozenset(e.values for e in covered) for covered in per_clause_lists]
 
 
-#: ``(backend, parallelism)`` placements a batch can run on.  The engine
-#: layer accepts any fan-out; single-connection ``sqlite`` serializes it.
+BACKENDS = ["memory", "sqlite", "sqlite-pooled"]
+
+#: ``(backend, parallelism)`` placements a query batch can run on.  The
+#: query engine hands any fan-out to the backend; single-connection
+#: ``sqlite`` serializes it, and ``memory`` answers on the caller's thread.
 PLACEMENTS = [
     ("memory", 1),
-    ("memory", 4),
     ("sqlite", 1),
     ("sqlite", 4),
     ("sqlite-pooled", 1),
@@ -90,26 +91,26 @@ class TestBatchDeterminism:
         order, wherever it runs."""
         instance, clauses, examples = workload
         batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance.with_backend(backend)),
-            parallelism=parallelism,
+            QueryCoverageEngine(
+                instance.with_backend(backend), parallelism=parallelism
+            )
         )
         _assert_batch_matches(
             batch, clauses, examples.all_examples(), reference["query"]
         )
 
-    @pytest.mark.parametrize("backend,parallelism", PLACEMENTS, ids=PLACEMENT_IDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
     def test_subsumption_batch_is_placement_invariant(
-        self, workload, reference, compiled, backend, parallelism
+        self, workload, reference, compiled, backend
     ):
         """Subsumption coverage lists the same examples, in the same order,
-        on every backend, decision procedure and parallelism."""
+        on every backend and decision procedure."""
         instance, clauses, examples = workload
         batch = BatchCoverageEngine(
             SubsumptionCoverageEngine(
                 instance.with_backend(backend), compiled=compiled
-            ),
-            parallelism=parallelism,
+            )
         )
         _assert_batch_matches(
             batch, clauses, examples.all_examples(), reference["subsumption"]
@@ -117,8 +118,8 @@ class TestBatchDeterminism:
 
     def test_evaluate_batch_matches_per_clause_evaluate(self, workload):
         instance, clauses, examples = workload
-        engine = QueryCoverageEngine(instance.with_backend("sqlite"))
-        batch = BatchCoverageEngine(engine, parallelism=2)
+        engine = QueryCoverageEngine(instance.with_backend("sqlite-pooled"), parallelism=2)
+        batch = BatchCoverageEngine(engine)
         results = batch.evaluate_batch(clauses, examples.positives, examples.negatives)
         assert len(results) == len(clauses)
         for clause, result in zip(clauses, results):
@@ -126,24 +127,11 @@ class TestBatchDeterminism:
             assert result.positives_covered == single.positives_covered
             assert result.negatives_covered == single.negatives_covered
 
-    def test_coverage_batch_run(self, workload):
-        instance, clauses, examples = workload
-        batch = CoverageBatch(clauses, examples.positives, examples.negatives)
-        assert len(batch) == len(clauses)
-        engine = BatchCoverageEngine(QueryCoverageEngine(instance), parallelism=2)
-        via_run = engine.run(batch)
-        via_evaluate = engine.evaluate_batch(
-            clauses, examples.positives, examples.negatives
-        )
-        assert [(r.positives_covered, r.negatives_covered) for r in via_run] == [
-            (r.positives_covered, r.negatives_covered) for r in via_evaluate
-        ]
-
     def test_duplicate_clauses_get_duplicate_results(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
         batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance.with_backend("sqlite-pooled")), parallelism=3
+            QueryCoverageEngine(instance.with_backend("sqlite-pooled"), parallelism=3)
         )
         doubled = [clauses[0], clauses[0], clauses[0]]
         results = _value_sets(batch.covered_examples_batch(doubled, all_examples))
@@ -154,8 +142,8 @@ class TestCompiledSubsumptionParity:
     def test_compiled_agrees_with_python_engine(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        python_engine = make_coverage_engine(instance, strategy="subsumption-python")
-        compiled_engine = make_coverage_engine(instance, strategy="subsumption-compiled")
+        python_engine = SubsumptionCoverageEngine(instance, compiled=False)
+        compiled_engine = SubsumptionCoverageEngine(instance, compiled=True)
         for clause in clauses:
             python_covered = {
                 e.values for e in python_engine.covered_examples(clause, all_examples)
@@ -216,10 +204,3 @@ class TestCompiledSubsumptionParity:
             ("a3", "b3"),
         ]
         assert examples[1] in engine._compiled_failed
-
-    def test_make_coverage_engine_strategies(self, workload):
-        instance, _, _ = workload
-        assert make_coverage_engine(instance, strategy="subsumption-compiled").compiled_enabled
-        assert not make_coverage_engine(instance, strategy="subsumption-python").compiled_enabled
-        with pytest.raises(ValueError):
-            make_coverage_engine(instance, strategy="subsumption-sql")

@@ -1,11 +1,10 @@
 """Batched-vs-sequential parity for reduction and ARMG prefix probes.
 
 Routing negative-reduction and blocking-atom probes through
-:class:`~repro.learning.coverage.BatchCoverageEngine` (and widening the
-section search with ``probe_width``) is a *scheduling* change: the probe
-answers come from the same engine over the same saturations, so the reduced
-and generalized clauses must be literal-for-literal identical for every
-combination of batched/sequential and probe width.
+:class:`~repro.learning.coverage.BatchCoverageEngine` is a *scheduling*
+change: the probe answers come from the same engine over the same
+saturations, so the reduced and generalized clauses must be
+literal-for-literal identical batched and sequential.
 """
 
 import pytest
@@ -55,26 +54,11 @@ class TestReducerBatchedParity:
             )
             assert batched == sequential, clause
 
-    def test_probe_width_invariance(self, workload):
-        """Wider sections probe MORE points per round, never different answers."""
-        _, schema, coverage, clauses, examples = workload
-        negatives = examples.negatives
-        for clause in clauses:
-            reduced = {
-                width: NegativeReducer(
-                    schema, coverage, batched=True, probe_width=width
-                ).reduce(clause, negatives)
-                for width in (1, 2, 5)
-            }
-            assert reduced[1] == reduced[2] == reduced[5], clause
-
     def test_explicit_batch_engine_is_used(self, workload):
         _, schema, coverage, clauses, examples = workload
-        batch = BatchCoverageEngine(coverage, parallelism=3)
+        batch = BatchCoverageEngine(coverage)
         reducer = NegativeReducer(schema, coverage, batch=batch)
         assert reducer.batch is batch
-        # probe_width defaults to the batch's clause-level fan-out.
-        assert reducer.probe_width == 3
         reduced = reducer.reduce(clauses[0], examples.negatives)
         baseline = NegativeReducer(schema, coverage, batched=False).reduce(
             clauses[0], examples.negatives
@@ -93,17 +77,14 @@ class TestArmgBatchedParity:
                 batched = armg(clause, example, coverage, batch=batch)
                 assert batched == direct, (clause, example)
 
-    def test_find_blocking_atom_width_invariance(self, workload):
+    def test_find_blocking_atom_batched_matches_direct(self, workload):
         _, _, coverage, clauses, examples = workload
         batch = BatchCoverageEngine(coverage)
         for clause in clauses:
             for example in examples.all_examples()[:6]:
                 baseline = find_blocking_atom(clause, example, coverage)
-                for width in (1, 3, 7):
-                    got = find_blocking_atom(
-                        clause, example, coverage, batch=batch, probe_width=width
-                    )
-                    assert got == baseline, (clause, example, width)
+                got = find_blocking_atom(clause, example, coverage, batch=batch)
+                assert got == baseline, (clause, example)
 
     def test_blocking_atom_semantics(self, workload):
         """The reported index is the LEAST failing prefix boundary."""
@@ -112,9 +93,7 @@ class TestArmgBatchedParity:
         checked = 0
         for clause in clauses:
             for example in examples.negatives[:4]:
-                index = find_blocking_atom(
-                    clause, example, coverage, batch=batch, probe_width=3
-                )
+                index = find_blocking_atom(clause, example, coverage, batch=batch)
                 if index is None:
                     continue
                 saturation = coverage.saturation(example)

@@ -18,10 +18,8 @@ from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.database.sqlite_backend import SaturationStore
 from repro.learning.bottom_clause import (
-    BatchSaturationEngine,
     BottomClauseBuilder,
     BottomClauseConfig,
-    SaturationBatch,
     compute_theory_constants,
 )
 from repro.learning.coverage import SubsumptionCoverageEngine
@@ -134,29 +132,23 @@ def test_theory_constants_identical_across_backends(uwcse_workload):
 
 
 # --------------------------------------------------------------------- #
-# The batch engine
+# Batched materialization in the coverage engine
 # --------------------------------------------------------------------- #
-def test_batch_engine_is_parallelism_invariant(uwcse_workload):
+def test_materialize_matches_per_example_adds(uwcse_workload):
+    """One batched ``materialize`` call stores exactly what per-example
+    construction and ``add_example`` calls store."""
     instance, examples = uwcse_workload
     builder = BottomClauseBuilder(instance, BottomClauseConfig(max_depth=3))
-    reference = clause_strings(
-        BatchSaturationEngine(builder, parallelism=1).build_ground_batch(examples)
-    )
-    for parallelism in (2, 3):
-        engine = BatchSaturationEngine(builder, parallelism=parallelism)
-        assert clause_strings(engine.build_ground_batch(examples)) == reference
-    batch = SaturationBatch(examples, variablize=False)
-    assert clause_strings(BatchSaturationEngine(builder).run(batch)) == reference
-
-
-def test_materialize_into_matches_per_example_adds(uwcse_workload):
-    instance, examples = uwcse_workload
-    builder = BottomClauseBuilder(instance, BottomClauseConfig(max_depth=3))
-    engine = BatchSaturationEngine(builder)
 
     batched_store = SaturationStore()
-    ids = engine.materialize_into(batched_store, examples)
-    assert set(ids) == set(examples)
+    engine = SubsumptionCoverageEngine(
+        instance,
+        BottomClauseConfig(max_depth=3),
+        compiled=True,
+        saturation_store=batched_store,
+    )
+    engine.materialize(examples)
+    assert set(engine._compiled_ids) == set(examples)
 
     manual_store = SaturationStore()
     for example in examples:
@@ -232,9 +224,9 @@ def test_shared_store_skips_reconstruction_in_later_engines(uwcse_workload):
     assert second._compiled_ids == first._compiled_ids
 
 
-def test_rebinding_engine_builder_rewires_the_batch_saturator(uwcse_bundle):
+def test_rebinding_engine_builder_rewires_batched_prepare(uwcse_bundle):
     """engine.builder = <other builder> must switch the batched prepare()
-    path too — a stale saturator would cache clauses from the old builder."""
+    path too — stale caches would serve clauses from the old builder."""
     instance = uwcse_bundle.instance(uwcse_bundle.variant_names[0])
     schema = uwcse_bundle.schema(uwcse_bundle.variant_names[0])
     examples = uwcse_bundle.examples.positives
@@ -247,7 +239,6 @@ def test_rebinding_engine_builder_rewires_the_batch_saturator(uwcse_bundle):
         instance, schema, CastorBottomClauseConfig(max_depth=2)
     )
     engine.builder = castor_builder
-    assert engine.saturator.builder is castor_builder
     assert not engine._saturation_cache
     engine.prepare(examples)
     for example in examples:
