@@ -10,9 +10,10 @@ UW-CSE and HIV workloads:
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
   table per head signature across the batch, ``sqlite-pooled`` fans the
   clauses out over snapshot connections (``--parallelism``);
-* **subsumption coverage** — the Python θ-subsumption engine vs the compiled
-  saturation-store path (one statement tests a clause against every
-  example's saturation at once).
+* **subsumption coverage** — the Python θ-subsumption kernel (the engine on
+  a ``memory`` copy) vs the compiled saturation-store path (the engine on a
+  ``sqlite`` copy: one statement tests a clause against every example's
+  saturation at once), whatever ``--backend`` selects.
 
 The script asserts that every backend and every path covers **identical**
 example sets for every candidate clause (parity).  Run it standalone::
@@ -125,21 +126,21 @@ def time_subsumption(
     instance: DatabaseInstance,
     clauses: Sequence[HornClause],
     examples: Sequence[Example],
-    compiled: bool,
     saturation_cache: Dict[Example, HornClause],
     saturation_store=None,
 ) -> Tuple[float, List[frozenset]]:
     """Wall time of subsumption coverage over all clauses (fresh engine).
 
+    The instance's backend picks the procedure: the Python kernel on
+    ``memory``, one compiled statement per clause on ``sqlite``.
     Saturations are shared between the compared engines (building them is
-    identical work for both paths).  For the compiled path, passing a
-    pre-materialized ``saturation_store`` measures the warm steady state a
-    learning run reaches after its first generation; without it the timing
-    includes one-off store materialization.
+    identical work for both paths, and they are byte-identical across
+    backends).  For the compiled path, passing a pre-materialized
+    ``saturation_store`` measures the warm steady state a learning run
+    reaches after its first generation; without it the timing includes
+    one-off store materialization.
     """
-    engine = SubsumptionCoverageEngine(
-        instance, compiled=compiled, saturation_store=saturation_store
-    )
+    engine = SubsumptionCoverageEngine(instance, saturation_store=saturation_store)
     engine._saturation_cache = saturation_cache
     start = time.perf_counter()
     covered = [
@@ -224,27 +225,28 @@ def run_workload(
             f"{'/'.join(backends)} (sequential and batched)"
         )
 
-    # Subsumption coverage: Python engine vs compiled saturation store.
+    # Subsumption coverage: the Python kernel on memory vs the compiled
+    # saturation store on sqlite, over one shared saturation cache.
     from repro.database.sqlite_backend import SaturationStore
 
+    python_instance = instances.get("memory") or materialize(base_instance, "memory")
+    compiled_instance = instances.get("sqlite") or materialize(base_instance, "sqlite")
     saturation_cache: Dict[Example, HornClause] = {}
     python_seconds, python_sets = time_subsumption(
-        base_instance, clauses, examples, False, saturation_cache
+        python_instance, clauses, examples, saturation_cache
     )
     shared_store = SaturationStore()
     compiled_cold_seconds, compiled_sets = time_subsumption(
-        base_instance,
+        compiled_instance,
         clauses,
         examples,
-        True,
         saturation_cache,
         saturation_store=shared_store,
     )
     compiled_warm_seconds, compiled_warm_sets = time_subsumption(
-        base_instance,
+        compiled_instance,
         clauses,
         examples,
-        True,
         saturation_cache,
         saturation_store=shared_store,
     )

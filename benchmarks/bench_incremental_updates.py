@@ -78,12 +78,7 @@ ENGINE_CONFIG = BottomClauseConfig(max_depth=2, max_total_literals=20)
 
 
 def make_engine(instance, store: SaturationStore) -> SubsumptionCoverageEngine:
-    return SubsumptionCoverageEngine(
-        instance,
-        ENGINE_CONFIG,
-        compiled=True,
-        saturation_store=store,
-    )
+    return SubsumptionCoverageEngine(instance, ENGINE_CONFIG, saturation_store=store)
 
 
 def coverage_bits(engine, clauses, examples) -> List[frozenset]:

@@ -12,5 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

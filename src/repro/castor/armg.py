@@ -9,7 +9,9 @@ equality ``R1[X] = R2[X]`` must be witnessed by some literal ``R2(u2)`` with
 a fixpoint.  This is what makes the generalizations over a composed schema
 and its decomposition equivalent (Lemma 7.7): dropping one part of a
 decomposed tuple drags the sibling parts with it, exactly as dropping the
-single composed literal would.
+single composed literal would.  The blocking-atom probes are those of
+:func:`repro.progolem.armg.find_blocking_atom`: one ``covers`` call each on
+the learner's coverage engine.
 """
 
 from __future__ import annotations
@@ -85,22 +87,11 @@ def castor_armg(
     coverage: SubsumptionCoverageEngine,
     schema: Schema,
     include_subset_inds: bool = False,
-    batch=None,
 ) -> HornClause:
-    """Castor's ARMG: standard ARMG with IND-consistency enforcement after each removal.
-
-    ``batch`` forwards to the blocking-atom search's prefix probes (see
-    :func:`repro.progolem.armg.find_blocking_atom`).
-    """
+    """Castor's ARMG: standard ARMG with IND-consistency enforcement after each removal."""
     enforcer = IndConsistencyEnforcer(schema, include_subset_inds)
 
     def hook(clause: HornClause, _removed: Atom) -> HornClause:
         return enforcer.enforce(clause)
 
-    return armg(
-        bottom_clause,
-        example,
-        coverage,
-        post_removal_hook=hook,
-        batch=batch,
-    )
+    return armg(bottom_clause, example, coverage, post_removal_hook=hook)

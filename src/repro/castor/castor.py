@@ -20,8 +20,10 @@ Modes:
   INDs that hold as equalities on the current instance are promoted and used
   like INDs with equality, restoring full schema independence for general
   (de)compositions;
-* ``use_subset_inds=True`` — Section 7.4 direct extension: chase subset-form
-  INDs without the preprocessing check (robust but not provably independent).
+* ``CastorBottomClauseConfig(use_subset_inds=True)`` — Section 7.4 direct
+  extension: chase subset-form INDs without the preprocessing check (robust
+  but not provably independent).  Bottom-clause construction, ARMG and
+  negative reduction all read this one flag from the config.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ from .reduction import NegativeReducer
 
 
 class CastorParameters(ProGolemParameters):
-    """Castor's parameters: ProGolem's search knobs plus IND handling options."""
+    """Castor's parameters: ProGolem's search knobs plus IND handling options.
+
+    ``bottom_clause`` must be a :class:`CastorBottomClauseConfig` (a plain
+    ``BottomClauseConfig`` raises ``TypeError``); its ``use_subset_inds``
+    is the subset-IND switch.  Learning never writes to these objects, so
+    one parameters object keys the same saturation store on every run.
+    """
+
+    bottom_clause: CastorBottomClauseConfig
 
     def __init__(
         self,
@@ -58,13 +68,19 @@ class CastorParameters(ProGolemParameters):
         max_armg_rounds: int = 10,
         bottom_clause: Optional[CastorBottomClauseConfig] = None,
         seed: int = 0,
-        use_subset_inds: bool = False,
         promote_inds_from_data: bool = False,
         minimize_bottom_clauses: bool = False,
         ensure_safe: bool = True,
         max_seconds: Optional[float] = None,
         prefetch: Optional[bool] = None,
     ):
+        if bottom_clause is not None and not isinstance(
+            bottom_clause, CastorBottomClauseConfig
+        ):
+            raise TypeError(
+                "CastorParameters.bottom_clause must be a CastorBottomClauseConfig, "
+                f"got {type(bottom_clause).__name__}"
+            )
         super().__init__(
             sample_size=sample_size,
             beam_width=beam_width,
@@ -77,7 +93,6 @@ class CastorParameters(ProGolemParameters):
             max_seconds=max_seconds,
             prefetch=prefetch,
         )
-        self.use_subset_inds = bool(use_subset_inds)
         self.promote_inds_from_data = bool(promote_inds_from_data)
         self.minimize_bottom_clauses = bool(minimize_bottom_clauses)
         self.ensure_safe = bool(ensure_safe)
@@ -91,14 +106,11 @@ class CastorCoverageEngine(SubsumptionCoverageEngine):
         instance: DatabaseInstance,
         schema: Schema,
         config: CastorBottomClauseConfig,
-        compiled: Optional[bool] = None,
         saturation_store=None,
     ):
         # Bound before super().__init__, whose _make_builder call reads it.
         self.working_schema = schema
-        super().__init__(
-            instance, config, compiled=compiled, saturation_store=saturation_store
-        )
+        super().__init__(instance, config, saturation_store=saturation_store)
 
     def _make_builder(self, instance: DatabaseInstance, saturation_config):
         return CastorBottomClauseBuilder(
@@ -128,7 +140,7 @@ class CastorClauseLearner(ProGolemClauseLearner):
     # ------------------------------------------------------------------ #
     def build_seed_clause(self, instance: DatabaseInstance, seed: Example) -> HornClause:
         builder = CastorBottomClauseBuilder(
-            instance, self.working_schema, self._bottom_config()
+            instance, self.working_schema, self.parameters.bottom_clause
         )
         clause = builder.build(seed)
         if self.parameters.minimize_bottom_clauses and clause.body:
@@ -141,8 +153,7 @@ class CastorClauseLearner(ProGolemClauseLearner):
             example,
             self.coverage,
             self.working_schema,
-            include_subset_inds=self.parameters.use_subset_inds,
-            batch=self.batch,
+            include_subset_inds=self.parameters.bottom_clause.use_subset_inds,
         )
 
     def reduce(
@@ -154,9 +165,8 @@ class CastorClauseLearner(ProGolemClauseLearner):
         reducer = NegativeReducer(
             self.working_schema,
             self.coverage,
-            include_subset_inds=self.parameters.use_subset_inds,
+            include_subset_inds=self.parameters.bottom_clause.use_subset_inds,
             ensure_safe=self.parameters.ensure_safe,
-            batch=self.batch,
         )
         reduced = reducer.reduce(clause, negatives)
         if reduced.body:
@@ -164,13 +174,6 @@ class CastorClauseLearner(ProGolemClauseLearner):
         if not reduced.body or (self.parameters.ensure_safe and not reduced.is_safe()):
             return clause
         return reduced
-
-    def _bottom_config(self) -> CastorBottomClauseConfig:
-        config = self.parameters.bottom_clause
-        if isinstance(config, CastorBottomClauseConfig):
-            config.use_subset_inds = self.parameters.use_subset_inds
-            return config
-        return CastorBottomClauseConfig(use_subset_inds=self.parameters.use_subset_inds)
 
 
 class CastorLearner(ProGolemLearner):
@@ -215,14 +218,10 @@ class CastorLearner(ProGolemLearner):
 
     def make_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         self._working_schema = self.working_schema_for(instance)
-        config = self.parameters.bottom_clause
-        if not isinstance(config, CastorBottomClauseConfig):
-            config = CastorBottomClauseConfig()
-        config.use_subset_inds = self.parameters.use_subset_inds
         return CastorCoverageEngine(
             instance,
             self._working_schema,
-            config,
+            self.parameters.bottom_clause,
             saturation_store=self.saturation_store,
         )
 

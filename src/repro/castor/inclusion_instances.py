@@ -38,9 +38,6 @@ class InclusionInstance:
             variables |= set(literal.variables())
         return variables
 
-    def contains_literal(self, literal: Atom) -> bool:
-        return literal in self.literals
-
     def __len__(self) -> int:
         return len(self.literals)
 

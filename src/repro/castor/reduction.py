@@ -7,6 +7,10 @@ instances rather than individual literals so that the reduction commutes with
 composition/decomposition (Lemma 7.8).  The safe variant (Section 7.3.3)
 additionally keeps enough instances to preserve every head variable, so that
 the reduced clause remains safe.
+
+Each probe asks how many negatives a prefix clause covers with one
+``covered_mask`` call on the learner's coverage engine (one compiled
+statement on backends with compiled queries).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set
 
 from ..database.schema import Schema
-from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
+from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.examples import Example
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
@@ -30,12 +34,7 @@ class NegativeReducer:
     """Reduce clauses by discarding non-essential inclusion-class instances.
 
     Each negative-coverage probe (one prefix clause against the whole
-    negative example list) is routed through a
-    :class:`~repro.learning.coverage.BatchCoverageEngine`, so a probe is a
-    single batched evaluation (one compiled statement on SQLite backends)
-    rather than a per-example Python loop.  Pass ``batched=False`` to keep
-    the original per-example sequential probes (the parity tests pit the two
-    against each other).
+    negative example list) is one ``coverage.covered_mask`` call.
     """
 
     def __init__(
@@ -45,20 +44,12 @@ class NegativeReducer:
         include_subset_inds: bool = False,
         ensure_safe: bool = True,
         max_iterations: int = 50,
-        batch: Optional[BatchCoverageEngine] = None,
-        batched: bool = True,
     ):
         self.schema = schema
         self.coverage = coverage
         self.include_subset_inds = include_subset_inds
         self.ensure_safe = ensure_safe
         self.max_iterations = int(max_iterations)
-        if batch is not None:
-            self.batch: Optional[BatchCoverageEngine] = batch
-        elif batched:
-            self.batch = BatchCoverageEngine(coverage)
-        else:
-            self.batch = None
 
     # ------------------------------------------------------------------ #
     def reduce(
@@ -101,14 +92,8 @@ class NegativeReducer:
     def _covered_negatives(
         self, clause: HornClause, negatives: Sequence[Example]
     ) -> int:
-        """Number of negatives covered — one batched probe (or the Python loop)."""
-        if self.batch is None:
-            return sum(
-                1
-                for e in negatives
-                if self.coverage.covers(clause, e, use_cache=False)
-            )
-        return self.batch.covered_masks_batch([clause], negatives)[0].bit_count()
+        """Number of negatives covered: one ``covered_mask`` call."""
+        return self.coverage.covered_mask(clause, negatives).bit_count()
 
     def _first_sufficient_prefix(
         self,

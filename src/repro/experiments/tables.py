@@ -44,10 +44,11 @@ def castor_spec(
                 sample_size=3,
                 beam_width=2,
                 max_armg_rounds=5,
-                use_subset_inds=use_subset_inds,
                 promote_inds_from_data=promote_inds_from_data,
                 bottom_clause=CastorBottomClauseConfig(
-                    max_depth=3, max_distinct_variables=15
+                    max_depth=3,
+                    max_distinct_variables=15,
+                    use_subset_inds=use_subset_inds,
                 ),
             ),
         )

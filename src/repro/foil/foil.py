@@ -224,13 +224,8 @@ class FoilLearner(EvaluationKnobs):
         clause_learner = _FoilClauseLearner(self.schema, self.parameters, coverage)
         covering = CoveringLearner(
             clause_learner,
-            coverage_fn=coverage.covered_examples,
-            coverage_mask_fn=coverage.covered_mask,
-            precision_fn=lambda clause, pos, neg: precision(
-                len(coverage.covered_examples(clause, pos)),
-                len(coverage.covered_examples(clause, neg)),
-            ),
-            parameters=CoveringParameters(
+            coverage,
+            CoveringParameters(
                 min_precision=self.parameters.min_precision,
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,

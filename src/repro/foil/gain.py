@@ -14,7 +14,6 @@ keeping evaluation costs proportional to the number of examples.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 
 def information_content(positives: int, negatives: int) -> float:
@@ -61,17 +60,3 @@ def precision(positives: int, negatives: int) -> float:
 def laplace_accuracy(positives: int, negatives: int) -> float:
     """Laplace-corrected accuracy, a smoother tie-breaking score."""
     return (positives + 1) / (positives + negatives + 2)
-
-
-def score_components(
-    positives_before: int,
-    negatives_before: int,
-    positives_after: int,
-    negatives_after: int,
-) -> Tuple[float, float, float]:
-    """Bundle (gain, precision, laplace) for a refinement — used by beam search."""
-    return (
-        foil_gain(positives_before, negatives_before, positives_after, negatives_after),
-        precision(positives_after, negatives_after),
-        laplace_accuracy(positives_after, negatives_after),
-    )

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
-from ..foil.gain import precision
 from ..learning.bottom_clause import BottomClauseConfig
 from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
@@ -189,13 +188,8 @@ class GolemLearner(EvaluationKnobs):
         clause_learner = _GolemClauseLearner(self.parameters, coverage)
         covering = CoveringLearner(
             clause_learner,
-            coverage_fn=coverage.covered_examples,
-            coverage_mask_fn=coverage.covered_mask,
-            precision_fn=lambda clause, pos, neg: precision(
-                len(coverage.covered_examples(clause, pos)),
-                len(coverage.covered_examples(clause, neg)),
-            ),
-            parameters=CoveringParameters(
+            coverage,
+            CoveringParameters(
                 min_precision=self.parameters.min_precision,
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,

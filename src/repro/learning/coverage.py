@@ -4,19 +4,20 @@ Two strategies are provided, mirroring Section 7.5:
 
 * **Subsumption coverage** — a clause covers example ``e`` iff it θ-subsumes
   the ground bottom clause of ``e``.  This is Castor's (and ProGolem's)
-  strategy; saturations are built once per example and cached, and a
-  per-(clause, example) cache plus a generality shortcut ("if C covers e then
-  any generalization of C covers e") avoids repeated work.  When enabled,
-  the **compiled** path materializes saturations into a
-  :class:`~repro.database.sqlite_backend.SaturationStore` and tests a clause
-  against every example's saturation with one SQL statement.
+  strategy; saturations are built once per example and cached, and so is
+  every (clause, example) decision.  One rule picks the decision procedure:
+  a ``covered_examples`` question about more than one example goes to a
+  :class:`~repro.database.sqlite_backend.SaturationStore` (one SQL statement
+  tests the clause against every example's saturation) when the instance's
+  backend declares ``supports_compiled_queries``; ``covers``, and every
+  question on a backend without compiled queries, uses the Python kernel.
 * **Query coverage** — a clause covers ``e`` iff the body, with head
   variables bound to ``e``'s values, is satisfiable in the database.  This is
   the join-based evaluation that top-down learners with short clauses use.
 
 Both engines additionally answer **batched** requests — N candidate clauses
 against one example set — through :class:`BatchCoverageEngine`, which the
-covering loop uses to score a whole generation of refinements in one call.
+learners use to score a whole generation of refinements in one call.
 Coverage runs on the caller's thread; the one fan-out is the query engine's
 ``parallelism`` on the ``sqlite-pooled`` backend, which spreads a batch over
 snapshot connections.
@@ -143,33 +144,26 @@ class SubsumptionCoverageEngine:
         The background database.
     saturation_config:
         Limits for ground bottom-clause construction of examples.
-    compiled:
-        ``True`` pushes set-at-a-time coverage into SQL: saturations are
-        additionally materialized into a
-        :class:`~repro.database.sqlite_backend.SaturationStore` and
-        ``covered_examples`` tests the clause against every saturation with
-        one statement.  ``False`` disables it; ``None`` (default) enables it
-        when the instance lives on a SQLite-family backend.  Examples or
-        clauses the store cannot express silently fall back to the Python
-        engine, with one caveat: the SQL path has no backtrack budget, so
-        clauses whose Python search would exhaust ``max_backtracks`` are
-        decided exactly instead of conservatively reported uncovered.
     saturation_store:
         An existing :class:`~repro.database.sqlite_backend.SaturationStore`
         to materialize into (re-added examples are deduplicated), so several
         engines over the *same instance* — e.g. cross-validation folds —
         share one warm store instead of re-materializing.
-    """
 
-    #: Below this many examples a compiled set-at-a-time statement does not
-    #: pay for itself; single tests stay on the Python engine.
-    COMPILED_MIN_EXAMPLES = 4
+    When the instance's backend declares ``supports_compiled_queries``, a
+    ``covered_examples`` question about more than one example is answered
+    by one statement over the store, into which saturations are then also
+    materialized; every other question runs the Python kernel.  Examples or
+    clauses the store cannot express fall back to the kernel, with one
+    caveat: the SQL path has no backtrack budget, so clauses whose Python
+    search would exhaust ``max_backtracks`` are decided exactly instead of
+    conservatively reported uncovered.
+    """
 
     def __init__(
         self,
         instance: DatabaseInstance,
         saturation_config: Optional[BottomClauseConfig] = None,
-        compiled: Optional[bool] = None,
         saturation_store: Optional[SaturationStore] = None,
     ):
         self.instance = instance
@@ -182,9 +176,7 @@ class SubsumptionCoverageEngine:
         # clears them on rebind).
         self.builder = self._make_builder(instance, saturation_config)
         self.subsumption = SubsumptionEngine()
-        if compiled is None:
-            compiled = instance.backend_name.startswith("sqlite")
-        self.compiled_enabled = bool(compiled)
+        self._compiled = instance.backend.supports_compiled_queries
         self._compiled_store: Optional[SaturationStore] = saturation_store
         self._lock = threading.Lock()
         # Serializes store creation + materialization so the saturation
@@ -286,22 +278,24 @@ class SubsumptionCoverageEngine:
     # ------------------------------------------------------------------ #
     # Coverage
     # ------------------------------------------------------------------ #
-    def covers(self, clause: HornClause, example: Example, use_cache: bool = True) -> bool:
-        """True when ``clause`` covers ``example`` (θ-subsumes its saturation)."""
+    def covers(self, clause: HornClause, example: Example) -> bool:
+        """True when ``clause`` covers ``example`` (θ-subsumes its saturation).
+
+        Always the Python kernel; the decision is cached per (clause,
+        example).
+        """
         key = (clause, example)
-        if use_cache:
-            with self._lock:
-                cached = self._coverage_cache.get(key)
-            if cached is not None:
-                self._c_cache_hits.inc()
-                return cached
+        with self._lock:
+            cached = self._coverage_cache.get(key)
+        if cached is not None:
+            self._c_cache_hits.inc()
+            return cached
         result = self.subsumption.covers_example(
             clause, self.saturation(example), self.saturation_index(example)
         )
         with self._lock:
             self._c_tests.inc()
-            if use_cache:
-                self._coverage_cache[key] = result
+            self._coverage_cache[key] = result
         return result
 
     def covered_examples(
@@ -309,15 +303,16 @@ class SubsumptionCoverageEngine:
     ) -> List[Example]:
         """The subset of ``examples`` covered by ``clause``.
 
-        On the compiled path one SQL statement tests the clause against every
-        materialized saturation; otherwise the examples are tested one by one.
+        On a backend with compiled queries, a question about more than one
+        example is one SQL statement over the saturation store; otherwise
+        the examples are tested one by one with :meth:`covers`.
         """
-        if self.compiled_enabled and len(examples) >= self.COMPILED_MIN_EXAMPLES:
-            # The compiled route batch-prepares inside _materialize.
-            compiled = self._covered_examples_compiled(clause, examples)
-            if compiled is not None:
-                return compiled
         if len(examples) > 1:
+            if self._compiled:
+                # The compiled route batch-prepares inside _materialize.
+                compiled = self._covered_examples_compiled(clause, examples)
+                if compiled is not None:
+                    return compiled
             self.prepare(examples)
         return [e for e in examples if self.covers(clause, e)]
 
@@ -334,9 +329,8 @@ class SubsumptionCoverageEngine:
     def covered_mask(self, clause: HornClause, examples: Sequence[Example]) -> int:
         """Positional coverage bitmask of ``clause`` over ``examples``.
 
-        Same decision procedure as :meth:`covered_examples` (compiled /
-        cached / Python fallback), packaged as an int whose bit ``i`` is the
-        coverage of ``examples[i]``.
+        Same decision procedure as :meth:`covered_examples`, packaged as an
+        int whose bit ``i`` is the coverage of ``examples[i]``.
         """
         return examples_mask(self.covered_examples(clause, examples), examples)
 
@@ -400,7 +394,7 @@ class SubsumptionCoverageEngine:
         :class:`~repro.database.sqlite_backend.SaturationStore` before
         cross-validation folds; a no-op for already-materialized examples.
         """
-        if self.compiled_enabled:
+        if self._compiled:
             self._materialize(examples)
         else:
             self.prepare(examples)
@@ -527,19 +521,6 @@ class SubsumptionCoverageEngine:
                         del self._coverage_cache[key]
         return invalidated
 
-    def mark_generalization_covers(
-        self, general_clause: HornClause, covered: Iterable[Example]
-    ) -> None:
-        """Record that a generalization covers everything its parent covered.
-
-        Castor's optimization (Section 7.5.4): if clause C covers e and C'' is
-        more general than C, C'' also covers e — so seed the cache instead of
-        re-testing.
-        """
-        with self._lock:
-            for example in covered:
-                self._coverage_cache[(general_clause, example)] = True
-
 
 class QueryCoverageEngine:
     """Join-based coverage: bind head variables to the example and test the body.
@@ -627,9 +608,9 @@ class QueryCoverageEngine:
 class BatchCoverageEngine:
     """Score N candidate clauses against one example set in a single call.
 
-    Wraps either coverage engine and dispatches to its batched entry point,
-    so the covering loop stays agnostic of the subsumption-vs-query
-    distinction.  Results always come back in input order.
+    Wraps either coverage engine and dispatches to its batched entry point;
+    ProGolem's and FOIL's generation scoring use it.  Results always come
+    back in input order.
     """
 
     def __init__(self, engine):

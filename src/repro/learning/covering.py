@@ -9,12 +9,12 @@ until no uncovered positives remain (or no acceptable clause can be found).
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Union
 
 from ..database.instance import DatabaseInstance
 from ..logic.clauses import HornClause, HornDefinition
 from ..obs import span as obs_span
-from .coverage import examples_mask
+from .coverage import QueryCoverageEngine, SubsumptionCoverageEngine
 from .examples import Example, ExampleSet
 
 
@@ -62,23 +62,20 @@ class CoveringParameters:
 class CoveringLearner:
     """Algorithm 1: the covering loop.
 
-    ``coverage_fn`` decides which uncovered positives a learned clause covers
-    (learners supply their own coverage engine so the loop itself stays
-    agnostic of the subsumption-vs-query distinction).
+    ``coverage`` is the learner's own coverage engine (subsumption or
+    query), so the loop itself stays agnostic of the decision procedure.
+    Each round's clause is scored with two ``covered_mask`` calls: one over
+    the uncovered positives, one over the negatives.
     """
 
     def __init__(
         self,
         clause_learner: ClauseLearner,
-        coverage_fn: Callable[[HornClause, Sequence[Example]], List[Example]],
-        precision_fn: Callable[[HornClause, Sequence[Example], Sequence[Example]], float],
+        coverage: Union[SubsumptionCoverageEngine, QueryCoverageEngine],
         parameters: Optional[CoveringParameters] = None,
-        coverage_mask_fn: Optional[Callable[[HornClause, Sequence[Example]], int]] = None,
     ):
         self.clause_learner = clause_learner
-        self.coverage_fn = coverage_fn
-        self.coverage_mask_fn = coverage_mask_fn
-        self.precision_fn = precision_fn
+        self.coverage = coverage
         self.parameters = parameters or CoveringParameters()
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
@@ -107,16 +104,14 @@ class CoveringLearner:
                 # (bit i = uncovered[i]): counting is one bit_count() and
                 # the uncovered-set update below is bit tests instead of
                 # Python set algebra over Example objects.
-                if self.coverage_mask_fn is not None:
-                    covered_mask = self.coverage_mask_fn(clause, uncovered)
-                else:
-                    covered_mask = examples_mask(
-                        self.coverage_fn(clause, uncovered), uncovered
-                    )
+                covered_mask = self.coverage.covered_mask(clause, uncovered)
                 covered_count = covered_mask.bit_count()
                 if covered_count < max(1, self.parameters.min_positives):
                     break
-                precision = self.precision_fn(clause, uncovered, negatives)
+                negatives_covered = self.coverage.covered_mask(
+                    clause, negatives
+                ).bit_count()
+                precision = covered_count / (covered_count + negatives_covered)
                 cover_span.set(covered=covered_count)
             if precision < self.parameters.min_precision:
                 # The best clause of this round is too imprecise; covering

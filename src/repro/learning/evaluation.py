@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..database.instance import DatabaseInstance
 from ..logic.clauses import HornDefinition
@@ -71,7 +71,6 @@ def evaluate_definition(
     definition: HornDefinition,
     instance: DatabaseInstance,
     test_examples: ExampleSet,
-    engine: Optional[object] = None,
 ) -> EvaluationResult:
     """Compute precision/recall of a definition against a test example set.
 
@@ -79,42 +78,23 @@ def evaluate_definition(
     covered when some clause of the definition derives it from the database.
     An empty definition covers nothing (precision 0, recall 0).
     """
-    engine = engine or QueryCoverageEngine(instance)
+    engine = QueryCoverageEngine(instance)
     clauses = list(definition)
-    batch_masks = getattr(engine, "covered_masks_batch", None)
-    if clauses and batch_masks is not None:
-        # Batched path: one masks call per example list; a definition covers
-        # an example when ANY clause does, which is the OR of the per-clause
-        # positional bitmasks — counting is a bit_count(), not a nested
-        # any()-over-clauses Python loop per example.
-        def covered_count(examples: Sequence[Example]) -> int:
-            if not examples:
-                return 0
-            union = 0
-            for mask in batch_masks(clauses, examples):
-                union |= mask
-            return union.bit_count()
 
-        true_positives = covered_count(test_examples.positives)
-        false_negatives = len(test_examples.positives) - true_positives
-        false_positives = covered_count(test_examples.negatives)
-        return EvaluationResult(true_positives, false_positives, false_negatives)
-    true_positives = 0
-    false_negatives = 0
-    for example in test_examples.positives:
-        if _definition_covers(definition, example, engine):
-            true_positives += 1
-        else:
-            false_negatives += 1
-    false_positives = 0
-    for example in test_examples.negatives:
-        if _definition_covers(definition, example, engine):
-            false_positives += 1
+    # One masks call per example list; a definition covers an example when
+    # ANY clause does, which is the OR of the per-clause positional bitmasks.
+    def covered_count(examples: Sequence[Example]) -> int:
+        if not clauses or not examples:
+            return 0
+        union = 0
+        for mask in engine.covered_masks_batch(clauses, examples):
+            union |= mask
+        return union.bit_count()
+
+    true_positives = covered_count(test_examples.positives)
+    false_negatives = len(test_examples.positives) - true_positives
+    false_positives = covered_count(test_examples.negatives)
     return EvaluationResult(true_positives, false_positives, false_negatives)
-
-
-def _definition_covers(definition: HornDefinition, example: Example, engine: object) -> bool:
-    return any(engine.covers(clause, example) for clause in definition)
 
 
 class FoldOutcome:
@@ -151,10 +131,6 @@ class CrossValidationReport:
     @property
     def mean_learn_seconds(self) -> float:
         return statistics.fmean(o.learn_seconds for o in self.outcomes)
-
-    @property
-    def total_learn_seconds(self) -> float:
-        return sum(o.learn_seconds for o in self.outcomes)
 
     def as_dict(self) -> Dict[str, float]:
         return {

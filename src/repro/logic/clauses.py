@@ -161,10 +161,6 @@ class HornClause:
             self.head.apply(substitution), [a.apply(substitution) for a in self.body]
         )
 
-    def with_body(self, body: Sequence[Atom]) -> "HornClause":
-        """Return a clause with the same head and a new body."""
-        return HornClause(self.head, body)
-
     def add_literal(self, atom: Atom) -> "HornClause":
         """Return a clause with ``atom`` appended to the body."""
         return HornClause(self.head, [*self.body, atom])

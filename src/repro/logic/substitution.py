@@ -7,10 +7,10 @@ constant or to another variable, and occurs-check is unnecessary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 from .atoms import Atom
-from .terms import Constant, Term, Variable
+from .terms import Term, Variable
 
 Substitution = Dict[Variable, Term]
 
@@ -40,11 +40,6 @@ def restrict(substitution: Substitution, variables: Iterable[Variable]) -> Subst
     """Restrict a substitution to the given set of variables."""
     wanted = set(variables)
     return {v: t for v, t in substitution.items() if v in wanted}
-
-
-def is_ground_substitution(substitution: Substitution) -> bool:
-    """True when every binding maps to a constant."""
-    return all(isinstance(t, Constant) for t in substitution.values())
 
 
 def unify_terms(
@@ -115,19 +110,3 @@ def match_atom_to_ground(
             if pat_term != ground_term:
                 return None
     return theta
-
-
-def variables_to_fresh_copies(
-    variables: Iterable[Variable], suffix: str
-) -> Tuple[Substitution, Substitution]:
-    """Build a renaming of ``variables`` to fresh copies and its inverse.
-
-    Used to standardize clauses apart before unification-based operations.
-    """
-    renaming: Substitution = {}
-    inverse: Substitution = {}
-    for var in variables:
-        fresh = Variable(f"{var.name}_{suffix}")
-        renaming[var] = fresh
-        inverse[fresh] = var
-    return renaming, inverse

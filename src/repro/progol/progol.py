@@ -188,12 +188,8 @@ class ProgolLearner(EvaluationKnobs):
         clause_learner = _ProgolClauseLearner(self.schema, self.parameters, coverage)
         covering = CoveringLearner(
             clause_learner,
-            coverage_fn=coverage.covered_examples,
-            precision_fn=lambda clause, pos, neg: precision(
-                len(coverage.covered_examples(clause, pos)),
-                len(coverage.covered_examples(clause, neg)),
-            ),
-            parameters=CoveringParameters(
+            coverage,
+            CoveringParameters(
                 min_precision=self.parameters.min_precision,
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,

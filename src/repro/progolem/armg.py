@@ -11,13 +11,16 @@ decomposed schema does not remove the information that a single composed
 literal carries, so ProGolem produces non-equivalent generalizations across
 (de)compositions.  Castor's variant (in :mod:`repro.castor.armg`) repairs
 this using INDs.
+
+Every prefix probe is one ``covers`` call on the learner's coverage engine:
+the Python subsumption kernel, with its per-(clause, example) cache.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
+from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.examples import Example
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
@@ -27,7 +30,6 @@ def find_blocking_atom(
     clause: HornClause,
     example: Example,
     coverage: SubsumptionCoverageEngine,
-    batch: Optional[BatchCoverageEngine] = None,
 ) -> Optional[int]:
     """Index of the first blocking atom of ``clause`` w.r.t. ``example``.
 
@@ -37,20 +39,11 @@ def find_blocking_atom(
 
     Because prefix coverage is anti-monotone in the prefix length (adding
     literals can only lose coverage), the least failing prefix is found by
-    binary search.  With ``batch`` supplied, each prefix probe goes through
-    the batch seam (the learner's coverage engine, compiled path and cache
-    included); without it, probes are direct subsumption tests.
+    binary search, each probe one ``coverage.covers`` call.
     """
-    saturation = coverage.saturation(example)
-    saturation_index = coverage.saturation_index(example)
 
     def prefix_covers(length: int) -> bool:
-        prefix = HornClause(clause.head, clause.body[:length])
-        if batch is None:
-            return coverage.subsumption.covers_example(
-                prefix, saturation, saturation_index
-            )
-        return bool(batch.covered_masks_batch([prefix], [example])[0] & 1)
+        return coverage.covers(HornClause(clause.head, clause.body[:length]), example)
 
     total = len(clause.body)
     if prefix_covers(total):
@@ -72,19 +65,17 @@ def armg(
     coverage: SubsumptionCoverageEngine,
     post_removal_hook: Optional[Callable[[HornClause, Atom], HornClause]] = None,
     max_iterations: int = 1000,
-    batch: Optional[BatchCoverageEngine] = None,
 ) -> HornClause:
     """Asymmetric relative minimal generalization of ``bottom_clause`` w.r.t. ``example``.
 
     ``post_removal_hook`` is called after each blocking-atom removal with the
     partially reduced clause and the removed atom, and must return the clause
     to continue with — Castor uses it to enforce IND consistency (Section
-    7.2.1).  The standard ProGolem behaviour passes no hook.  ``batch``
-    forwards to :func:`find_blocking_atom`'s prefix probes.
+    7.2.1).  The standard ProGolem behaviour passes no hook.
     """
     current = bottom_clause
     for _ in range(max_iterations):
-        blocking_index = find_blocking_atom(current, example, coverage, batch=batch)
+        blocking_index = find_blocking_atom(current, example, coverage)
         if blocking_index is None:
             break
         removed_atom = current.body[blocking_index]

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
-from ..foil.gain import precision
 from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
@@ -118,10 +117,9 @@ class ProGolemClauseLearner:
     def generalize(self, clause: HornClause, example: Example) -> HornClause:
         """One ARMG application (plain ProGolem semantics).
 
-        Blocking-atom prefix probes route through the learner's batch
-        engine.
+        Blocking-atom prefix probes ask the learner's coverage engine.
         """
-        return armg(clause, example, self.coverage, batch=self.batch)
+        return armg(clause, example, self.coverage)
 
     def reduce(
         self,
@@ -284,13 +282,8 @@ class ProGolemLearner(EvaluationKnobs):
         clause_learner = self.make_clause_learner(instance, coverage)
         covering = CoveringLearner(
             clause_learner,
-            coverage_fn=coverage.covered_examples,
-            coverage_mask_fn=coverage.covered_mask,
-            precision_fn=lambda clause, pos, neg: precision(
-                len(coverage.covered_examples(clause, pos)),
-                len(coverage.covered_examples(clause, neg)),
-            ),
-            parameters=CoveringParameters(
+            coverage,
+            CoveringParameters(
                 min_precision=self.parameters.min_precision,
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,

@@ -484,13 +484,6 @@ class LearningSession:
         dumps."""
         obs_tracer().enable(process=process)
 
-    def disable_tracing(self) -> None:
-        obs_tracer().disable()
-
-    def trace_records(self) -> List[Dict[str, object]]:
-        """Every span recorded so far, as plain dicts."""
-        return [record.to_dict() for record in obs_tracer().records()]
-
     def trace_dump(self, path: str, chrome: bool = False) -> str:
         """Write the recorded trace to ``path`` and return the path.
 
@@ -503,10 +496,6 @@ class LearningSession:
         if chrome:
             return tracer.dump_chrome(path)
         return tracer.dump_json(path)
-
-    def clear_trace(self) -> None:
-        """Drop recorded spans (e.g. between runs being dumped separately)."""
-        obs_tracer().clear()
 
     # ------------------------------------------------------------------ #
     # Lifecycle

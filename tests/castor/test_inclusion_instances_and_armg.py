@@ -143,10 +143,10 @@ class TestNegativeReducer:
         # person/inPhase/years instance is non-essential and may be dropped,
         # but the reduced clause must not cover more negatives than before.
         negatives_before = sum(
-            1 for e in advised_examples.negatives if coverage.covers(clause, e, use_cache=False)
+            1 for e in advised_examples.negatives if coverage.covers(clause, e)
         )
         negatives_after = sum(
-            1 for e in advised_examples.negatives if coverage.covers(reduced, e, use_cache=False)
+            1 for e in advised_examples.negatives if coverage.covers(reduced, e)
         )
         assert negatives_after <= negatives_before
         assert reduced.is_safe()

@@ -1,5 +1,6 @@
 """End-to-end tests for Progol/Aleph, Golem, ProGolem, and Castor learners."""
 
+import pytest
 
 from repro.castor.castor import CastorLearner, CastorParameters
 from repro.castor.bottom_clause import CastorBottomClauseConfig
@@ -95,6 +96,10 @@ class TestCastor:
         learner = self.make_learner(tiny_schema)
         definition = learner.learn(tiny_instance, tiny_examples)
         assert definition.is_safe()
+
+    def test_parameters_reject_a_plain_bottom_clause_config(self):
+        with pytest.raises(TypeError, match="CastorBottomClauseConfig"):
+            CastorParameters(bottom_clause=BottomClauseConfig(max_depth=2))
 
     def test_castor_promote_inds_mode(self, tiny_schema, tiny_instance, tiny_examples):
         learner = self.make_learner(tiny_schema, promote_inds_from_data=True)

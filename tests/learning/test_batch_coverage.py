@@ -3,7 +3,9 @@
 The batch API's contract is that results come back in input order and are
 identical on every backend and, for the query engine, for every
 ``parallelism`` value — parallelism may only change wall-clock time, never
-which examples a clause covers.
+which examples a clause covers.  The subsumption engine answers a question
+about several examples with one SQL statement on backends with compiled
+queries and with the Python kernel otherwise; both must agree.
 """
 
 import pytest
@@ -63,7 +65,7 @@ def reference(workload):
     all_examples = examples.all_examples()
     engines = {
         "query": QueryCoverageEngine(instance),
-        "subsumption": SubsumptionCoverageEngine(instance, compiled=False),
+        "subsumption": SubsumptionCoverageEngine(instance),
     }
     covered = {
         family: [tuple(engine.covered_examples(c, all_examples)) for c in clauses]
@@ -100,21 +102,32 @@ class TestBatchDeterminism:
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
+    @pytest.mark.parametrize("question", ["one-example", "all-examples"])
     def test_subsumption_batch_is_placement_invariant(
-        self, workload, reference, compiled, backend
+        self, workload, reference, question, backend
     ):
         """Subsumption coverage lists the same examples, in the same order,
-        on every backend and decision procedure."""
+        on every backend, whether each question names one example (the
+        Python kernel) or all of them (one statement on the SQLite
+        backends)."""
         instance, clauses, examples = workload
-        batch = BatchCoverageEngine(
-            SubsumptionCoverageEngine(
-                instance.with_backend(backend), compiled=compiled
+        all_examples = examples.all_examples()
+        engine = SubsumptionCoverageEngine(instance.with_backend(backend))
+        if question == "all-examples":
+            _assert_batch_matches(
+                BatchCoverageEngine(engine),
+                clauses,
+                all_examples,
+                reference["subsumption"],
             )
-        )
-        _assert_batch_matches(
-            batch, clauses, examples.all_examples(), reference["subsumption"]
-        )
+            assert (engine.compiled_statements > 0) == (backend != "memory")
+        else:
+            covered = [
+                tuple(e for e in all_examples if engine.covered_examples(c, [e]))
+                for c in clauses
+            ]
+            assert covered == reference["subsumption"]
+            assert engine.compiled_statements == 0
 
     def test_evaluate_batch_matches_per_clause_evaluate(self, workload):
         instance, clauses, examples = workload
@@ -142,8 +155,8 @@ class TestCompiledSubsumptionParity:
     def test_compiled_agrees_with_python_engine(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        python_engine = SubsumptionCoverageEngine(instance, compiled=False)
-        compiled_engine = SubsumptionCoverageEngine(instance, compiled=True)
+        python_engine = SubsumptionCoverageEngine(instance)  # memory
+        compiled_engine = SubsumptionCoverageEngine(instance.with_backend("sqlite"))
         for clause in clauses:
             python_covered = {
                 e.values for e in python_engine.covered_examples(clause, all_examples)
@@ -156,29 +169,29 @@ class TestCompiledSubsumptionParity:
         # wholly from the coverage cache without touching SQL.
         assert compiled_engine.compiled_statements >= len(set(clauses))
 
-    def test_compiled_default_follows_backend(self, workload):
-        instance, _, _ = workload
-        assert not SubsumptionCoverageEngine(instance).compiled_enabled  # memory
-        assert SubsumptionCoverageEngine(
-            instance.with_backend("sqlite")
-        ).compiled_enabled
-        assert SubsumptionCoverageEngine(
-            instance.with_backend("sqlite-pooled")
-        ).compiled_enabled
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_rule_picks_the_procedure(self, workload, backend):
+        """A question about two examples is one compiled statement exactly
+        on the backends with compiled queries; ``covers`` never runs one."""
+        instance, clauses, examples = workload
+        engine = SubsumptionCoverageEngine(instance.with_backend(backend))
+        pair = examples.all_examples()[:2]
+        engine.covered_examples(clauses[0], pair)
+        expected = 1 if backend != "memory" else 0
+        assert engine.compiled_statements == expected
+        engine.covers(clauses[1], pair[0])
+        assert engine.compiled_statements == expected
 
     def test_shared_store_deduplicates_examples(self, workload):
         instance, clauses, examples = workload
+        instance = instance.with_backend("sqlite")
         all_examples = examples.all_examples()
         store = SaturationStore()
-        first = SubsumptionCoverageEngine(
-            instance, compiled=True, saturation_store=store
-        )
+        first = SubsumptionCoverageEngine(instance, saturation_store=store)
         first.covered_examples(clauses[0], all_examples)
         size_after_first = len(store)
         assert size_after_first == len(set(all_examples))
-        second = SubsumptionCoverageEngine(
-            instance, compiled=True, saturation_store=store
-        )
+        second = SubsumptionCoverageEngine(instance, saturation_store=store)
         covered = second.covered_examples(clauses[0], all_examples)
         assert len(store) == size_after_first  # re-added examples deduplicate
         assert {e.values for e in covered} == {
@@ -187,7 +200,7 @@ class TestCompiledSubsumptionParity:
 
     def test_unstorable_examples_fall_back_to_python(self, simple_instance):
         """Examples the store rejects are still answered (via the Python path)."""
-        engine = SubsumptionCoverageEngine(simple_instance, compiled=True)
+        engine = SubsumptionCoverageEngine(simple_instance)
         examples = [
             Example("r1", ("a1", "b1"), True),
             Example("r1", (("tuple", "value"), "b1"), False),  # unstorable head
@@ -203,4 +216,5 @@ class TestCompiledSubsumptionParity:
             ("a2", "b2"),
             ("a3", "b3"),
         ]
-        assert examples[1] in engine._compiled_failed
+        compiled = simple_instance.backend_name != "memory"
+        assert (examples[1] in engine._compiled_failed) == compiled

@@ -93,15 +93,6 @@ class TestSubsumptionCoverageEngine:
         assert engine.saturation(example) is engine.saturation(example)
         assert engine.saturation_index(example) is engine.saturation_index(example)
 
-    def test_mark_generalization_covers_seeds_cache(self, coauthor_instance):
-        engine = SubsumptionCoverageEngine(coauthor_instance)
-        example = Example("advisedBy", ("s1", "p1"), True)
-        general = parse_clause("advisedBy(x, y) :- publication(t, x).")
-        engine.mark_generalization_covers(general, [example])
-        performed = engine.coverage_tests_performed
-        assert engine.covers(general, example)
-        assert engine.coverage_tests_performed == performed
-
 
 class TestEvaluation:
     def test_evaluate_definition_metrics(self, coauthor_instance):

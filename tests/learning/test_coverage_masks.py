@@ -133,29 +133,18 @@ class TestEvaluateDefinitionBatched:
         )
         return definition, examples
 
-    def test_batched_matches_per_example_fallback(self, simple_instance):
+    def test_batched_matches_per_example_decisions(self, simple_instance):
         definition, examples = self._definition_and_examples(simple_instance)
         engine = QueryCoverageEngine(simple_instance)
-        assert hasattr(engine, "covered_masks_batch")
-        batched = evaluate_definition(definition, simple_instance, examples, engine)
 
-        class NoBatchEngine:
-            """Same decisions, no batch surface → per-example fallback path."""
+        def covered(example):
+            return any(engine.covers(clause, example) for clause in definition)
 
-            def covers(self, clause, example):
-                return engine.covers(clause, example)
-
-        fallback = evaluate_definition(
-            definition, simple_instance, examples, NoBatchEngine()
-        )
-        for attribute in (
-            "true_positives",
-            "false_positives",
-            "false_negatives",
-            "precision",
-            "recall",
-        ):
-            assert getattr(batched, attribute) == getattr(fallback, attribute)
+        result = evaluate_definition(definition, simple_instance, examples)
+        true_positives = sum(map(covered, examples.positives))
+        assert result.true_positives == true_positives == 2
+        assert result.false_negatives == len(examples.positives) - true_positives
+        assert result.false_positives == sum(map(covered, examples.negatives)) == 1
 
     def test_definition_coverage_is_clause_union(self, simple_instance):
         definition, examples = self._definition_and_examples(simple_instance)

@@ -35,17 +35,22 @@ def _example_set():
     return examples
 
 
-def _covering(clause_learner, covered_per_round, max_seconds):
-    # Each accepted clause "covers" a fixed chunk of the uncovered positives,
-    # so the loop would need several rounds to finish without a deadline.
-    def coverage_fn(clause, uncovered):
-        return list(uncovered[:covered_per_round])
+class _ChunkCoverage:
+    """Covers the first ``covered_per_round`` examples it is asked about, so
+    the loop would need several rounds to finish without a deadline."""
 
+    def __init__(self, covered_per_round):
+        self.covered_per_round = covered_per_round
+
+    def covered_mask(self, clause, examples):
+        return (1 << min(self.covered_per_round, len(examples))) - 1
+
+
+def _covering(clause_learner, covered_per_round, max_seconds):
     return CoveringLearner(
         clause_learner,
-        coverage_fn=coverage_fn,
-        precision_fn=lambda clause, pos, neg: 1.0,
-        parameters=CoveringParameters(min_positives=1, max_seconds=max_seconds),
+        _ChunkCoverage(covered_per_round),
+        CoveringParameters(min_positives=1, max_seconds=max_seconds),
     )
 
 

@@ -186,7 +186,6 @@ class TestWarmStoreSurvival:
         return SubsumptionCoverageEngine(
             instance,
             BottomClauseConfig(max_depth=2),
-            compiled=True,
             saturation_store=store,
         )
 
@@ -256,7 +255,6 @@ class TestInvalidationLooksUpInsteadOfScanning:
         SubsumptionCoverageEngine(
             instance,
             BottomClauseConfig(max_depth=2),
-            compiled=True,
             saturation_store=store,
         ).materialize(examples)
         assert len(store) == 12
@@ -281,7 +279,6 @@ class TestInvalidationLooksUpInsteadOfScanning:
             engine = SubsumptionCoverageEngine(
                 prepared,
                 BottomClauseConfig(max_depth=2),
-                compiled=True,
                 saturation_store=store,
             )
             engine.materialize([e1, e2])
@@ -341,7 +338,6 @@ def test_delta_maintenance_matches_cold_rebuild(backend, initial_r, initial_s, r
     warm_engine = SubsumptionCoverageEngine(
         warm,
         BottomClauseConfig(max_depth=2),
-        compiled=True,
         saturation_store=warm_store,
     )
     warm_engine.materialize(EXAMPLES)
@@ -361,7 +357,6 @@ def test_delta_maintenance_matches_cold_rebuild(backend, initial_r, initial_s, r
         cold_engine = SubsumptionCoverageEngine(
             cold,
             BottomClauseConfig(max_depth=2),
-            compiled=True,
             saturation_store=cold_store,
         )
         cold_engine.materialize(EXAMPLES)

@@ -138,13 +138,13 @@ def test_materialize_matches_per_example_adds(uwcse_workload):
     """One batched ``materialize`` call stores exactly what per-example
     construction and ``add_example`` calls store."""
     instance, examples = uwcse_workload
+    instance = instance.with_backend("sqlite")
     builder = BottomClauseBuilder(instance, BottomClauseConfig(max_depth=3))
 
     batched_store = SaturationStore()
     engine = SubsumptionCoverageEngine(
         instance,
         BottomClauseConfig(max_depth=3),
-        compiled=True,
         saturation_store=batched_store,
     )
     engine.materialize(examples)

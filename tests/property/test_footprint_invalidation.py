@@ -135,7 +135,6 @@ def _engine(instance: DatabaseInstance, store: SaturationStore):
     return SubsumptionCoverageEngine(
         instance,
         BottomClauseConfig(max_depth=2),
-        compiled=True,
         saturation_store=store,
     )
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import LearningSession, SessionConfig
-from repro.castor.castor import CastorLearner
+from repro.castor.bottom_clause import CastorBottomClauseConfig
+from repro.castor.castor import CastorLearner, CastorParameters
 from repro.datasets import uwcse
 from repro.experiments.harness import LearnerSpec, run_variant
 from repro.foil.foil import FoilLearner, FoilParameters
 from repro.golem.golem import GolemLearner
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.coverage import QueryCoverageEngine, SubsumptionCoverageEngine
+from repro.logic.clauses import HornClause
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.session.session import SessionLearner
 
@@ -155,9 +157,10 @@ def test_learn_scores_at_the_learner_parallelism(
     assert widths == [3]
 
 
-#: Whether a subsumption engine decides coverage with one SQL statement per
-#: clause (the compiled path) on each backend; the Python engine otherwise.
-COMPILED_ON = {"memory": False, "sqlite": True, "sqlite-pooled": True}
+#: Compiled statements a subsumption engine runs for one two-example
+#: question on each backend: one over the saturation store where the backend
+#: has compiled queries, none where the Python kernel answers.
+COMPILED_STATEMENTS = {"memory": 0, "sqlite": 1, "sqlite-pooled": 1}
 
 #: The registry kinds that decide coverage by subsumption (FOIL runs queries).
 SUBSUMPTION_KINDS = ("castor", "golem", "progolem", "progol", "aleph-foil")
@@ -167,14 +170,15 @@ class _EngineBuilt(Exception):
     """Stops ``learn()`` as soon as its coverage engine exists."""
 
 
-@pytest.mark.parametrize("backend", sorted(COMPILED_ON))
+@pytest.mark.parametrize("backend", sorted(COMPILED_STATEMENTS))
 @pytest.mark.parametrize("kind", SUBSUMPTION_KINDS)
 def test_the_backend_decides_the_subsumption_procedure(
     kind, backend, tiny_bundle, monkeypatch
 ):
-    """Learners build their coverage engine with ``compiled=None``: it runs
-    on the session's prepared instance, takes the compiled path exactly on
-    the SQLite backends, and materializes into the session's shared store."""
+    """The coverage engine a learner builds runs on the session's prepared
+    instance, answers a multi-example question with one compiled statement
+    exactly on the SQLite backends, and materializes into the session's
+    shared store."""
     build = SubsumptionCoverageEngine.__init__
 
     def stop_once_built(self, *args, **kwargs):
@@ -194,9 +198,16 @@ def test_the_backend_decides_the_subsumption_procedure(
         prepared = session.prepare(instance)
         assert engine.instance is prepared
         assert prepared.backend_name == backend
-        assert engine.compiled_enabled is COMPILED_ON[backend]
         store = session.saturation_store_for(prepared, learner.wrapped)
         assert engine._compiled_store is store
+        examples = tiny_bundle.examples.positives[:2]
+        bottom = engine.builder.build(examples[0])
+        assert bottom.body
+        engine.covered_examples(HornClause(bottom.head, bottom.body[:2]), examples)
+        assert engine.compiled_statements == COMPILED_STATEMENTS[backend]
+        assert (store.existing_id(examples[0].target, examples[0].values) is None) == (
+            backend == "memory"
+        )
 
 
 def test_session_learner_registry(tiny_bundle):
@@ -250,6 +261,31 @@ def test_repeated_runs_share_one_store_and_instance(tiny_bundle):
         store_second = session.saturation_store_for(prepared_second)
         assert prepared_first is prepared_second
         assert store_first is store_second
+
+
+def test_castor_runs_leave_parameters_and_store_key_unchanged(tiny_bundle):
+    """Learning never writes to Castor's parameters, so repeat runs of one
+    learner object key (and warm) the same saturation store.  The store key
+    is the pickled ``(learner type, parameters)`` pair."""
+    variant = tiny_bundle.variant_names[0]
+    parameters = CastorParameters(
+        sample_size=2,
+        beam_width=2,
+        max_armg_rounds=2,
+        max_clauses=4,
+        bottom_clause=CastorBottomClauseConfig(
+            max_depth=2, max_total_literals=20, use_subset_inds=True
+        ),
+    )
+    learner = CastorLearner(tiny_bundle.schema(variant), parameters)
+    key = LearningSession._learner_fingerprint(learner)
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
+        session.run(tiny_bundle, variant, learner, folds=1)
+        assert LearningSession._learner_fingerprint(learner) == key
+        assert len(session._stores) == 1
+        session.run(tiny_bundle, variant, learner, folds=1)
+        assert LearningSession._learner_fingerprint(learner) == key
+        assert len(session._stores) == 1
 
 
 def test_constructed_learner_follows_the_variant_schema(tiny_bundle):

@@ -71,7 +71,6 @@ def test_update_patches_stores_instead_of_dropping_them():
         engine = SubsumptionCoverageEngine(
             prepared,
             BottomClauseConfig(max_depth=2),
-            compiled=True,
             saturation_store=store,
         )
         engine.materialize([e1, e2])
