@@ -37,7 +37,7 @@ from ..database.sqlite_backend import (
     SaturationStore,
 )
 from ..logic.clauses import HornClause
-from ..logic.subsumption import GroundClauseIndex, SubsumptionEngine
+from ..logic.subsumption import GroundClauseIndex, InternTable, SubsumptionEngine
 from ..logic.terms import Constant
 from .bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from .examples import Example
@@ -176,6 +176,9 @@ class SubsumptionCoverageEngine:
         # clears them on rebind).
         self.builder = self._make_builder(instance, saturation_config)
         self.subsumption = SubsumptionEngine()
+        # One table for every saturation index: a candidate clause is
+        # encoded once, not once per saturation it is tested against.
+        self._intern = InternTable()
         self._compiled = instance.backend.supports_compiled_queries
         self._compiled_store: Optional[SaturationStore] = saturation_store
         self._lock = threading.Lock()
@@ -247,10 +250,14 @@ class SubsumptionCoverageEngine:
         return cached
 
     def saturation_index(self, example: Example) -> GroundClauseIndex:
-        """Hash index over the example's saturation (cached, built on demand)."""
+        """Hash index over the example's saturation (cached, built on demand).
+
+        Every index shares the engine's intern table, and so its clause
+        encodings.
+        """
         cached = self._saturation_index_cache.get(example)
         if cached is None:
-            cached = GroundClauseIndex(self.saturation(example))
+            cached = GroundClauseIndex(self.saturation(example), self._intern)
             self._saturation_index_cache[example] = cached
         return cached
 

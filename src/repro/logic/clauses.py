@@ -9,6 +9,7 @@ predicate — a union of conjunctive queries.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .atoms import Atom, collect_constants, collect_variables
@@ -21,9 +22,11 @@ class HornClause:
 
     The clause is treated as an *ordered clause*: the body is a tuple whose
     order is preserved and significant for the bottom-up generalization
-    operators.  Equality, however, compares head and the body as a multiset,
-    because two clauses that differ only in literal order are logically
-    identical for coverage purposes.
+    operators.  Equality, however, compares the head and the body as a
+    multiset of atoms, because two clauses that differ only in literal order
+    are logically identical for coverage purposes.  Atoms compare by
+    predicate and terms, not by their text: variable ``a`` differs from
+    constant ``a``, and ``Constant(1)`` from ``Constant("1")``.
     """
 
     __slots__ = ("head", "body", "_hash")
@@ -205,9 +208,12 @@ class HornClause:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HornClause):
             return NotImplemented
-        return self.head == other.head and sorted(
-            map(str, self.body)
-        ) == sorted(map(str, other.body))
+        if self._hash != other._hash or self.head != other.head:
+            return False
+        body, other_body = self.body, other.body
+        if len(body) != len(other_body):
+            return False
+        return body == other_body or Counter(body) == Counter(other_body)
 
     def __hash__(self) -> int:
         return self._hash

@@ -9,9 +9,11 @@ between a candidate clause and the *ground bottom clause* of an example
 Two engines are provided:
 
 * :class:`SubsumptionEngine` — the production kernel.  Terms and predicates
-  of the specific clause are **interned to integer ids** once per
-  :class:`GroundClauseIndex`, so the inner matching loop compares plain ints
-  instead of hashing :class:`~repro.logic.terms.Term` objects; bindings live
+  are **interned to integer ids** in an :class:`InternTable` that every
+  :class:`GroundClauseIndex` of one coverage engine shares, so a candidate
+  clause is encoded once however many saturations it is tested against, and
+  the inner matching loop compares plain ints instead of hashing
+  :class:`~repro.logic.terms.Term` objects; bindings live
   in a flat slot array with trail-based undo (no per-candidate substitution
   dict copies); the backtracking search runs on an **explicit stack** (no
   recursion, no ``remaining[:i] + remaining[i+1:]`` list churn); the general
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import registry as obs_registry
@@ -51,20 +52,79 @@ from .substitution import Substitution, match_atom_to_ground
 from .terms import Term, Variable
 
 
+class InternTable:
+    """Term ids, predicate ids and clause encodings shared by many indexes.
+
+    Every :class:`GroundClauseIndex` built over one table numbers terms and
+    predicate keys the same way, so a general clause's encoding depends only
+    on the table: it is built once per distinct clause and reused against
+    every index.  A coverage engine owns one table for all its saturations;
+    an index built without one gets a fresh table of its own.  Interning
+    and encoding run under one (re-entrant) lock; lookups of known ids and
+    cached encodings take no lock.
+    """
+
+    __slots__ = ("terms", "_term_ids", "_pred_ids", "_encodings", "_lock")
+
+    def __init__(self) -> None:
+        self.terms: List[Term] = []
+        self._term_ids: Dict[Term, int] = {}
+        self._pred_ids: Dict[Tuple[str, int], int] = {}
+        self._encodings: Dict[HornClause, _EncodedClause] = {}
+        self._lock = threading.RLock()
+
+    def term_id(self, term: Term) -> int:
+        """Stable integer id of ``term``, interning it on first sight.
+
+        A term absent from an index gets an id with no positional entries
+        there, so lookups through it fail exactly as Term-level matching
+        would.
+        """
+        term_id = self._term_ids.get(term)
+        if term_id is None:
+            with self._lock:
+                term_id = self._term_ids.get(term)
+                if term_id is None:
+                    term_id = self._term_ids[term] = len(self.terms)
+                    self.terms.append(term)
+        return term_id
+
+    def pred_id(self, key: Tuple[str, int]) -> int:
+        """Stable integer id of a ``(predicate, arity)`` key."""
+        pred_id = self._pred_ids.get(key)
+        if pred_id is None:
+            with self._lock:
+                pred_id = self._pred_ids.get(key)
+                if pred_id is None:
+                    pred_id = self._pred_ids[key] = len(self._pred_ids)
+        return pred_id
+
+    def encode(self, general: HornClause) -> "_EncodedClause":
+        """``general`` compiled against this table's ids (cached per clause)."""
+        encoded = self._encodings.get(general)
+        if encoded is None:
+            with self._lock:
+                encoded = self._encodings.get(general)
+                if encoded is None:
+                    encoded = self._encodings[general] = _EncodedClause(
+                        general, self
+                    )
+        return encoded
+
+
 class _EncodedClause:
-    """A general clause compiled against one index's intern tables.
+    """A general clause compiled against one :class:`InternTable`.
 
     ``patterns[i]`` is ``(pred_id, codes, var_slots)`` for the i-th body
-    literal: ``codes`` holds one int per argument — a non-negative interned
-    term id for constants, ``-(slot + 1)`` for variables — and ``var_slots``
-    the distinct variable slots the literal mentions (the memo profile).
+    literal: ``codes`` holds one int per argument — the interned term id for
+    constants, ``-(slot + 1)`` for variables — and ``var_slots`` the
+    distinct variable slots the literal mentions (the memo profile).
     ``components`` groups body-literal positions into variable-connected
     components; literals in different components share no free variable, so
     the search solves each independently.
     """
 
     __slots__ = (
-        "satisfiable",
         "var_count",
         "head_slot_items",
         "slot_items",
@@ -72,57 +132,13 @@ class _EncodedClause:
         "components",
     )
 
-    def __init__(
-        self,
-        satisfiable: bool,
-        var_count: int = 0,
-        head_slot_items: Tuple[Tuple[Variable, int], ...] = (),
-        slot_items: Tuple[Tuple[Variable, int], ...] = (),
-        patterns: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...] = (),
-        components: Tuple[Tuple[int, ...], ...] = (),
-    ):
-        self.satisfiable = satisfiable
-        self.var_count = var_count
-        self.head_slot_items = head_slot_items
-        self.slot_items = slot_items
-        self.patterns = patterns
-        self.components = components
-
-
-_UNSATISFIABLE = _EncodedClause(False)
-
-
-class _ClauseShape:
-    """The index-independent part of a general clause's encoding.
-
-    Variable slot numbering, literal patterns, and the variable-connected
-    components depend only on the clause itself, so they are computed once
-    per clause (module-level LRU) and shared by every index the clause is
-    tested against; :meth:`GroundClauseIndex._build_encoding` only has to
-    translate predicate keys and constants into that index's intern ids.
-    ``patterns[i]`` is ``(pred_key, codes, var_slots)`` with variables coded
-    as ``-(slot + 1)`` and constants as non-negative positions into
-    ``constants``.
-    """
-
-    __slots__ = (
-        "var_count",
-        "head_slot_count",
-        "slot_items",
-        "constants",
-        "patterns",
-        "components",
-    )
-
-    def __init__(self, general: HornClause):
+    def __init__(self, general: HornClause, table: InternTable):
         slot_of: Dict[Variable, int] = {}
         for term in general.head.terms:
             if isinstance(term, Variable) and term not in slot_of:
                 slot_of[term] = len(slot_of)
         head_slot_count = len(slot_of)
-        constant_of: Dict[Term, int] = {}
-        constants: List[Term] = []
-        patterns: List[Tuple[Tuple[str, int], Tuple[int, ...], Tuple[int, ...]]] = []
+        patterns: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         for atom in general.body:
             codes: List[int] = []
             var_slots: List[int] = []
@@ -135,13 +151,13 @@ class _ClauseShape:
                     if slot not in var_slots:
                         var_slots.append(slot)
                 else:
-                    position = constant_of.get(term)
-                    if position is None:
-                        position = constant_of[term] = len(constants)
-                        constants.append(term)
-                    codes.append(position)
+                    codes.append(table.term_id(term))
             patterns.append(
-                ((atom.predicate, len(atom.terms)), tuple(codes), tuple(var_slots))
+                (
+                    table.pred_id((atom.predicate, len(atom.terms))),
+                    tuple(codes),
+                    tuple(var_slots),
+                )
             )
 
         # Variable-connected components over *free* (non-head) slots: head
@@ -171,179 +187,72 @@ class _ClauseShape:
         for i in range(len(patterns)):
             grouped.setdefault(find(i), []).append(i)
         self.var_count = len(slot_of)
-        self.head_slot_count = head_slot_count
         self.slot_items = tuple(slot_of.items())
-        self.constants = tuple(constants)
+        self.head_slot_items = self.slot_items[:head_slot_count]
         self.patterns = tuple(patterns)
         self.components = tuple(
             tuple(group) for group in sorted(grouped.values(), key=lambda g: g[0])
         )
 
 
-@lru_cache(maxsize=4096)
-def _clause_shape(general: HornClause) -> _ClauseShape:
-    return _ClauseShape(general)
-
-
 class GroundClauseIndex:
     """Interned hash index over the body literals of a (typically ground) clause.
 
-    Every term and predicate of the clause is interned to an integer id at
-    construction; the positional index maps ``(pred_id, position, term_id)``
-    to the literals whose ``position``-th argument is that term, so candidate
-    retrieval and matching run entirely on ints.  Building the index once per
-    saturation and reusing it across the many coverage tests of a learning
-    run is the optimization that Castor's in-memory-RDBMS design point
-    corresponds to.
+    Every term and predicate of the clause is interned to an integer id of
+    the index's :class:`InternTable` at construction; the positional index
+    maps ``(pred_id, position, term_id)`` to the literals whose
+    ``position``-th argument is that term, so candidate retrieval and
+    matching run entirely on ints.  Building the index once per saturation
+    and reusing it across the many coverage tests of a learning run is the
+    optimization that Castor's in-memory-RDBMS design point corresponds to.
 
-    General clauses are compiled against the index's intern tables by
-    :meth:`encode` (cached per clause — repeated tests of the same candidate
-    against the same saturation skip re-encoding).  The legacy Term-level
-    ``by_predicate`` / ``by_position`` views used by
+    General clauses are compiled by :meth:`encode`, which the table caches
+    per clause: indexes sharing a table (a coverage engine's saturations)
+    share every encoding.  Without ``table`` the index gets a fresh one.
+    The legacy Term-level ``by_predicate`` / ``by_position`` views used by
     :class:`ReferenceSubsumptionEngine` are built lazily on first access.
     """
 
     __slots__ = (
         "clause",
-        "_term_ids",
-        "_terms",
-        "_pred_ids",
+        "table",
         "_atoms",
         "_atom_args",
         "_atoms_by_pred",
         "_pos_index",
-        "_encoded",
-        "_encode_lock",
         "_legacy_by_predicate",
         "_legacy_by_position",
     )
 
-    def __init__(self, clause: HornClause):
+    def __init__(self, clause: HornClause, table: Optional[InternTable] = None):
         self.clause = clause
-        term_ids: Dict[Term, int] = {}
-        terms: List[Term] = []
-        pred_ids: Dict[Tuple[str, int], int] = {}
+        self.table = table = InternTable() if table is None else table
+        term_id = table.term_id
         atoms: List[Atom] = []
         atom_args: List[Tuple[int, ...]] = []
         atoms_by_pred: Dict[int, List[int]] = {}
         pos_index: Dict[Tuple[int, int, int], List[int]] = {}
         for atom in clause.body:
-            pred_key = (atom.predicate, len(atom.terms))
-            pred_id = pred_ids.get(pred_key)
-            if pred_id is None:
-                pred_id = pred_ids[pred_key] = len(pred_ids)
+            pred_id = table.pred_id((atom.predicate, len(atom.terms)))
             atom_index = len(atoms)
             atoms.append(atom)
-            args = []
-            for term in atom.terms:
-                term_id = term_ids.get(term)
-                if term_id is None:
-                    term_id = len(terms)
-                    terms.append(term)
-                    term_ids[term] = term_id
-                args.append(term_id)
-            args_tuple = tuple(args)
+            args_tuple = tuple([term_id(term) for term in atom.terms])
             atom_args.append(args_tuple)
             atoms_by_pred.setdefault(pred_id, []).append(atom_index)
-            for position, term_id in enumerate(args_tuple):
-                pos_index.setdefault((pred_id, position, term_id), []).append(
+            for position, value in enumerate(args_tuple):
+                pos_index.setdefault((pred_id, position, value), []).append(
                     atom_index
                 )
-        # Head terms are interned too: head matching binds general-clause
-        # variables to them, and those bindings need stable ids even when the
-        # term never occurs in the body (searches through such a binding then
-        # fail via a positional-index miss, as they must).
-        for term in clause.head.terms:
-            if term not in term_ids:
-                terms.append(term)
-                term_ids[term] = len(terms) - 1
-        self._term_ids = term_ids
-        self._terms = terms
-        self._pred_ids = pred_ids
         self._atoms = atoms
         self._atom_args = atom_args
         self._atoms_by_pred = atoms_by_pred
         self._pos_index = pos_index
-        self._encoded: Dict[HornClause, _EncodedClause] = {}
-        self._encode_lock = threading.Lock()
         self._legacy_by_predicate: Optional[Dict[Tuple[str, int], List[Atom]]] = None
         self._legacy_by_position: Optional[Dict[Tuple[str, int, int, Term], List[Atom]]] = None
 
-    # ------------------------------------------------------------------ #
-    # Interned representation
-    # ------------------------------------------------------------------ #
-    def intern_id(self, term: Term) -> int:
-        """Stable integer id of ``term``, interning it on first sight.
-
-        Terms absent from the indexed clause get fresh ids with no positional
-        entries, so lookups through them fail exactly as Term-level matching
-        would.
-        """
-        term_id = self._term_ids.get(term)
-        if term_id is None:
-            with self._encode_lock:
-                term_id = self._term_ids.get(term)
-                if term_id is None:
-                    self._terms.append(term)
-                    term_id = len(self._terms) - 1
-                    self._term_ids[term] = term_id
-        return term_id
-
     def encode(self, general: HornClause) -> _EncodedClause:
-        """Compile ``general`` against this index's intern tables (cached)."""
-        encoded = self._encoded.get(general)
-        if encoded is None:
-            with self._encode_lock:
-                encoded = self._encoded.get(general)
-                if encoded is None:
-                    encoded = self._build_encoding(general)
-                    self._encoded[general] = encoded
-        return encoded
-
-    def _build_encoding(self, general: HornClause) -> _EncodedClause:
-        """Translate the clause's (cached) shape into this index's ids.
-
-        Runs under ``_encode_lock`` (see :meth:`encode`), which also covers
-        the interning of constants absent from the specific clause.
-        """
-        shape = _clause_shape(general)
-        pred_ids = self._pred_ids
-        term_ids = self._term_ids
-        constant_ids: List[int] = []
-        for term in shape.constants:
-            term_id = term_ids.get(term)
-            if term_id is None:
-                # Constant absent from the specific clause; interning keeps
-                # the code well-defined while positional lookups through it
-                # miss, failing the literal as they must.
-                self._terms.append(term)
-                term_id = len(self._terms) - 1
-                term_ids[term] = term_id
-            constant_ids.append(term_id)
-        patterns: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-        for pred_key, codes, var_slots in shape.patterns:
-            pred_id = pred_ids.get(pred_key)
-            if pred_id is None:
-                # No body literal of the specific clause has this predicate:
-                # the general clause can never map onto it.
-                return _UNSATISFIABLE
-            patterns.append(
-                (
-                    pred_id,
-                    tuple(
-                        code if code < 0 else constant_ids[code] for code in codes
-                    ),
-                    var_slots,
-                )
-            )
-        return _EncodedClause(
-            True,
-            var_count=shape.var_count,
-            head_slot_items=shape.slot_items[: shape.head_slot_count],
-            slot_items=shape.slot_items,
-            patterns=tuple(patterns),
-            components=shape.components,
-        )
+        """Compile ``general`` against this index's table (cached per table)."""
+        return self.table.encode(general)
 
     # ------------------------------------------------------------------ #
     # Legacy Term-level views (reference engine + compatibility)
@@ -485,12 +394,10 @@ class SubsumptionEngine:
         if index is None or index.clause is not specific:
             index = GroundClauseIndex(specific)
         encoded = index.encode(general)
-        if not encoded.satisfiable:
-            return None
-
+        term_id = index.table.term_id
         bindings = [-1] * encoded.var_count
         for variable, slot in encoded.head_slot_items:
-            bindings[slot] = index.intern_id(theta[variable])
+            bindings[slot] = term_id(theta[variable])
 
         budget = self.max_backtracks
         memo: Dict[Tuple[int, Tuple[int, ...]], Sequence[int]] = {}
@@ -504,7 +411,7 @@ class SubsumptionEngine:
             if not matched:
                 return None
 
-        terms = index._terms
+        terms = index.table.terms
         for variable, slot in encoded.slot_items:
             bound = bindings[slot]
             if bound >= 0 and variable not in theta:
@@ -563,7 +470,7 @@ def _solve_component(
         bindings=bindings,
         memo=memo,
         memo_get=memo.get,
-        atoms_by_pred=atoms_by_pred,
+        atoms_by_pred_get=atoms_by_pred.get,
         pos_index_get=pos_index.get,
     ) -> bool:
         """Pick the most-constrained remaining literal; False on a dead end."""
@@ -575,7 +482,9 @@ def _solve_component(
             key = (atom_position, tuple([bindings[slot] for slot in var_slots]))
             cands = memo_get(key)
             if cands is None:
-                cands = atoms_by_pred[pred_id]
+                # A predicate the specific clause lacks has no entries:
+                # the literal, and so the clause, cannot map onto it.
+                cands = atoms_by_pred_get(pred_id, ())
                 for position, code in enumerate(codes):
                     if code < 0:
                         value = bindings[-1 - code]

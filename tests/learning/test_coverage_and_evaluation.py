@@ -93,6 +93,20 @@ class TestSubsumptionCoverageEngine:
         assert engine.saturation(example) is engine.saturation(example)
         assert engine.saturation_index(example) is engine.saturation_index(example)
 
+    @pytest.mark.parametrize("backend", ["memory"])
+    def test_clause_is_encoded_once_per_engine(self, coauthor_instance):
+        engine = SubsumptionCoverageEngine(coauthor_instance)
+        examples = example_set().all_examples()
+        assert len(examples) >= 3
+        engine.covered_examples(ADVISED_CLAUSE, examples)
+        rebuilt = parse_clause(str(ADVISED_CLAUSE))
+        assert rebuilt is not ADVISED_CLAUSE and rebuilt == ADVISED_CLAUSE
+        encoded = engine.saturation_index(examples[0]).encode(ADVISED_CLAUSE)
+        for example in examples:
+            index = engine.saturation_index(example)
+            assert index.encode(ADVISED_CLAUSE) is encoded
+            assert index.encode(rebuilt) is encoded
+
 
 class TestEvaluation:
     def test_evaluate_definition_metrics(self, coauthor_instance):

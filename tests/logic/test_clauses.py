@@ -83,6 +83,27 @@ class TestHornClause:
             [Atom("publication", [Z, Y]), Atom("publication", [Z, X])],
         )
         assert clause_a == clause_b
+        assert hash(clause_a) == hash(clause_b)
+
+    def test_equality_distinguishes_variable_from_constant_of_same_text(self):
+        head = Atom("t", [X])
+        with_variable = HornClause(head, [Atom("r", [X, Variable("a")])])
+        with_constant = HornClause(head, [Atom("r", [X, Constant("a")])])
+        assert str(with_variable) == str(with_constant)
+        assert with_variable != with_constant
+
+    def test_equality_distinguishes_constant_types(self):
+        head = Atom("t", [X])
+        with_int = HornClause(head, [Atom("r", [X, Constant(1)])])
+        with_str = HornClause(head, [Atom("r", [X, Constant("1")])])
+        assert with_int != with_str
+
+    def test_equality_counts_repeated_literals(self):
+        q, r = Atom("q", [X]), Atom("r", [X])
+        head = Atom("t", [X])
+        assert HornClause(head, [q, q, r]) != HornClause(head, [q, r, r])
+        assert HornClause(head, [q, q, r]) == HornClause(head, [r, q, q])
+        assert HornClause(head, [q, r]) != HornClause(head, [q, r, r])
 
     def test_str_round_trips_through_parser(self):
         clause = make_collaborated()

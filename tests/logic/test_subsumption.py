@@ -4,9 +4,13 @@ Parser convention reminder: single lowercase letters (``x``, ``y``, ``p``) are
 variables; multi-letter lowercase words (``alice``, ``paper1``) are constants.
 """
 
+import sys
+import threading
+
 from repro.logic.parser import parse_clause
 from repro.logic.subsumption import (
     GroundClauseIndex,
+    InternTable,
     SubsumptionEngine,
     clauses_equivalent,
     theta_subsumes,
@@ -110,6 +114,66 @@ class TestSubsumption:
         candidates = index.candidates(pattern, theta)
         assert len(candidates) == 1
         assert candidates[0].terms[0] == Constant("carol")
+
+
+class TestInternTable:
+    def test_indexes_sharing_a_table_share_ids_and_encodings(self):
+        table = InternTable()
+        first = GroundClauseIndex(parse_clause("t(alice) :- r(alice, bob)."), table)
+        second = GroundClauseIndex(parse_clause("t(bob) :- s(bob), r(bob, alice)."), table)
+        general = parse_clause("t(x) :- r(x, y).")
+        assert first.encode(general) is second.encode(general)
+        assert ENGINE.subsumes(general, first.clause, first)
+        assert ENGINE.subsumes(general, second.clause, second)
+        # ``s`` is absent from the first saturation: a lookup miss, not an
+        # error, decides it.
+        absent = parse_clause("t(x) :- s(x).")
+        assert not ENGINE.subsumes(absent, first.clause, first)
+        assert ENGINE.subsumes(absent, second.clause, second)
+
+    def test_concurrent_interning_gives_one_id_per_term(self):
+        table = InternTable()
+        specifics = [
+            parse_clause(f"t(ann{i}) :- r(ann{i}, bob{i % 7}), s(bob{i % 7}, cal{i % 5}).")
+            for i in range(300)
+        ]
+        general = parse_clause("t(x) :- r(x, y), s(y, z).")
+        results = []
+        workers_count = 8
+        start = threading.Barrier(workers_count)
+
+        def work():
+            start.wait(timeout=60)
+            indexes = [GroundClauseIndex(specific, table) for specific in specifics]
+            results.append(
+                (
+                    [index._atom_args for index in indexes],
+                    {id(index.encode(general)) for index in indexes},
+                    all(
+                        ENGINE.subsumes(general, index.clause, index)
+                        for index in indexes
+                    ),
+                )
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(workers_count)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == len(workers)
+        # A lost update would give one term two ids: threads would then
+        # disagree on the encoded atoms, or the table would hold a term twice.
+        assert all(args == results[0][0] for args, _, _ in results)
+        assert len({encoding for _, encodings, _ in results for encoding in encodings}) == 1
+        assert all(covered for _, _, covered in results)
+        assert len(table.terms) == len(set(table.terms))
 
 
 class TestEquivalence:

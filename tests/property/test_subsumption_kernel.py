@@ -6,11 +6,14 @@ must be an observationally identical drop-in for the original recursive
 on random clause pairs (hypothesis) and on realistic UW-CSE saturation
 workloads, and every positive verdict must come with a *valid* witness
 substitution (applying it maps the general clause into the specific one).
-Generous backtrack budgets keep both engines inside exact territory, where
-decisions are uniquely determined.
+The kernel runs both on fresh indexes and the way the coverage engine runs
+it: many saturation indexes over one shared
+:class:`~repro.logic.subsumption.InternTable`.  Generous backtrack budgets
+keep both engines inside exact territory, where decisions are uniquely
+determined.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 import pytest
 
 from repro.datasets import uwcse
@@ -20,6 +23,7 @@ from repro.logic.clauses import HornClause
 from repro.logic.lgg import lgg_clauses
 from repro.logic.subsumption import (
     GroundClauseIndex,
+    InternTable,
     ReferenceSubsumptionEngine,
     SubsumptionEngine,
 )
@@ -53,6 +57,8 @@ specific_clauses = st.builds(
     st.lists(constants, min_size=1, max_size=2),
     st.lists(atom_strategy(constants), min_size=0, max_size=6),
 )
+general_lists = st.lists(general_clauses, min_size=1, max_size=4)
+specific_lists = st.lists(specific_clauses, min_size=1, max_size=4)
 
 
 def assert_witness_valid(theta, general, specific):
@@ -63,6 +69,51 @@ def assert_witness_valid(theta, general, specific):
     for literal in general.body:
         mapped = literal.apply(theta)
         assert mapped in specific_body, (literal, mapped)
+
+
+def _body_keys(clause):
+    return {(atom.predicate, atom.arity) for atom in clause.body}
+
+
+def _body_constants(clause):
+    return {term for atom in clause.body for term in atom.constants()}
+
+
+def reaches_shared_table_paths(generals, specifics):
+    """True when the case reaches the three paths a shared table adds: a
+    general literal whose predicate some saturation lacks, a general
+    constant some saturation lacks, and a later saturation that reuses ids
+    an earlier one interned."""
+    lacks_predicate = any(
+        _body_keys(general) - _body_keys(specific)
+        for general in generals
+        for specific in specifics
+    )
+    lacks_constant = any(
+        _body_constants(general) - _body_constants(specific)
+        for general in generals
+        for specific in specifics
+    )
+    reuses_ids = any(
+        _body_constants(earlier) & _body_constants(later)
+        for i, earlier in enumerate(specifics)
+        for later in specifics[i + 1 :]
+    )
+    return lacks_predicate and lacks_constant and reuses_ids
+
+
+C0, C1, C2 = Constant("c0"), Constant("c1"), Constant("c2")
+X0 = Variable("x0")
+SHARED_TABLE_CASE = (
+    [
+        HornClause(Atom("t", [X0]), [Atom("q", [X0])]),
+        HornClause(Atom("t", [X0]), [Atom("p", [X0, C2])]),
+    ],
+    [
+        HornClause(Atom("t", [C0]), [Atom("p", [C0, C1])]),
+        HornClause(Atom("t", [C1]), [Atom("q", [C1]), Atom("p", [C1, C2])]),
+    ],
+)
 
 
 class TestKernelMatchesReferenceRandom:
@@ -86,6 +137,41 @@ class TestKernelMatchesReferenceRandom:
     def test_kernel_is_reflexive(self, clause):
         witness = KERNEL.subsumption_substitution(clause, clause)
         assert witness is not None
+
+
+class TestKernelOnSharedTable:
+    """Many indexes over one intern table, as the coverage engine runs them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_lists, specific_lists)
+    @example(*SHARED_TABLE_CASE)
+    def test_identical_verdicts_and_valid_witnesses(self, generals, specifics):
+        table = InternTable()
+        indexes = []
+        # Saturations join the table one at a time between sweeps, so a
+        # later index reuses ids interned both by earlier indexes and by
+        # earlier encodings.
+        for specific in specifics:
+            indexes.append(GroundClauseIndex(specific, table))
+            for general in generals:
+                for index in indexes:
+                    reference_verdict = REFERENCE.subsumes(general, index.clause)
+                    witness = KERNEL.subsumption_substitution(
+                        general, index.clause, index
+                    )
+                    assert (witness is not None) == reference_verdict
+                    if witness is not None:
+                        assert_witness_valid(witness, general, index.clause)
+
+    def test_generator_reaches_shared_table_paths(self):
+        assert reaches_shared_table_paths(*SHARED_TABLE_CASE)
+        found = find(
+            st.tuples(general_lists, specific_lists),
+            lambda case: reaches_shared_table_paths(*case),
+            # The first hit is enough: shrinking it would only cost time.
+            settings=settings(database=None, phases=[Phase.generate]),
+        )
+        assert reaches_shared_table_paths(*found)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +204,8 @@ def uwcse_workload():
 class TestKernelMatchesReferenceOnUwCse:
     def test_identical_verdicts_on_saturation_pairs(self, uwcse_workload):
         saturations, candidates = uwcse_workload
-        indexes = [GroundClauseIndex(s) for s in saturations]
+        table = InternTable()
+        indexes = [GroundClauseIndex(s, table) for s in saturations]
         checked = positive = 0
         for candidate in candidates:
             for saturation, index in zip(saturations, indexes):
