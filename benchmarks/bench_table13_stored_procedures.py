@@ -97,21 +97,30 @@ def time_saturation(
     over the backend's set-at-a-time saturation capability (one
     ``build_ground_many`` call for the whole set).
     ``compiled=False`` is the pre-batching baseline: one example at a time,
-    one Python ``tuples_containing`` round-trip per frontier constant.  The
-    builder is constructed inside the timed region on every repeat so
-    metadata compilation is charged to both paths alike.
+    one Python ``tuples_containing`` round-trip per frontier constant, on a
+    fresh builder per example (as ``StoredProcedureRunner``'s path without
+    stored procedures) so no lookup carries over from an earlier example.
+    Builders are constructed inside the timed region on every repeat so
+    metadata compilation is charged to both paths.
     """
     clauses: List[str] = []
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        builder = CastorBottomClauseBuilder(
-            instance, config=config, use_compiled_lookups=compiled
-        )
         if compiled:
+            builder = CastorBottomClauseBuilder(
+                instance, config=config, use_compiled_lookups=True
+            )
             clauses = [str(c) for c in builder.build_ground_many(examples)]
         else:
-            clauses = [str(builder.build_ground(example)) for example in examples]
+            clauses = [
+                str(
+                    CastorBottomClauseBuilder(
+                        instance, config=config, use_compiled_lookups=False
+                    ).build_ground(example)
+                )
+                for example in examples
+            ]
         best = min(best, time.perf_counter() - start)
     return best, clauses
 

@@ -20,10 +20,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..database.constraints import InclusionDependency
+from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
-from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
-from ..logic.atoms import Atom
+from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig, Row
+
+#: One IND to chase: (other relation, own positions, other positions).
+ChaseStep = Tuple[str, Tuple[int, ...], Tuple[int, ...]]
+#: One join-cache key a changed row evicts: (joined relation, its
+#: positions, the changed row's positions that hold the key values).
+JoinEviction = Tuple[str, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CastorBottomClauseConfig(BottomClauseConfig):
@@ -84,8 +90,9 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         # Compiled per-relation chase plan: (other relation, own positions,
         # other positions) per IND, resolved once per schema instead of per
         # chased tuple (part of the "stored procedure" compilation step).
-        self._chase_plan: Dict[str, List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]]] = {}
+        self._chase_plan: Dict[str, List[ChaseStep]] = {}
         self._prepare_inclusion_metadata()
+        self._evictions = self._join_evictions()
 
     def _theory_schema(self) -> Schema:
         return self.schema
@@ -106,9 +113,7 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         """INDs Castor chases when a tuple of ``relation`` enters the clause."""
         return self._inds_by_relation.get(relation, [])
 
-    def _chase_plan_for(
-        self, relation: str
-    ) -> List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]]:
+    def _chase_plan_for(self, relation: str) -> List[ChaseStep]:
         """Resolved join positions for every IND chased from ``relation``."""
         plan = self._chase_plan.get(relation)
         if plan is None:
@@ -127,73 +132,102 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         return plan
 
     # ------------------------------------------------------------------ #
+    # Builder-lifetime join cache
+    # ------------------------------------------------------------------ #
+    def _reset_caches(self) -> None:
+        super()._reset_caches()
+        # ``(relation, positions, key values) -> sorted matching rows``.
+        self._joins: Dict[Tuple[str, Tuple[int, ...], Row], List[Row]] = {}
+
+    def _join_evictions(self) -> Dict[str, Tuple[JoinEviction, ...]]:
+        """``relation -> ((joined relation, its positions, row positions), ...)``.
+
+        For a changed row of ``relation``, each entry names one join cache
+        key to drop: a chase lookup into ``relation`` that the row matches
+        (its answer changes), or the lookup keyed by the row's own values
+        (so the cache keeps nothing of a removed row).
+        """
+        evictions: Dict[str, Set[JoinEviction]] = {}
+        for relation in self._inds_by_relation:
+            for other_name, own, other in self._chase_plan_for(relation):
+                evictions.setdefault(other_name, set()).add((other_name, other, other))
+                evictions.setdefault(relation, set()).add((other_name, other, own))
+        return {relation: tuple(keys) for relation, keys in evictions.items()}
+
+    def apply_delta(self, delta: Delta) -> None:
+        """Also evict the IND-chase joins ``delta`` can change, one ``pop``
+        per changed row and chased IND."""
+        joins = self._joins
+        for _op, relation, rows in delta.ops:
+            for other_name, other, positions in self._evictions.get(relation, ()):
+                for row in rows:
+                    joins.pop((other_name, other, tuple(row[p] for p in positions)), None)
+        super().apply_delta(delta)
+
+    # ------------------------------------------------------------------ #
     # Construction hook: one admitted tuple plus its inclusion-class chase
     # ------------------------------------------------------------------ #
     def _add_neighbor(
         self,
         state,
         relation_name: str,
-        row: Tuple[object, ...],
+        row: Row,
         next_frontier: Set[object],
     ) -> None:
         """Add one tuple's literal and chase the INDs of its inclusion class."""
-        pending: List[Tuple[str, Tuple[object, ...]]] = [(relation_name, row)]
-        while pending:
-            current_relation, current_row = pending.pop(0)
-            key = (current_relation, current_row)
+        pending: List[Tuple[str, Row]] = [(relation_name, row)]
+        index = 0
+        while index < len(pending):
+            key = pending[index]
+            index += 1
             if key in state.seen_rows:
                 continue
             if len(state.body) >= self.config.max_total_literals:
+                state.truncated.add("max_total_literals")
                 return
+            current_relation, current_row = key
             state.seen_rows.add(key)
-            state.body.append(
-                Atom(current_relation, [self._term_for(state, v) for v in current_row])
-            )
+            state.body.append(self._literal(state, current_relation, current_row))
             for value in current_row:
                 if value not in state.known_constants:
                     state.known_constants.add(value)
                     next_frontier.add(value)
-            pending.extend(
-                self._joining_tuples(
-                    current_relation, current_row, state.seen_rows, state.join_cache
-                )
-            )
+            pending.extend(self._joining_tuples(state, current_relation, current_row))
 
     def _joining_tuples(
-        self,
-        relation_name: str,
-        row: Tuple[object, ...],
-        seen_rows: Set[Tuple[str, Tuple[object, ...]]],
-        join_cache: Optional[Dict[object, List[Tuple[object, ...]]]] = None,
-    ) -> List[Tuple[str, Tuple[object, ...]]]:
+        self, state, relation_name: str, row: Row
+    ) -> List[Tuple[str, Row]]:
         """Tuples of sibling relations that join with ``row`` through the class INDs.
 
-        The underlying index lookups are pure functions of the database, so
-        a batch-scoped ``join_cache`` (shared by every example of one
-        construction call) deduplicates them across the generation; the
-        per-call ``seen_rows`` filter stays outside the cache.
+        The index lookups are pure functions of the database, so their
+        sorted answers live in the builder's join cache until a delta
+        changes them; the per-clause ``seen_rows`` filter stays outside it.
+        The chase admits at least one joining tuple per IND, even at a cap
+        of 0.
         """
-        joining: List[Tuple[str, Tuple[object, ...]]] = []
+        joining: List[Tuple[str, Row]] = []
+        limit = max(self.config.max_joining_tuples_per_ind, 1)
+        joins = self._joins
         for other_name, own_positions, other_positions in self._chase_plan_for(
             relation_name
         ):
             key_values = tuple(row[p] for p in own_positions)
             cache_key = (other_name, other_positions, key_values)
-            matches = None if join_cache is None else join_cache.get(cache_key)
+            matches = joins.get(cache_key)
             if matches is None:
                 bindings = dict(zip(other_positions, key_values))
                 matches = sorted(
                     self.instance.relation(other_name).tuples_matching(bindings),
                     key=lambda r: tuple(map(str, r)),
                 )
-                if join_cache is not None:
-                    join_cache[cache_key] = matches
+                joins[cache_key] = matches
             added = 0
             for match in matches:
-                if (other_name, match) in seen_rows:
+                if (other_name, match) in state.seen_rows:
                     continue
+                if added >= limit:
+                    state.truncated.add("max_joining_tuples_per_ind")
+                    break
                 joining.append((other_name, match))
                 added += 1
-                if added >= self.config.max_joining_tuples_per_ind:
-                    break
         return joining

@@ -23,11 +23,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Term, Variable
+from ..obs import registry as obs_registry
 from .examples import Example
+
+Row = Tuple[object, ...]
+Neighbors = Dict[object, List[Tuple[str, Row]]]
 
 
 class BottomClauseConfig:
@@ -141,7 +146,7 @@ class _ConstructionState:
         "known_constants",
         "frontier",
         "depth",
-        "join_cache",
+        "truncated",
     )
 
     def __init__(self, example: Example, variablize: bool):
@@ -151,15 +156,13 @@ class _ConstructionState:
         self.variable_of: Dict[object, Variable] = {}
         self.head: Optional[Atom] = None
         self.body: List[Atom] = []
-        self.seen_rows: Set[Tuple[str, Tuple[object, ...]]] = set()
+        self.seen_rows: Set[Tuple[str, Row]] = set()
         self.known_constants: Set[object] = set(example.values)
         self.frontier: Set[object] = set(example.values)
         self.depth = 0
-        # Shared by every state of one batch: pure-lookup results (Castor's
-        # IND-chase joins) memoized for the duration of the construction
-        # call — entities appearing in many examples' saturations are
-        # fetched once per generation instead of once per example.
-        self.join_cache: Optional[Dict[object, List[Tuple[object, ...]]]] = None
+        # Names of the caps that cut this clause, set in the cap branches
+        # only and counted once when the construction call ends.
+        self.truncated: Set[str] = set()
 
 
 class BottomClauseBuilder:
@@ -181,6 +184,14 @@ class BottomClauseBuilder:
     generation.  Per-example construction order is untouched (each state
     consumes its own frontier's neighbors in its own sorted order), so the
     clauses are byte-identical to one-at-a-time construction.
+
+    The builder keeps what it looks up for its whole lifetime: each value's
+    sorted frontier neighbours, each ground literal by ``(relation, row)``,
+    and (Castor) each IND-chase join.  :meth:`apply_delta` evicts exactly
+    what a delta can change, and a construction that finds the instance's
+    :meth:`~repro.database.instance.DatabaseInstance.data_token` moved since
+    the last eviction (a write that bypassed :meth:`apply_delta`) drops
+    every cache first.
     """
 
     def __init__(
@@ -201,15 +212,52 @@ class BottomClauseBuilder:
             getattr(self.config, "theory_constant_threshold", 12),
             self._theory_schema(),
         )
+        self._reset_caches()
+        self._token = instance.data_token()
 
     def _theory_schema(self):
         """Schema handed to theory-constant inference (Castor passes its
         working schema; the standard builder uses the instance's)."""
         return None
 
-    def _frontier_neighbors(
-        self, constants: Sequence[object]
-    ) -> Dict[object, List[Tuple[str, Tuple[object, ...]]]]:
+    # ------------------------------------------------------------------ #
+    # Builder-lifetime caches
+    # ------------------------------------------------------------------ #
+    def _reset_caches(self) -> None:
+        """Start every cache empty.  Fresh dicts, not ``clear()``: a
+        construction running on another thread keeps reading the dicts it
+        already holds."""
+        self._neighbors: Neighbors = {}
+        self._literals: Dict[Tuple[str, Row], Atom] = {}
+
+    def _sync_caches(self) -> None:
+        """Drop every cache when the instance changed since the last
+        eviction (or tracks no version)."""
+        token = self.instance.data_token()
+        if token is None or token != self._token:
+            self._reset_caches()
+            self._token = token
+
+    def apply_delta(self, delta: Delta) -> None:
+        """Evict what ``delta``, already applied to the instance, can change.
+
+        The cost follows the delta, not the cache size: one ``pop`` per
+        touched value (the frontier neighbours of every value in a changed
+        row) and per listed row (its ground literal).  Eviction never
+        iterates a cache, so a construction on another thread may keep
+        filling them.
+        """
+        if not delta:
+            return
+        neighbors, literals = self._neighbors, self._literals
+        for value in delta.touched_values():
+            neighbors.pop(value, None)
+        for _op, relation, rows in delta.ops:
+            for row in rows:
+                literals.pop((relation, row), None)
+        self._token = self.instance.data_token()
+
+    def _frontier_neighbors(self, constants: Sequence[object]) -> Neighbors:
         """Sorted ``constant -> [(relation, tuple)]`` for one depth level.
 
         The per-constant lists are sorted exactly as the construction loop
@@ -225,9 +273,10 @@ class BottomClauseBuilder:
             }
         return {
             constant: sorted(
-                found, key=lambda pair: (pair[0], tuple(map(str, pair[1])))
+                neighbors.get(constant, ()),
+                key=lambda pair: (pair[0], tuple(map(str, pair[1]))),
             )
-            for constant, found in neighbors.items()
+            for constant in constants
         }
 
     # ------------------------------------------------------------------ #
@@ -273,20 +322,38 @@ class BottomClauseBuilder:
             and state.depth >= self.config.max_depth
         ):
             return False
+        if self._reached_variable_budget(
+            state.variable_of, state.known_constants, state.variablize
+        ):
+            return False
         # A full body can never admit another literal; dropping the state
         # here is output-identical and keeps its (possibly large) leftover
         # frontier out of the next level's batched lookup.
         if len(state.body) >= self.config.max_total_literals:
+            state.truncated.add("max_total_literals")
             return False
-        return not self._reached_variable_budget(
-            state.variable_of, state.known_constants, state.variablize
-        )
+        return True
+
+    def _literal(self, state: _ConstructionState, relation_name: str, row: Row) -> Atom:
+        """The body literal of one admitted tuple.
+
+        A ground literal depends on nothing but ``(relation, row)``, so it
+        is built once per builder and shared by every saturation holding it.
+        """
+        if state.variablize:
+            return Atom(relation_name, [self._term_for(state, v) for v in row])
+        key = (relation_name, row)
+        literal = self._literals.get(key)
+        if literal is None:
+            literal = Atom(relation_name, [Constant(v) for v in row])
+            self._literals[key] = literal
+        return literal
 
     def _add_neighbor(
         self,
         state: _ConstructionState,
         relation_name: str,
-        row: Tuple[object, ...],
+        row: Row,
         next_frontier: Set[object],
     ) -> None:
         """Admit one tuple: literal, bookkeeping, frontier growth.
@@ -295,73 +362,84 @@ class BottomClauseBuilder:
         class (Section 7.1) through the same indexed lookups.
         """
         state.seen_rows.add((relation_name, row))
-        state.body.append(
-            Atom(relation_name, [self._term_for(state, v) for v in row])
-        )
+        state.body.append(self._literal(state, relation_name, row))
         for value in row:
             if value not in state.known_constants:
                 state.known_constants.add(value)
                 next_frontier.add(value)
 
-    def _expand_state(
-        self,
-        state: _ConstructionState,
-        neighbors: Dict[object, List[Tuple[str, Tuple[object, ...]]]],
-    ) -> None:
+    def _expand_state(self, state: _ConstructionState, neighbors: Neighbors) -> None:
         """Advance one example one depth level using pre-fetched neighbors."""
         next_frontier: Set[object] = set()
+        limit = self.config.max_total_literals
+        per_relation = self.config.max_literals_per_relation_per_tuple
         for constant in sorted(state.frontier, key=str):
             per_relation_counts: Dict[str, int] = {}
-            for relation_name, row in neighbors.get(constant, ()):
-                if len(state.body) >= self.config.max_total_literals:
-                    break
+            for relation_name, row in neighbors[constant]:
                 if (relation_name, row) in state.seen_rows:
                     continue
+                if len(state.body) >= limit:
+                    state.truncated.add("max_total_literals")
+                    break
                 count = per_relation_counts.get(relation_name, 0)
-                if count >= self.config.max_literals_per_relation_per_tuple:
+                if count >= per_relation:
+                    state.truncated.add("max_literals_per_relation_per_tuple")
                     continue
                 per_relation_counts[relation_name] = count + 1
                 self._add_neighbor(state, relation_name, row, next_frontier)
-            if len(state.body) >= self.config.max_total_literals:
-                break
+            else:
+                continue
+            break  # the total-literal cap stopped this constant: end the level
         state.frontier = next_frontier
         state.depth += 1
+
+    def _level_neighbors(self, values: Set[object]) -> Neighbors:
+        """Sorted neighbours of one depth level's frontier union.
+
+        Values the builder has not looked up yet are fetched with ONE
+        set-at-a-time lookup, so the statement cost is shared across the
+        whole generation and every later call reuses the answers.  The
+        level reads only the dict returned here, which an eviction on
+        another thread cannot shrink.
+        """
+        cache = self._neighbors
+        level: Neighbors = {}
+        missing: List[object] = []
+        for value in values:
+            found = cache.get(value)
+            if found is None:
+                missing.append(value)
+            else:
+                level[value] = found
+        if missing:
+            fetched = self._frontier_neighbors(sorted(missing, key=str))
+            cache.update(fetched)
+            level.update(fetched)
+        return level
 
     def _construct_many(
         self, examples: Sequence[Example], variablize: bool
     ) -> List[HornClause]:
+        self._sync_caches()
         states = [_ConstructionState(example, variablize) for example in examples]
-        join_cache: Dict[object, List[Tuple[object, ...]]] = {}
         for state in states:
-            state.join_cache = join_cache
             state.head = Atom(
                 state.example.target,
                 [self._term_for(state, v) for v in state.example.values],
             )
-        # Batch-scoped: a constant reaching several examples' frontiers (or
-        # the same frontier at different depths) is fetched and sorted once
-        # per generation, like the chase results in ``join_cache``.
-        neighbor_cache: Dict[object, List[Tuple[str, Tuple[object, ...]]]] = {}
         while True:
             active = [state for state in states if self._state_active(state)]
             if not active:
                 break
-            # ONE set-at-a-time lookup expands this depth level for every
-            # example still running — the frontier union shares the
-            # statement cost across the whole generation.
-            missing = sorted(
-                {
-                    value
-                    for state in active
-                    for value in state.frontier
-                    if value not in neighbor_cache
-                },
-                key=str,
+            neighbors = self._level_neighbors(
+                {value for state in active for value in state.frontier}
             )
-            if missing:
-                neighbor_cache.update(self._frontier_neighbors(missing))
             for state in active:
-                self._expand_state(state, neighbor_cache)
+                self._expand_state(state, neighbors)
+        registry = obs_registry()
+        for state in states:
+            for cap in state.truncated:
+                registry.counter("saturation.truncated", cap=cap).inc()
         return [HornClause(state.head, state.body) for state in states]
 
     def _reached_variable_budget(

@@ -491,10 +491,13 @@ class SubsumptionCoverageEngine:
         The intersecting examples come from a :class:`FootprintIndex` over
         the cached saturations, matching values by Python equality.  It is
         filed here, not while learning: the first delta files every cached
-        saturation, later ones only those rebuilt since.
+        saturation, later ones only those rebuilt since.  The builder first
+        evicts the lookups and literals the delta can change, so the
+        rebuilds reuse everything else it looked up.
 
         Returns the set of invalidated examples.
         """
+        self.builder.apply_delta(delta)
         touched = delta.touched_values()
         if not touched:
             return set()

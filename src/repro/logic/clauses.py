@@ -281,13 +281,18 @@ class HornDefinition:
         return len(self.clauses)
 
     def __eq__(self, other: object) -> bool:
+        """Same target and the same multiset of variable-normalized clauses,
+        compared structurally as :class:`HornClause` compares them."""
         if not isinstance(other, HornDefinition):
             return NotImplemented
-        return self.target == other.target and sorted(
-            str(c.normalize_variables()) for c in self.clauses
-        ) == sorted(str(c.normalize_variables()) for c in other.clauses)
+        if self.target != other.target or len(self.clauses) != len(other.clauses):
+            return False
+        return Counter(c.normalize_variables() for c in self.clauses) == Counter(
+            c.normalize_variables() for c in other.clauses
+        )
 
     def __hash__(self) -> int:
+        # Equal definitions have equal clause counts.
         return hash((self.target, len(self.clauses)))
 
     def __repr__(self) -> str:

@@ -172,6 +172,35 @@ class TestHornDefinition:
         )
         assert first == renamed
 
+    def test_equality_distinguishes_constant_types(self):
+        head = Atom("t", [X])
+        with_int = HornDefinition("t", [HornClause(head, [Atom("r", [X, Constant(1)])])])
+        with_str = HornDefinition(
+            "t", [HornClause(head, [Atom("r", [X, Constant("1")])])]
+        )
+        assert str(with_int) == str(with_str)
+        assert with_int != with_str
+
+    def test_equality_distinguishes_constant_from_normalized_variable(self):
+        # ``normalize_variables`` names the variables V0, V1, ...; a constant
+        # spelled V1 must not equal the variable it prints like.
+        head = Atom("t", [X])
+        with_variable = HornDefinition("t", [HornClause(head, [Atom("r", [X, Y])])])
+        with_constant = HornDefinition(
+            "t", [HornClause(head, [Atom("r", [X, Constant("V1")])])]
+        )
+        assert str(with_variable.normalize()) == str(with_constant.normalize())
+        assert with_variable != with_constant
+
+    def test_equality_counts_repeated_clauses(self):
+        clause = make_collaborated()
+        other = HornClause(Atom("collaborated", [X, Y]), [Atom("publication", [X, Y])])
+        twice = HornDefinition("collaborated", [clause, clause, other])
+        mixed = HornDefinition("collaborated", [clause, other, other])
+        assert twice != mixed
+        assert twice == HornDefinition("collaborated", [other, clause, clause])
+        assert hash(twice) == hash(HornDefinition("collaborated", [other, clause, clause]))
+
     def test_clause_from_example(self):
         example = Atom("advisedBy", ["s1", "p1"])
         clause = clause_from_example(example, [Atom("student", ["s1"])])
