@@ -16,7 +16,9 @@ UW-CSE and HIV workloads:
   saturation at once), whatever ``--backend`` selects.
 
 The script asserts that every backend and every path covers **identical**
-example sets for every candidate clause (parity).  Run it standalone::
+example sets for every candidate clause (parity), and that on every
+workload some clause covers some but not all of the examples (so the
+parity compares sets that could differ).  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
         [--backend {memory,sqlite,sqlite-pooled,both,all}]
@@ -24,7 +26,7 @@ example sets for every candidate clause (parity).  Run it standalone::
 
 ``--json`` writes a machine-readable summary (CI uploads it as the
 per-commit benchmark artifact).  Exit status is non-zero on any parity
-mismatch, so CI can gate on it.
+mismatch or vacuous workload, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -211,6 +213,11 @@ def run_workload(
 
     reference_backend = backends[0]
     reference = sequential[reference_backend]
+    record["covered_set_sizes"] = [len(covered) for covered in reference]
+    print(
+        f"  covered-set sizes ({reference_backend}, of {len(examples)} "
+        f"examples): {record['covered_set_sizes']}"
+    )
     for backend, results in list(sequential.items()) + list(batched.items()):
         for index, (expected, actual) in enumerate(zip(reference, results)):
             if expected != actual:
@@ -406,6 +413,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not all_parity:
         print("\nFAIL: coverage paths disagree on covered examples")
+        return 1
+    vacuous = [
+        record["workload"]
+        for record in records
+        if not any(0 < size < record["examples"] for size in record["covered_set_sizes"])
+    ]
+    if vacuous:
+        print(
+            "\nFAIL: no candidate clause covers some but not all examples on "
+            f"{', '.join(vacuous)}; parity compared nothing that could differ"
+        )
         return 1
     label = "pooled_batched_vs_sqlite_sequential"
     target = uwcse_record["speedups"].get(label)

@@ -17,7 +17,9 @@ instance, then evaluates a fixed candidate-clause set over every example.
 
 Parity is the hard gate: after every round the warm store's contents and
 the warm engine's coverage bitsets must be **identical** to the cold
-rebuild's, or the exit status is non-zero.  Run standalone::
+rebuild's, or the exit status is non-zero.  So is a stream that never
+invalidates an example (the parity would then compare untouched state).
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_incremental_updates.py
         [--quick] [--rounds N] [--churn FRACTION] [--json PATH]
@@ -279,6 +281,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = list(report["parity_failures"])
     for failure in failures:
         print(f"PARITY FAILURE: {failure}", file=sys.stderr)
+    vacuous = not any(report["examples_invalidated"])
+    if vacuous:
+        print(
+            "VACUOUS: no round invalidated an example, so parity compared "
+            "untouched state",
+            file=sys.stderr,
+        )
 
     summary: Dict[str, object] = {
         "benchmark": "incremental_updates",
@@ -301,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote trace to {obs_tracer().dump_json(args.trace)}")
     if args.trace_chrome:
         print(f"wrote Chrome trace to {obs_tracer().dump_chrome(args.trace_chrome)}")
-    return 1 if failures else 0
+    return 1 if failures or vacuous else 0
 
 
 if __name__ == "__main__":

@@ -245,7 +245,8 @@ def run_workload(
         )
 
     table13 = compare_stored_procedure_modes(
-        base_instance, examples, bundle.schema(variant), config=config
+        base_instance, examples, bundle.schema(variant), config=config,
+        repeats=repeats,
     )
     record["table13"] = table13
     print(

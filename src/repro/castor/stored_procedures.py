@@ -104,19 +104,27 @@ def compare_stored_procedure_modes(
     schema: Optional[Schema] = None,
     config: Optional[CastorBottomClauseConfig] = None,
     backend: Optional[str] = None,
+    repeats: int = 1,
 ) -> Dict[str, float]:
-    """Run the same workload with and without stored procedures (Table 13)."""
-    with_sp = StoredProcedureRunner(
-        instance, schema, config, use_stored_procedures=True, backend=backend
-    ).timed_run(examples)
-    without_sp = StoredProcedureRunner(
-        instance, schema, config, use_stored_procedures=False, backend=backend
-    ).timed_run(examples)
-    speedup = (
-        without_sp["seconds"] / with_sp["seconds"] if with_sp["seconds"] > 0 else 0.0
-    )
+    """Run the same workload with and without stored procedures (Table 13).
+
+    Each of ``repeats`` rounds times both modes, one after the other, on
+    fresh runners; each mode reports its fastest round.
+    """
+    if backend is not None and backend != instance.backend_name:
+        instance = instance.with_backend(backend)
+    seconds = {True: float("inf"), False: float("inf")}
+    for _ in range(max(1, repeats)):
+        for use_stored_procedures in (True, False):
+            run = StoredProcedureRunner(
+                instance, schema, config, use_stored_procedures
+            ).timed_run(examples)
+            seconds[use_stored_procedures] = min(
+                seconds[use_stored_procedures], run["seconds"]
+            )
+    with_sp, without_sp = seconds[True], seconds[False]
     return {
-        "with_stored_procedures_seconds": with_sp["seconds"],
-        "without_stored_procedures_seconds": without_sp["seconds"],
-        "speedup": speedup,
+        "with_stored_procedures_seconds": with_sp,
+        "without_stored_procedures_seconds": without_sp,
+        "speedup": without_sp / with_sp if with_sp > 0 else 0.0,
     }

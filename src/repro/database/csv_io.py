@@ -87,21 +87,18 @@ def load_instance(directory: PathLike) -> DatabaseInstance:
     directory = Path(directory)
     schema = load_schema(directory)
     instance = DatabaseInstance(schema)
-    # One transaction: the whole load is a single coalesced delta (one
-    # change notification / mutation-log record) instead of one per row.
-    with instance.transaction():
-        for relation in schema.relations:
-            path = directory / f"{relation.name}.csv"
-            if not path.exists():
+    for relation in schema.relations:
+        path = directory / f"{relation.name}.csv"
+        if not path.exists():
+            continue
+        with path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
                 continue
-            with path.open(newline="") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header is None:
-                    continue
-                instance.add_tuples(
-                    relation.name, (tuple(row) for row in reader)
-                )
+            instance.add_tuples(
+                relation.name, (tuple(row) for row in reader)
+            )
     return instance
 
 

@@ -95,14 +95,6 @@ class Delta:
         """Total rows listed across all ops (duplicates counted)."""
         return sum(len(rows) for _, _, rows in self._ops)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._ops
-
-    def touched_relations(self) -> FrozenSet[str]:
-        """Names of every relation any op mentions."""
-        return frozenset(relation for _, relation, _ in self._ops)
-
     def touched_values(self) -> FrozenSet[object]:
         """Every value appearing in any listed row (the delta's footprint).
 
@@ -115,18 +107,6 @@ class Delta:
             for row in rows:
                 values.update(row)
         return frozenset(values)
-
-    # ------------------------------------------------------------------ #
-    # Combination
-    # ------------------------------------------------------------------ #
-    def then(self, other: "Delta") -> "Delta":
-        """This delta followed by ``other`` (order-preserving concatenation)."""
-        if not isinstance(other, Delta):
-            raise TypeError(f"can only chain Delta with Delta, not {type(other).__name__}")
-        return Delta(self._ops + other._ops)
-
-    def __add__(self, other: "Delta") -> "Delta":
-        return self.then(other)
 
     def coalesced(self) -> "Delta":
         """Merge runs of same-op, same-relation entries into single ops.

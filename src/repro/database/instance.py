@@ -14,10 +14,8 @@ storage/evaluation engine with the same interface.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -29,7 +27,7 @@ from typing import (
     Union,
 )
 
-from .backend import Backend, RelationBackend, create_backend, warn_once
+from .backend import Backend, RelationBackend, create_backend
 from .constraints import FunctionalDependency, InclusionDependency
 from .delta import Delta
 from .schema import RelationSchema, Schema
@@ -63,10 +61,6 @@ class RelationInstance:
         # delete; the memory backend uses it to maintain its cross-relation
         # value index (the saturation-frontier capability).
         self._on_change = on_change
-        # Installed by DatabaseInstance.mark_managed(): invoked before every
-        # mutation so prepared instances can warn when callers bypass the
-        # transaction/update API (stale-cache hazard).
-        self.mutation_guard: Optional[Callable[[], None]] = None
         for row in rows:
             self.add(row)
 
@@ -75,8 +69,6 @@ class RelationInstance:
     # ------------------------------------------------------------------ #
     def add(self, row: Sequence[object]) -> None:
         """Insert a tuple; silently ignores exact duplicates."""
-        if self.mutation_guard is not None:
-            self.mutation_guard()
         row_tuple: Row = tuple(row)
         if len(row_tuple) != self.schema.arity:
             raise ValueError(
@@ -98,8 +90,6 @@ class RelationInstance:
 
     def remove(self, row: Sequence[object]) -> None:
         """Delete a tuple; raises KeyError if absent."""
-        if self.mutation_guard is not None:
-            self.mutation_guard()
         row_tuple: Row = tuple(row)
         if row_tuple not in self._rows:
             raise KeyError(f"tuple {row_tuple!r} not in relation {self.schema.name!r}")
@@ -191,13 +181,6 @@ class DatabaseInstance:
             relation.name: self.backend.make_relation(relation)
             for relation in schema.relations
         }
-        # Transaction state: while a transaction() block is open, mutations
-        # through the instance API are recorded and coalesced into one
-        # Delta, fired once to subscribers at commit.
-        self._txn_depth = 0
-        self._txn_ops: List[Tuple[str, str, Tuple[Row, ...]]] = []
-        self._delta_listeners: List[Callable[[Delta], None]] = []
-        self._managed = False
         # Backends that serve exactly one instance (memory) bind to it here,
         # once every relation exists.
         bind_schema = getattr(self.backend, "bind_instance_schema", None)
@@ -225,13 +208,9 @@ class DatabaseInstance:
     def add_tuple(self, relation: str, row: Sequence[object]) -> None:
         """Insert a tuple into a relation."""
         self.relation(relation).add(row)
-        self._record(("add", relation, (tuple(row),)))
 
     def add_tuples(self, relation: str, rows: Iterable[Sequence[object]]) -> None:
-        row_tuples = tuple(tuple(row) for row in rows)
-        self.relation(relation).add_all(row_tuples)
-        if row_tuples:
-            self._record(("add", relation, row_tuples))
+        self.relation(relation).add_all(rows)
 
     def remove_tuple(
         self, relation: str, row: Sequence[object], missing_ok: bool = False
@@ -242,129 +221,27 @@ class DatabaseInstance:
         (delta application uses idempotent retraction: removing an absent
         row is a no-op).
         """
-        row_tuple = tuple(row)
         try:
-            self.relation(relation).remove(row_tuple)
+            self.relation(relation).remove(row)
         except KeyError:
             if not missing_ok:
                 raise
-        self._record(("remove", relation, (row_tuple,)))
-
-    # ------------------------------------------------------------------ #
-    # Deltas and transactions
-    # ------------------------------------------------------------------ #
-    def transaction(self) -> "ContextManager[DatabaseInstance]":
-        """Batch mutations into one coalesced :class:`Delta` event.
-
-        Inside the block, :meth:`add_tuple` / :meth:`add_tuples` /
-        :meth:`remove_tuple` apply immediately but their change records are
-        buffered; at exit one coalesced delta is fired to subscribers
-        instead of one event per call.  Transactions provide coalescing
-        and single-event notification, not rollback: if the block raises,
-        tuples already mutated stay mutated and the partial delta is still
-        committed (so incremental caches never silently diverge).
-        """
-        return self._transaction_scope()
-
-    @contextmanager
-    def _transaction_scope(self) -> Iterator["DatabaseInstance"]:
-        self._begin_transaction()
-        try:
-            yield self
-        finally:
-            self._end_transaction()
-
-    def _begin_transaction(self) -> None:
-        self._txn_depth += 1
-        if self._txn_depth == 1:
-            self._txn_ops = []
-
-    def _end_transaction(self) -> None:
-        self._txn_depth -= 1
-        if self._txn_depth > 0:
-            return
-        delta = Delta(self._txn_ops).coalesced()
-        self._txn_ops = []
-        if delta:
-            self._notify(delta)
 
     def apply_delta(self, delta: Delta) -> Delta:
-        """Apply a :class:`Delta` to this instance (idempotent semantics).
+        """Apply a :class:`Delta` to this instance (set semantics).
 
         ``add`` ops ignore rows already present; ``remove`` ops ignore rows
-        already absent.  Runs inside a transaction, so subscribers see one
-        event.  Returns the applied delta.
+        already absent.  Returns the applied delta.
         """
         if not isinstance(delta, Delta):
             raise TypeError(f"apply_delta expects a Delta, got {type(delta).__name__}")
-        with self.transaction():
-            for op, relation, rows in delta.ops:
-                if op == "add":
-                    self.add_tuples(relation, rows)
-                else:
-                    for row in rows:
-                        self.remove_tuple(relation, row, missing_ok=True)
+        for op, relation, rows in delta.ops:
+            if op == "add":
+                self.add_tuples(relation, rows)
+            else:
+                for row in rows:
+                    self.remove_tuple(relation, row, missing_ok=True)
         return delta
-
-    def subscribe_deltas(self, listener: Callable[[Delta], None]) -> Callable[[], None]:
-        """Register a callback fired once per committed delta.
-
-        Standalone ``add_tuple``/``remove_tuple`` calls fire one
-        single-op delta each; a :meth:`transaction` block fires exactly one
-        coalesced delta at commit.  Returns an unsubscribe function.
-        """
-        self._delta_listeners.append(listener)
-
-        def unsubscribe() -> None:
-            try:
-                self._delta_listeners.remove(listener)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def mark_managed(self) -> None:
-        """Mark this instance as owned by a session/cache layer.
-
-        Direct relation-store mutation (``instance.relation(r).add(...)`` or
-        instance-level mutators outside a :meth:`transaction` block) on a
-        managed instance is deprecated — it silently invalidates warm
-        saturation/coverage state — and triggers a one-time warning
-        pointing at the transaction/update API.
-        """
-        if self._managed:
-            return
-        self._managed = True
-        for store in self._relations.values():
-            if getattr(store, "mutation_guard", "missing") is None:
-                store.mutation_guard = self._guard_direct_mutation
-
-    def _guard_direct_mutation(self) -> None:
-        if self._txn_depth == 0:
-            warn_once(
-                "Direct add/remove on a prepared instance is deprecated: it "
-                "invalidates warm saturation and coverage state wholesale. "
-                "Wrap mutations in instance.transaction() or route them "
-                "through LearningSession.update(delta) so caches are "
-                "patched incrementally.",
-                stacklevel=4,
-            )
-
-    def _record(self, op: Tuple[str, str, Tuple[Row, ...]]) -> None:
-        if self._txn_depth > 0:
-            self._txn_ops.append(op)
-        elif self._delta_listeners:
-            # Only materialize a single-op Delta when someone is listening:
-            # per-tuple bulk loads (dataset generation outside a
-            # transaction) would otherwise build one throwaway
-            # object per row.
-            self._notify(Delta([op]))
-
-    def _notify(self, delta: Delta) -> None:
-        if not delta:
-            return
-        for listener in list(self._delta_listeners):
-            listener(delta)
 
     def total_tuples(self) -> int:
         """Total number of tuples across all relations (the paper's #T)."""
@@ -462,26 +339,17 @@ class DatabaseInstance:
     # ------------------------------------------------------------------ #
     # Comparison / copying
     # ------------------------------------------------------------------ #
-    def data_token(self) -> Optional[Tuple[int, int]]:
+    def data_token(self) -> Optional[int]:
         """Cheap token of this instance's current contents-version.
 
-        Changes whenever a tuple is inserted or deleted (and when the
-        relation set changes), so caches keyed on an instance — e.g. a
+        The backend's ``data_version``, which moves whenever a tuple is
+        inserted or deleted, so caches keyed on an instance — e.g. a
         :class:`~repro.session.session.LearningSession`'s prepared-instance
         and saturation-store caches — can notice mutations without
         scanning.  ``None`` when the backend tracks no version (exotic
         third-party backends); every registered backend tracks one.
         """
-        pool_state = getattr(self.backend, "_pool_state", None)
-        if pool_state is not None:
-            return pool_state()
-        # Plain SQLite (no snapshot pool) and the memory backend expose the
-        # bare version counter instead.
-        for attribute in ("_data_version", "data_version"):
-            version = getattr(self.backend, attribute, None)
-            if version is not None:
-                return (len(self._relations), version)
-        return None
+        return getattr(self.backend, "data_version", None)
 
     def copy(self) -> "DatabaseInstance":
         """Deep-ish copy: new relation stores (same backend kind) sharing tuples."""

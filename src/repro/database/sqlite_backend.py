@@ -137,10 +137,6 @@ class SQLiteRelation:
         # Invoked after every successful data change; the pooled backend uses
         # it to version relation contents for snapshot staleness checks.
         self._on_mutation = on_mutation
-        # Installed by DatabaseInstance.mark_managed(): invoked before every
-        # mutation so prepared instances can warn when callers bypass the
-        # transaction/update API (stale-cache hazard).
-        self.mutation_guard: Optional[Callable[[], None]] = None
         self._table = _quote(f"rel_{schema.name}")
         columns = ", ".join(f"c{i}" for i in range(schema.arity))
         self._connection.execute(
@@ -172,8 +168,6 @@ class SQLiteRelation:
 
     def add(self, row: Sequence[object]) -> None:
         """Insert a tuple; silently ignores exact duplicates."""
-        if self.mutation_guard is not None:
-            self.mutation_guard()
         row_tuple = self._check_arity(row)
         values = tuple(_storable(v) for v in row_tuple)
         cursor = self._connection.execute(
@@ -184,8 +178,6 @@ class SQLiteRelation:
             self._mutated()
 
     def add_all(self, rows: Iterable[Sequence[object]]) -> None:
-        if self.mutation_guard is not None:
-            self.mutation_guard()
         prepared = [
             tuple(_storable(v) for v in self._check_arity(row)) for row in rows
         ]
@@ -198,8 +190,6 @@ class SQLiteRelation:
 
     def remove(self, row: Sequence[object]) -> None:
         """Delete a tuple; raises KeyError if absent."""
-        if self.mutation_guard is not None:
-            self.mutation_guard()
         row_tuple = self._check_arity(row)
         try:
             values = tuple(_storable(v) for v in row_tuple)
@@ -501,10 +491,10 @@ class SQLiteBackend:
         self._frontier_lock = threading.Lock()
         # Bumped on every successful relation mutation; versions the data
         # independently of scratch writes (temp tables do not count).
-        self._data_version = 0
+        self.data_version = 0
 
     def _bump_data_version(self) -> None:
-        self._data_version += 1
+        self.data_version += 1
 
     def make_relation(self, schema: RelationSchema) -> SQLiteRelation:
         if schema.name in self._relations:
@@ -977,7 +967,7 @@ class PooledSQLiteBackend(SQLiteBackend):
         # Relation mutations bump the data version; new relations change the
         # count.  Deliberately NOT total_changes: scratch temp-table writes
         # from read-only coverage calls must not invalidate snapshots.
-        return (len(self._relations), self._data_version)
+        return (len(self._relations), self.data_version)
 
     def covered_head_tuples_batch(
         self,

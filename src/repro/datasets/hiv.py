@@ -154,70 +154,66 @@ def generate_instance(
     active_compounds: List[Tuple[str]] = []
     bond_counter = 0
 
-    # One transaction for the whole population: one coalesced delta (and
-    # one mutation-log record on logging backends) instead of a
-    # change-notification per tuple.
-    with instance.transaction():
-        for compound_index in range(config.num_compounds):
-            compound = f"comp{compound_index}"
-            is_active = rng.random() < config.active_fraction
-            num_atoms = rng.randint(config.min_atoms, config.max_atoms)
-            atoms = [f"{compound}_a{i}" for i in range(num_atoms)]
-            elements: Dict[str, str] = {}
-            has_p2_1: Set[str] = set()
+    for compound_index in range(config.num_compounds):
+        compound = f"comp{compound_index}"
+        is_active = rng.random() < config.active_fraction
+        num_atoms = rng.randint(config.min_atoms, config.max_atoms)
+        atoms = [f"{compound}_a{i}" for i in range(num_atoms)]
+        elements: Dict[str, str] = {}
+        has_p2_1: Set[str] = set()
 
-            for atom in atoms:
-                elements[atom] = rng.choice(ELEMENTS)
+        for atom in atoms:
+            elements[atom] = rng.choice(ELEMENTS)
 
-            if is_active:
-                # Plant the active substructure: p2_1 nitrogen bonded to oxygen.
-                elements[atoms[0]] = "n"
-                elements[atoms[1]] = "o"
-                has_p2_1.add(atoms[0])
-                active_compounds.append((compound,))
-            elif rng.random() < 0.5 and num_atoms >= 3:
-                # Plant a decoy: p2_1 nitrogen and an oxygen, never bonded together.
-                elements[atoms[0]] = "n"
-                elements[atoms[2]] = "o"
-                has_p2_1.add(atoms[0])
+        if is_active:
+            # Plant the active substructure: p2_1 nitrogen bonded to oxygen.
+            elements[atoms[0]] = "n"
+            elements[atoms[1]] = "o"
+            has_p2_1.add(atoms[0])
+            active_compounds.append((compound,))
+        elif rng.random() < 0.5 and num_atoms >= 3:
+            # Plant a decoy: p2_1 nitrogen and an oxygen, never bonded together.
+            elements[atoms[0]] = "n"
+            elements[atoms[2]] = "o"
+            has_p2_1.add(atoms[0])
 
-            for atom in atoms:
-                instance.add_tuple("compound", (compound, atom))
-                instance.add_tuple(f"element_{elements[atom]}", (atom,))
-                if atom in has_p2_1:
-                    instance.add_tuple("p2_1", (atom,))
-                for property_name in PROPERTY_RELATIONS:
-                    if property_name == "p2_1":
-                        continue
-                    if rng.random() < config.property_probability:
-                        instance.add_tuple(property_name, (atom,))
-
-            # Build a connected chain of bonds plus a few random extra bonds.
-            bond_pairs: List[Tuple[str, str]] = []
-            for i in range(len(atoms) - 1):
-                bond_pairs.append((atoms[i], atoms[i + 1]))
-            extra_bonds = rng.randint(0, max(1, num_atoms // 2))
-            for _ in range(extra_bonds):
-                left, right = rng.sample(atoms, 2)
-                bond_pairs.append((left, right))
-            if is_active and (atoms[0], atoms[1]) not in bond_pairs:
-                bond_pairs.append((atoms[0], atoms[1]))
-
-            def forms_forbidden_pattern(left: str, right: str) -> bool:
-                """A bond that would make an inactive compound satisfy the rule."""
-                left_matches = elements[left] == "n" and left in has_p2_1 and elements[right] == "o"
-                right_matches = elements[right] == "n" and right in has_p2_1 and elements[left] == "o"
-                return left_matches or right_matches
-
-            for left, right in bond_pairs:
-                if not is_active and forms_forbidden_pattern(left, right):
+        for atom in atoms:
+            instance.add_tuple("compound", (compound, atom))
+            instance.add_tuple(f"element_{elements[atom]}", (atom,))
+            if atom in has_p2_1:
+                instance.add_tuple("p2_1", (atom,))
+            for property_name in PROPERTY_RELATIONS:
+                if property_name == "p2_1":
                     continue
-                bond = f"bd{bond_counter}"
-                bond_counter += 1
-                instance.add_tuple("bonds", (bond, left, right))
-                instance.add_tuple("btype1", (bond, rng.choice(BOND_TYPES_1)))
-                instance.add_tuple("btype2", (bond, rng.choice(BOND_TYPES_2)))
-                instance.add_tuple("btype3", (bond, rng.choice(BOND_TYPES_3)))
+                if rng.random() < config.property_probability:
+                    instance.add_tuple(property_name, (atom,))
+
+        # Build a connected chain of bonds plus a few random extra bonds.
+        bond_pairs: List[Tuple[str, str]] = []
+        for i in range(len(atoms) - 1):
+            bond_pairs.append((atoms[i], atoms[i + 1]))
+        extra_bonds = rng.randint(0, max(1, num_atoms // 2))
+        for _ in range(extra_bonds):
+            left, right = rng.sample(atoms, 2)
+            bond_pairs.append((left, right))
+        if is_active and (atoms[0], atoms[1]) not in bond_pairs:
+            bond_pairs.append((atoms[0], atoms[1]))
+
+        def forms_forbidden_pattern(left: str, right: str) -> bool:
+            """A bond that would make an inactive compound satisfy the rule."""
+            left_matches = elements[left] == "n" and left in has_p2_1 and elements[right] == "o"
+            right_matches = elements[right] == "n" and right in has_p2_1 and elements[left] == "o"
+            return left_matches or right_matches
+
+        for left, right in bond_pairs:
+            if not is_active and forms_forbidden_pattern(left, right):
+                continue
+            bond = f"bd{bond_counter}"
+            bond_counter += 1
+            instance.add_tuple("bonds", (bond, left, right))
+            instance.add_tuple("btype1", (bond, rng.choice(BOND_TYPES_1)))
+            instance.add_tuple("btype2", (bond, rng.choice(BOND_TYPES_2)))
+            instance.add_tuple("btype3", (bond, rng.choice(BOND_TYPES_3)))
 
     return instance, active_compounds
 

@@ -201,75 +201,71 @@ def generate_instance(
     instance = DatabaseInstance(schema)
 
     drama_directors: Set[str] = set()
-    # One transaction for the whole population (including the unlinked-
-    # entity cleanup): one coalesced delta and one mutation-log record
-    # instead of a change notification per tuple.
-    with instance.transaction():
-        genre_ids = {genre: f"g{i}" for i, genre in enumerate(GENRES)}
-        for genre, genre_id in genre_ids.items():
-            instance.add_tuple("genre", (genre_id, genre))
-        color_ids = {color: f"col{i}" for i, color in enumerate(COLORS)}
-        for color, color_id in color_ids.items():
-            instance.add_tuple("color", (color_id, color))
+    genre_ids = {genre: f"g{i}" for i, genre in enumerate(GENRES)}
+    for genre, genre_id in genre_ids.items():
+        instance.add_tuple("genre", (genre_id, genre))
+    color_ids = {color: f"col{i}" for i, color in enumerate(COLORS)}
+    for color, color_id in color_ids.items():
+        instance.add_tuple("color", (color_id, color))
 
-        companies = [f"pc{i}" for i in range(config.num_companies)]
-        for company in companies:
-            instance.add_tuple("prodcompany", (company, f"company_{company}"))
-        directors = [f"d{i}" for i in range(config.num_directors)]
-        for director in directors:
-            instance.add_tuple("director", (director, f"director_{director}"))
-        producers = [f"p{i}" for i in range(config.num_producers)]
-        for producer in producers:
-            instance.add_tuple("producer", (producer, f"producer_{producer}"))
-        actors = [f"a{i}" for i in range(config.num_actors)]
-        for actor in actors:
-            instance.add_tuple("actor", (actor, f"actor_{actor}", rng.choice(("m", "f"))))
+    companies = [f"pc{i}" for i in range(config.num_companies)]
+    for company in companies:
+        instance.add_tuple("prodcompany", (company, f"company_{company}"))
+    directors = [f"d{i}" for i in range(config.num_directors)]
+    for director in directors:
+        instance.add_tuple("director", (director, f"director_{director}"))
+    producers = [f"p{i}" for i in range(config.num_producers)]
+    for producer in producers:
+        instance.add_tuple("producer", (producer, f"producer_{producer}"))
+    actors = [f"a{i}" for i in range(config.num_actors)]
+    for actor in actors:
+        instance.add_tuple("actor", (actor, f"actor_{actor}", rng.choice(("m", "f"))))
 
-        used: Dict[str, Set[str]] = {
-            "genre": set(),
-            "color": set(),
-            "company": set(),
-            "director": set(),
-            "producer": set(),
-            "actor": set(),
-        }
+    used: Dict[str, Set[str]] = {
+        "genre": set(),
+        "color": set(),
+        "company": set(),
+        "director": set(),
+        "producer": set(),
+        "actor": set(),
+    }
 
-        for movie_index in range(config.num_movies):
-            movie_id = f"m{movie_index}"
-            year = rng.randint(2001, 2016)
-            instance.add_tuple("movie", (movie_id, f"title_{movie_id}", year))
+    for movie_index in range(config.num_movies):
+        movie_id = f"m{movie_index}"
+        year = rng.randint(2001, 2016)
+        instance.add_tuple("movie", (movie_id, f"title_{movie_id}", year))
 
-            genre = rng.choice(GENRES)
-            director = rng.choice(directors)
-            producer = rng.choice(producers)
-            company = rng.choice(companies)
-            color = rng.choice(COLORS)
+        genre = rng.choice(GENRES)
+        director = rng.choice(directors)
+        producer = rng.choice(producers)
+        company = rng.choice(companies)
+        color = rng.choice(COLORS)
 
-            instance.add_tuple("movies2genre", (movie_id, genre_ids[genre]))
-            instance.add_tuple("movies2color", (movie_id, color_ids[color]))
-            instance.add_tuple("movies2prodcomp", (movie_id, company))
-            instance.add_tuple("movies2director", (movie_id, director))
-            instance.add_tuple("movies2producer", (movie_id, producer))
-            for actor in rng.sample(actors, min(config.actors_per_movie, len(actors))):
-                instance.add_tuple("movies2actor", (movie_id, actor, f"char_{movie_id}_{actor}"))
-                used["actor"].add(actor)
+        instance.add_tuple("movies2genre", (movie_id, genre_ids[genre]))
+        instance.add_tuple("movies2color", (movie_id, color_ids[color]))
+        instance.add_tuple("movies2prodcomp", (movie_id, company))
+        instance.add_tuple("movies2director", (movie_id, director))
+        instance.add_tuple("movies2producer", (movie_id, producer))
+        for actor in rng.sample(actors, min(config.actors_per_movie, len(actors))):
+            instance.add_tuple("movies2actor", (movie_id, actor, f"char_{movie_id}_{actor}"))
+            used["actor"].add(actor)
 
-            used["genre"].add(genre_ids[genre])
-            used["color"].add(color_ids[color])
-            used["company"].add(company)
-            used["director"].add(director)
-            used["producer"].add(producer)
-            if genre == "drama":
-                drama_directors.add(director)
+        used["genre"].add(genre_ids[genre])
+        used["color"].add(color_ids[color])
+        used["company"].add(company)
+        used["director"].add(director)
+        used["producer"].add(producer)
+        if genre == "drama":
+            drama_directors.add(director)
 
-        # The equality INDs movies2X[Xid] = X[Xid] require every stored entity to
-        # be linked to at least one movie; drop unlinked entities.
-        _drop_unlinked(instance, "genre", "genreid", used["genre"])
-        _drop_unlinked(instance, "color", "colorid", used["color"])
-        _drop_unlinked(instance, "prodcompany", "prodcompid", used["company"])
-        _drop_unlinked(instance, "director", "directorid", used["director"])
-        _drop_unlinked(instance, "producer", "producerid", used["producer"])
-        _drop_unlinked(instance, "actor", "actorid", used["actor"])
+    # The equality INDs movies2X[Xid] = X[Xid] require every stored entity to
+    # be linked to at least one movie; drop unlinked entities.
+    _drop_unlinked(instance, "genre", "genreid", used["genre"])
+    _drop_unlinked(instance, "color", "colorid", used["color"])
+    _drop_unlinked(instance, "prodcompany", "prodcompid", used["company"])
+    _drop_unlinked(instance, "director", "directorid", used["director"])
+    _drop_unlinked(instance, "producer", "producerid", used["producer"])
+    _drop_unlinked(instance, "actor", "actorid", used["actor"])
 
     return instance, [(director,) for director in sorted(drama_directors)]
 
@@ -277,12 +273,7 @@ def generate_instance(
 def _drop_unlinked(
     instance: DatabaseInstance, relation: str, key_attribute: str, keep: Set[str]
 ) -> None:
-    """Remove entity tuples never referenced by a link relation.
-
-    Routed through :meth:`DatabaseInstance.remove_tuple` so the removals
-    land in the enclosing transaction's delta (a bare
-    ``RelationInstance.remove`` would mutate past the recording seam).
-    """
+    """Remove entity tuples never referenced by a link relation."""
     stored = instance.relation(relation)
     position = stored.schema.position_of(key_attribute)
     for row in list(stored.rows):

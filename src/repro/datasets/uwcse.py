@@ -21,7 +21,7 @@ Schema variants (all derived from the *Original* highly-decomposed schema):
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..database.constraints import FunctionalDependency, InclusionDependency
 from ..database.instance import DatabaseInstance
@@ -167,76 +167,72 @@ def generate_instance(
     professors = [f"prof{i}" for i in range(config.num_professors)]
     courses = [f"course{i}" for i in range(config.num_courses)]
 
-    # One transaction for the whole population: mutating backends see a
-    # single coalesced delta (one change notification, one mutation-log
-    # record) instead of thousands of per-tuple bumps.
     advised_pairs: List[Tuple[str, str]] = []
-    with instance.transaction():
-        # --- professors ---------------------------------------------- #
-        position_of: Dict[str, str] = {}
-        for prof in professors:
-            position = rng.choice(POSITIONS)
-            position_of[prof] = position
-            instance.add_tuple("professor", (prof,))
-            instance.add_tuple("hasPosition", (prof, position))
+    # --- professors ---------------------------------------------- #
+    position_of: Dict[str, str] = {}
+    for prof in professors:
+        position = rng.choice(POSITIONS)
+        position_of[prof] = position
+        instance.add_tuple("professor", (prof,))
+        instance.add_tuple("hasPosition", (prof, position))
 
-        faculty = [p for p in professors if position_of[p] == "faculty"] or professors
+    faculty = [p for p in professors if position_of[p] == "faculty"] or professors
 
-        # --- students ------------------------------------------------ #
-        phase_of: Dict[str, str] = {}
-        for stud in students:
-            phase = rng.choice(PHASES)
-            years = rng.randint(1, 7)
-            phase_of[stud] = phase
-            instance.add_tuple("student", (stud,))
-            instance.add_tuple("inPhase", (stud, phase))
-            instance.add_tuple("yearsInProgram", (stud, years))
+    # --- students ------------------------------------------------ #
+    phase_of: Dict[str, str] = {}
+    for stud in students:
+        phase = rng.choice(PHASES)
+        years = rng.randint(1, 7)
+        phase_of[stud] = phase
+        instance.add_tuple("student", (stud,))
+        instance.add_tuple("inPhase", (stud, phase))
+        instance.add_tuple("yearsInProgram", (stud, years))
 
-        # --- courses, teaching, TAs ---------------------------------- #
-        teacher_of: Dict[str, str] = {}
-        for crs in courses:
-            level = rng.choice(LEVELS)
-            prof = rng.choice(faculty)
+    # --- courses, teaching, TAs ---------------------------------- #
+    teacher_of: Dict[str, str] = {}
+    for crs in courses:
+        level = rng.choice(LEVELS)
+        prof = rng.choice(faculty)
+        term = rng.choice(TERMS)
+        teacher_of[crs] = prof
+        instance.add_tuple("courseLevel", (crs, level))
+        instance.add_tuple("taughtBy", (crs, prof, term))
+        # Each taught course has at least one TA (keeps ta[crs] = taughtBy[crs]).
+        instance.add_tuple("ta", (crs, rng.choice(students), term))
+    # Ensure every professor teaches at least one course (taughtBy[prof] = professor[prof]).
+    for prof in professors:
+        if prof not in teacher_of.values():
+            crs = rng.choice(courses)
             term = rng.choice(TERMS)
-            teacher_of[crs] = prof
-            instance.add_tuple("courseLevel", (crs, level))
             instance.add_tuple("taughtBy", (crs, prof, term))
-            # Each taught course has at least one TA (keeps ta[crs] = taughtBy[crs]).
             instance.add_tuple("ta", (crs, rng.choice(students), term))
-        # Ensure every professor teaches at least one course (taughtBy[prof] = professor[prof]).
-        for prof in professors:
-            if prof not in teacher_of.values():
-                crs = rng.choice(courses)
-                term = rng.choice(TERMS)
-                instance.add_tuple("taughtBy", (crs, prof, term))
-                instance.add_tuple("ta", (crs, rng.choice(students), term))
 
-        # --- publications and advising (the hidden ground truth) ------ #
-        title_counter = 0
-        for prof in professors:
-            for _ in range(config.publications_per_professor):
-                title = f"paper{title_counter}"
-                title_counter += 1
-                instance.add_tuple("publication", (title, prof))
+    # --- publications and advising (the hidden ground truth) ------ #
+    title_counter = 0
+    for prof in professors:
+        for _ in range(config.publications_per_professor):
+            title = f"paper{title_counter}"
+            title_counter += 1
+            instance.add_tuple("publication", (title, prof))
 
-        advisee_candidates = [
-            s for s in students if phase_of[s] in ("post_quals", "post_generals")
-        ]
-        rng.shuffle(advisee_candidates)
-        num_advised = int(len(advisee_candidates) * config.advising_fraction) or 1
-        for stud in advisee_candidates[:num_advised]:
-            advisor = rng.choice(faculty)
-            advised_pairs.append((stud, advisor))
-            if rng.random() < config.coauthor_probability:
-                title = f"paper{title_counter}"
-                title_counter += 1
-                instance.add_tuple("publication", (title, advisor))
-                instance.add_tuple("publication", (title, stud))
-            if rng.random() < config.ta_for_advisor_probability:
-                advisor_courses = [c for c, p in teacher_of.items() if p == advisor]
-                if advisor_courses:
-                    crs = rng.choice(advisor_courses)
-                    instance.add_tuple("ta", (crs, stud, rng.choice(TERMS)))
+    advisee_candidates = [
+        s for s in students if phase_of[s] in ("post_quals", "post_generals")
+    ]
+    rng.shuffle(advisee_candidates)
+    num_advised = int(len(advisee_candidates) * config.advising_fraction) or 1
+    for stud in advisee_candidates[:num_advised]:
+        advisor = rng.choice(faculty)
+        advised_pairs.append((stud, advisor))
+        if rng.random() < config.coauthor_probability:
+            title = f"paper{title_counter}"
+            title_counter += 1
+            instance.add_tuple("publication", (title, advisor))
+            instance.add_tuple("publication", (title, stud))
+        if rng.random() < config.ta_for_advisor_probability:
+            advisor_courses = [c for c, p in teacher_of.items() if p == advisor]
+            if advisor_courses:
+                crs = rng.choice(advisor_courses)
+                instance.add_tuple("ta", (crs, stud, rng.choice(TERMS)))
 
     return instance, advised_pairs
 

@@ -82,41 +82,14 @@ def examples_mask(covered: Iterable[Example], examples: Sequence[Example]) -> in
     return mask
 
 
-def mask_to_examples(mask: int, examples: Sequence[Example]) -> List[Example]:
-    """The examples whose positional bits are set in ``mask``, in order."""
-    return [example for i, example in enumerate(examples) if (mask >> i) & 1]
-
-
 class CoverageResult:
-    """Counts of covered positive and negative examples for one clause.
+    """Counts of covered positive and negative examples for one clause."""
 
-    When produced by a batched evaluation, ``positive_mask`` /
-    ``negative_mask`` additionally carry the positional coverage bitmasks
-    (bit ``i`` = example ``i`` of the scored list), letting downstream
-    consumers combine clause coverages with int operations.
-    """
+    __slots__ = ("positives_covered", "negatives_covered")
 
-    __slots__ = (
-        "positives_covered",
-        "negatives_covered",
-        "covered_positive_examples",
-        "positive_mask",
-        "negative_mask",
-    )
-
-    def __init__(
-        self,
-        positives_covered: int,
-        negatives_covered: int,
-        covered_positive_examples: Optional[List[Example]] = None,
-        positive_mask: Optional[int] = None,
-        negative_mask: Optional[int] = None,
-    ):
+    def __init__(self, positives_covered: int, negatives_covered: int):
         self.positives_covered = positives_covered
         self.negatives_covered = negatives_covered
-        self.covered_positive_examples = covered_positive_examples or []
-        self.positive_mask = positive_mask
-        self.negative_mask = negative_mask
 
     def precision(self) -> float:
         """Training precision of the clause: covered positives over all covered."""
@@ -464,10 +437,9 @@ class SubsumptionCoverageEngine:
         negatives: Sequence[Example],
     ) -> CoverageResult:
         """Coverage counts of a clause over positive and negative example lists."""
-        covered_positives = self.covered_examples(clause, positives)
-        covered_negatives = self.covered_examples(clause, negatives)
         return CoverageResult(
-            len(covered_positives), len(covered_negatives), covered_positives
+            len(self.covered_examples(clause, positives)),
+            len(self.covered_examples(clause, negatives)),
         )
 
     # ------------------------------------------------------------------ #
@@ -608,10 +580,9 @@ class QueryCoverageEngine:
         positives: Sequence[Example],
         negatives: Sequence[Example],
     ) -> CoverageResult:
-        covered_positives = self.covered_examples(clause, positives)
-        covered_negatives = self.covered_examples(clause, negatives)
         return CoverageResult(
-            len(covered_positives), len(covered_negatives), covered_positives
+            len(self.covered_examples(clause, positives)),
+            len(self.covered_examples(clause, negatives)),
         )
 
 
@@ -649,20 +620,13 @@ class BatchCoverageEngine:
 
         Scores are merged as positional bitmasks: counting covered examples
         is one ``int.bit_count()`` per clause instead of building and
-        measuring Python lists of ``Example`` objects, and the masks ride
-        along on the results for downstream int-algebra consumers.
+        measuring Python lists of ``Example`` objects.
         """
         clause_list = list(clauses)
         positive_masks = self.covered_masks_batch(clause_list, positives)
         negative_masks = self.covered_masks_batch(clause_list, negatives)
         return [
-            CoverageResult(
-                pos.bit_count(),
-                neg.bit_count(),
-                mask_to_examples(pos, positives),
-                positive_mask=pos,
-                negative_mask=neg,
-            )
+            CoverageResult(pos.bit_count(), neg.bit_count())
             for pos, neg in zip(positive_masks, negative_masks)
         ]
 

@@ -34,6 +34,15 @@ from .config import SessionConfig
 if TYPE_CHECKING:  # resolved lazily at runtime; annotations only
     from ..learning.examples import ExampleSet
 
+#: ``(source, prepared, (source token, prepared token))``.
+_Entry = Tuple[DatabaseInstance, DatabaseInstance, Tuple[object, object]]
+
+
+def _tokens(
+    source: DatabaseInstance, prepared: DatabaseInstance
+) -> Tuple[object, object]:
+    return (source.data_token(), prepared.data_token())
+
 
 def _learner_kinds() -> Dict[str, type]:
     """Name -> class registry for ``session.learner("castor", ...)``.
@@ -113,12 +122,10 @@ class LearningSession:
             config = SessionConfig()
         self.config = config
         self._lock = threading.RLock()
-        # id(source) -> (source, prepared, data token); the source reference
-        # pins the id so Python cannot recycle it for a different instance,
-        # and the token notices mutations.
-        self._instances: Dict[
-            int, Tuple[DatabaseInstance, DatabaseInstance, object]
-        ] = {}
+        # id(source) -> entry; the source reference pins the id so Python
+        # cannot recycle it for a different instance, and the two data
+        # tokens notice writes to either copy that bypass update().
+        self._instances: Dict[int, _Entry] = {}
         # id(source bundle) -> (source, converted) — same pinning trick, so
         # repeated sweeps over one bundle reuse one converted bundle (and
         # therefore one set of materialized instances and warm stores).
@@ -137,39 +144,37 @@ class LearningSession:
         The instance is converted onto ``config.backend`` once — repeated
         runs over the same source instance reuse the converted one.
 
-        The cache watches the source's :meth:`~DatabaseInstance.data_token`:
-        a mutation between runs re-converts the instance and drops its
-        saturation stores (whose clauses describe the old data), so
-        session runs always see current contents — same semantics as a
+        The cache watches the :meth:`~DatabaseInstance.data_token` of the
+        source and of the converted copy: a write to either that bypassed
+        :meth:`update` re-converts the instance and drops its saturation
+        stores (whose clauses describe the old data), so session runs
+        always see the source's current contents — same semantics as a
         learner's own per-``learn()`` conversion, minus the cost when
         nothing changed.
         """
         self._ensure_open()
         with self._lock:
             key = id(instance)
-            token = instance.data_token()
-            entry = self._instances.get(key)
-            if entry is not None and entry[2] != token:
-                self._invalidate_locked(key, entry)
-                entry = None
+            entry = self._fresh_entry_locked(key)
             if entry is None:
                 prepared = self._prepare_uncached(instance)
-                entry = self._instances[key] = (instance, prepared, token)
-                # From here on, direct add/remove on the prepared instance
-                # warns once (it forces the wholesale re-conversion above);
-                # transaction()/update() mutations are patched in place.
-                prepared.mark_managed()
+                entry = (instance, prepared, _tokens(instance, prepared))
+                self._instances[key] = entry
             return entry[1]
 
-    def _invalidate_locked(
-        self, key: int, entry: Tuple[DatabaseInstance, DatabaseInstance, object]
-    ) -> None:
-        """Drop a stale prepared instance: its conversion and its stores
-        describe the pre-mutation data."""
+    def _fresh_entry_locked(self, key: int) -> Optional[_Entry]:
+        """The cached entry for ``key``, or ``None`` once either copy's data
+        token moved since :meth:`prepare` or :meth:`update` recorded it.
+        A stale entry is dropped with its stores: they describe data that
+        no longer matches the source."""
+        entry = self._instances.get(key)
+        if entry is None or entry[2] == _tokens(entry[0], entry[1]):
+            return entry
         del self._instances[key]
         stale = id(entry[1])
         for store_key in [k for k in self._stores if k[0] == stale]:
             del self._stores[store_key]
+        return None
 
     def _prepare_uncached(self, instance: DatabaseInstance) -> DatabaseInstance:
         """Convert onto the session backend (no-op when it already matches)."""
@@ -247,79 +252,45 @@ class LearningSession:
     def update(self, instance: DatabaseInstance, delta: Delta) -> Delta:
         """Apply a :class:`~repro.database.delta.Delta` through the session.
 
-        The streaming-update front door: where a direct mutation between
-        runs makes :meth:`prepare` throw away the converted instance and
-        every saturation store keyed on it, this patches each of those in
+        The one route for a change: where a write that bypasses it makes
+        :meth:`prepare` throw away the converted instance and every
+        saturation store keyed on it, this patches each of those in
         place —
 
         * the source *and* the session's converted instance replay the
-          delta (one transaction each);
+          delta;
         * shared :class:`SaturationStore`\\ s drop exactly the saturations
           whose footprint the delta touches (untouched examples stay warm;
           dropped ones rebuild lazily on next use);
-        * the cached data token advances, so the next :meth:`prepare` is a
+        * the cached data tokens advance, so the next :meth:`prepare` is a
           cache hit instead of a wholesale invalidation.
 
-        An instance the session has not prepared yet just replays the delta
-        onto the source.  Returns ``delta`` for chaining.
+        An instance the session has not prepared yet, or whose copies took
+        a write that bypassed this method, just replays the delta onto the
+        source (the stale conversion and its stores are dropped first).
+        Returns ``delta`` for chaining.
         """
         self._ensure_open()
         if not isinstance(delta, Delta):
             raise TypeError(
                 f"update() takes a Delta, got {type(delta).__name__}; "
-                "build one with Delta.add/Delta.remove or session.feed()"
+                "build one with Delta.add/Delta.remove"
             )
         with self._lock:
-            entry = self._instances.get(id(instance))
-        if entry is None:
+            key = id(instance)
+            entry = self._fresh_entry_locked(key)
             instance.apply_delta(delta)
-            return delta
-        source, prepared, _token = entry
-        source.apply_delta(delta)
-        if prepared is not source:
-            prepared.apply_delta(delta)
-        touched = delta.touched_values()
-        with self._lock:
-            stale = id(prepared)
-            stores = [
-                store for key, store in self._stores.items() if key[0] == stale
-            ]
-            # Advance the token under the lock BEFORE patching stores: a
-            # concurrent prepare() must either see the old token (and
-            # invalidate wholesale — correct, just cold) or the new one
-            # (and reuse state this update is about to finish patching).
-            self._instances[id(instance)] = (
-                source, prepared, source.data_token()
-            )
-        for store in stores:
-            store.invalidate_touching(touched)
+            if entry is None:
+                return delta
+            prepared = entry[1]
+            if prepared is not instance:
+                prepared.apply_delta(delta)
+            self._instances[key] = (instance, prepared, _tokens(instance, prepared))
+            touched = delta.touched_values()
+            for (instance_id, _), store in self._stores.items():
+                if instance_id == id(prepared):
+                    store.invalidate_touching(touched)
         return delta
-
-    def feed(
-        self,
-        instance: DatabaseInstance,
-        add: Optional[Dict[str, object]] = None,
-        remove: Optional[Dict[str, object]] = None,
-    ) -> Delta:
-        """Streaming shorthand for :meth:`update`.
-
-        ``add``/``remove`` map relation names to iterables of rows::
-
-            session.feed(instance,
-                         add={"advisedBy": [("p1", "s9")]},
-                         remove={"student": [("s3",)]})
-
-        builds one coalesced :class:`Delta` (removes after adds, matching
-        keyword order here: adds first) and routes it through
-        :meth:`update`.
-        """
-        ops = []
-        for op_name, mapping in (("add", add), ("remove", remove)):
-            for relation, rows in (mapping or {}).items():
-                ops.append(
-                    (op_name, relation, tuple(tuple(row) for row in rows))
-                )
-        return self.update(instance, Delta(ops).coalesced())
 
     # ------------------------------------------------------------------ #
     # Learners

@@ -28,17 +28,6 @@ def make_instance(backend: str) -> DatabaseInstance:
     return instance
 
 
-def transaction_add_then_remove(instance: DatabaseInstance) -> None:
-    with instance.transaction():
-        instance.add_tuple("s", ("y", "d"))
-        instance.remove_tuple("s", ("y", "d"))
-
-
-def transaction_readding_a_row(instance: DatabaseInstance) -> None:
-    with instance.transaction():
-        instance.add_tuple("r", ("x", 1))
-
-
 #: ``id -> (mutation, whether the token must move)``.
 MUTATIONS = {
     "add-new-row": (lambda i: i.add_tuple("r", ("z", 3)), True),
@@ -64,8 +53,22 @@ MUTATIONS = {
     "empty-delta": (lambda i: i.apply_delta(Delta()), False),
     # A row inserted and deleted again did change the data in between:
     # conservative, never stale.
-    "transaction-add-then-remove": (transaction_add_then_remove, True),
-    "transaction-readding-a-row": (transaction_readding_a_row, False),
+    "delta-adds-then-removes-row": (
+        lambda i: i.apply_delta(
+            Delta([("add", "s", [("y", "d")]), ("remove", "s", [("y", "d")])])
+        ),
+        True,
+    ),
+    "delta-removes-then-readds-row": (
+        lambda i: i.apply_delta(
+            Delta([("remove", "s", [("x", "c")]), ("add", "s", [("x", "c")])])
+        ),
+        True,
+    ),
+    # Writes straight to a relation store, around the instance's methods:
+    # the token is the only thing that notices them.
+    "relation-store-adds-row": (lambda i: i.relation("r").add(("z", 3)), True),
+    "relation-store-removes-row": (lambda i: i.relation("r").remove(("x", 1)), True),
 }
 
 

@@ -1,9 +1,8 @@
 """Bitset coverage vectors: masks must agree with the example-list API.
 
 Coverage masks are *positional* — bit ``i`` of a mask is the coverage of
-``examples[i]`` — so they must round-trip through
-:func:`~repro.learning.coverage.mask_to_examples`, agree with
-``covered_examples`` on every engine, and survive batching unchanged.
+``examples[i]`` — so they must set exactly the covered positions, agree
+with ``covered_examples`` on every engine, and survive batching unchanged.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.learning.coverage import (
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
     examples_mask,
-    mask_to_examples,
 )
 from repro.learning.evaluation import evaluate_definition
 from repro.learning.examples import Example, ExampleSet
@@ -40,13 +38,18 @@ def workload(uwcse_bundle):
     return instance, clauses, uwcse_bundle.examples
 
 
+def _bits(mask: int, width: int):
+    """The positions set in ``mask``, lowest first."""
+    return [i for i in range(width) if (mask >> i) & 1]
+
+
 class TestMaskPrimitives:
-    def test_round_trip(self):
+    def test_covered_positions_are_set(self):
         examples = [Example("t", (f"v{i}",), True) for i in range(8)]
         covered = [examples[1], examples[3], examples[7]]
         mask = examples_mask(covered, examples)
         assert mask == (1 << 1) | (1 << 3) | (1 << 7)
-        assert mask_to_examples(mask, examples) == covered
+        assert _bits(mask, len(examples)) == [1, 3, 7]
 
     def test_duplicate_examples_share_coverage(self):
         """A repeated example sets EVERY position it occupies."""
@@ -55,21 +58,20 @@ class TestMaskPrimitives:
         examples = [example, other, example]
         mask = examples_mask([example], examples)
         assert mask == 0b101
-        assert mask_to_examples(mask, examples) == [example, example]
+        assert examples_mask([other], examples) == 0b010
 
     def test_empty_inputs(self):
         assert examples_mask([], []) == 0
-        assert mask_to_examples(0, []) == []
         example = Example("t", ("v",), True)
         assert examples_mask([], [example]) == 0
-        assert mask_to_examples(0b1, [example]) == [example]
+        assert examples_mask([example], [example]) == 0b1
 
     def test_masks_compose_with_int_operations(self):
         examples = [Example("t", (f"v{i}",), True) for i in range(6)]
         left = examples_mask(examples[:3], examples)
         right = examples_mask(examples[2:5], examples)
-        assert mask_to_examples(left | right, examples) == examples[:5]
-        assert mask_to_examples(left & right, examples) == [examples[2]]
+        assert left | right == examples_mask(examples[:5], examples) == 0b11111
+        assert left & right == examples_mask([examples[2]], examples) == 0b100
         assert (left | right).bit_count() == 5
 
 
@@ -82,7 +84,10 @@ class TestEngineMaskParity:
             covered = engine.covered_examples(clause, all_examples)
             mask = engine.covered_mask(clause, all_examples)
             assert mask == examples_mask(covered, all_examples)
-            assert mask_to_examples(mask, all_examples) == covered
+            assert mask.bit_count() == len(covered)
+            assert _bits(mask, len(all_examples)) == [
+                i for i, e in enumerate(all_examples) if e in covered
+            ]
 
     def test_query_engine_mask_matches_examples(self, workload):
         instance, clauses, examples = workload
@@ -106,20 +111,17 @@ class TestEngineMaskParity:
         ]
         assert batch.covered_masks_batch(clauses, all_examples) == expected
 
-    def test_evaluate_batch_carries_consistent_masks(self, workload):
+    def test_evaluate_batch_counts_match_per_clause_masks(self, workload):
         instance, clauses, examples = workload
         batch = BatchCoverageEngine(SubsumptionCoverageEngine(instance))
         results = batch.evaluate_batch(clauses, examples.positives, examples.negatives)
         assert len(results) == len(clauses)
-        for result in results:
-            assert result.positive_mask is not None
-            assert result.negative_mask is not None
-            assert result.positive_mask.bit_count() == result.positives_covered
-            assert result.negative_mask.bit_count() == result.negatives_covered
-            assert (
-                mask_to_examples(result.positive_mask, examples.positives)
-                == result.covered_positive_examples
-            )
+        sequential = SubsumptionCoverageEngine(instance)
+        for clause, result in zip(clauses, results):
+            positives = sequential.covered_mask(clause, examples.positives)
+            negatives = sequential.covered_mask(clause, examples.negatives)
+            assert result.positives_covered == positives.bit_count()
+            assert result.negatives_covered == negatives.bit_count()
 
 
 class TestEvaluateDefinitionBatched:

@@ -25,7 +25,6 @@ class TestCoverageResultEdgeCases:
         result = CoverageResult(0, 0)
         assert result.precision() == 0.0
         assert result.coverage_score() == 0
-        assert result.covered_positive_examples == []
 
     def test_all_negative_coverage(self):
         result = CoverageResult(0, 7)

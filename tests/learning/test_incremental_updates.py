@@ -1,5 +1,5 @@
-"""Incremental updates: Delta semantics, transactions, and delta-maintained
-saturation/coverage state vs a cold rebuild.
+"""Incremental updates: Delta semantics, delta application, and
+delta-maintained saturation/coverage state vs a cold rebuild.
 
 The contract under test (docs/updates.md):
 
@@ -10,8 +10,7 @@ The contract under test (docs/updates.md):
 * invalidation is *targeted*: a delta only drops saturations whose
   footprint (head values + body constants) intersects the delta's touched
   values, so warm state for untouched examples survives;
-* ``DatabaseInstance.transaction()`` coalesces mutations into one delta
-  (one change notification), and replay semantics are set-based: adds are
+* ``DatabaseInstance.apply_delta`` replays with set semantics: adds are
   idempotent, removes of absent rows are no-ops.
 """
 
@@ -50,11 +49,10 @@ class TestDelta:
             ("remove", "s", (("y", 2),)),
         )
         assert delta.row_count == 2
-        assert delta.touched_relations() == frozenset({"r", "s"})
         assert delta.touched_values() == frozenset({"x", 1, "y", 2})
-        assert bool(delta) and not delta.is_empty
+        assert bool(delta)
         assert not Delta()
-        assert Delta([("add", "r", [])]).is_empty  # empty-row ops are dropped
+        assert not Delta([("add", "r", [])])  # empty-row ops are dropped
 
     def test_invalid_ops_rejected(self):
         with pytest.raises(ValueError):
@@ -64,10 +62,12 @@ class TestDelta:
         with pytest.raises(ValueError):
             Delta([42])  # not an (op, relation, rows) triple
 
-    def test_classmethods_then_and_coalesced(self):
-        delta = Delta.add("r", [("x",), ("x",), ("y",)]).then(
-            Delta.add("r", [("z",)])
-        ) + Delta.remove("r", [("x",)])
+    def test_classmethods_and_coalesced(self):
+        delta = Delta(
+            Delta.add("r", [("x",), ("x",), ("y",)]).ops
+            + Delta.add("r", [("z",)]).ops
+            + Delta.remove("r", [("x",)]).ops
+        )
         coalesced = delta.coalesced()
         # Adjacent same-op/same-relation runs merge, duplicate rows dedup.
         assert coalesced.ops == (
@@ -85,54 +85,13 @@ class TestDelta:
 
 
 # --------------------------------------------------------------------- #
-# Transactions on DatabaseInstance
+# Applying deltas to DatabaseInstance
 # --------------------------------------------------------------------- #
-class TestTransaction:
+class TestApplyDelta:
     """Runs on every registered backend (the conftest ``backend`` fixture)."""
 
     def _instance(self, backend):
         return DatabaseInstance(tiny_schema(), backend=backend)
-
-    def test_transaction_coalesces_into_one_delta(self, backend):
-        instance = self._instance(backend)
-        seen = []
-        instance.subscribe_deltas(seen.append)
-        with instance.transaction():
-            instance.add_tuple("r", ("x", 1))
-            instance.add_tuples("r", [("y", 2), ("y", 2)])
-            instance.remove_tuple("r", ("x", 1))
-        assert len(seen) == 1
-        assert seen[0] == Delta(
-            [("add", "r", (("x", 1), ("y", 2))), ("remove", "r", (("x", 1),))]
-        )
-        # Standalone mutations notify per-op.
-        instance.add_tuple("s", ("x", "c"))
-        assert seen[1] == Delta.add("s", [("x", "c")])
-
-    def test_nested_transactions_fire_once_at_the_outermost(self, backend):
-        instance = self._instance(backend)
-        seen = []
-        instance.subscribe_deltas(seen.append)
-        with instance.transaction():
-            instance.add_tuple("r", ("x", 1))
-            with instance.transaction():
-                instance.add_tuple("r", ("y", 2))
-            assert seen == []
-        assert len(seen) == 1 and seen[0].row_count == 2
-
-    def test_partial_transaction_still_commits(self, backend):
-        """transaction() is a coalescing scope, NOT rollback: on exception
-        the already-applied mutations stay and their delta still fires —
-        anything else would silently diverge caches from the data."""
-        instance = self._instance(backend)
-        seen = []
-        instance.subscribe_deltas(seen.append)
-        with pytest.raises(RuntimeError):
-            with instance.transaction():
-                instance.add_tuple("r", ("x", 1))
-                raise RuntimeError("boom")
-        assert ("x", 1) in instance.relation("r")
-        assert seen == [Delta.add("r", [("x", 1)])]
 
     def test_apply_delta_replays_with_set_semantics(self, backend):
         instance = self._instance(backend)
@@ -143,7 +102,7 @@ class TestTransaction:
                 ("remove", "r", (("ghost", 9),)),  # absent: ignored
             ]
         )
-        instance.apply_delta(delta)
+        assert instance.apply_delta(delta) is delta
         assert instance.relation("r").rows == {("x", 1), ("y", 2)}
         with pytest.raises(TypeError):
             instance.apply_delta([("add", "r", (("x", 1),))])
@@ -154,28 +113,32 @@ class TestTransaction:
             instance.remove_tuple("r", ("nope", 0))
         instance.remove_tuple("r", ("nope", 0), missing_ok=True)
 
-    def test_unsubscribe(self, backend):
+    def test_apply_delta_applies_ops_in_order(self, backend):
         instance = self._instance(backend)
-        seen = []
-        unsubscribe = instance.subscribe_deltas(seen.append)
         instance.add_tuple("r", ("x", 1))
-        unsubscribe()
-        instance.add_tuple("r", ("y", 2))
-        assert len(seen) == 1
+        instance.apply_delta(
+            Delta(
+                [
+                    ("remove", "r", (("x", 1),)),
+                    ("add", "r", (("x", 1), ("z", 3))),
+                    ("remove", "r", (("z", 3),)),
+                ]
+            )
+        )
+        assert instance.relation("r").rows == {("x", 1)}
 
-    def test_direct_mutation_on_managed_instance_warns_once(self, backend):
-        from repro.database import backend as backend_module
-
+    def test_apply_delta_keeps_the_ops_before_a_failing_one(self, backend):
+        """apply_delta is not a rollback scope: ops applied before a
+        failing one stay, and the data token moves, so a session that
+        caches a copy re-converts instead of serving the old data."""
         instance = self._instance(backend)
-        instance.mark_managed()
-        backend_module._WARNED = {
-            m for m in backend_module._WARNED if "prepared instance" not in m
-        }
-        with pytest.warns(RuntimeWarning, match="transaction"):
-            instance.add_tuple("r", ("x", 1))
-        # Transactional mutations are the blessed path: no warning.
-        with instance.transaction():
-            instance.add_tuple("r", ("y", 2))
+        before = instance.data_token()
+        with pytest.raises(KeyError):
+            instance.apply_delta(
+                Delta([("add", "r", (("x", 1),)), ("add", "nope", (("y",),))])
+            )
+        assert instance.relation("r").rows == {("x", 1)}
+        assert instance.data_token() != before
 
 
 # --------------------------------------------------------------------- #
@@ -268,9 +231,8 @@ class TestInvalidationLooksUpInsteadOfScanning:
         """The session already dropped what the delta touched, so the
         engine's own pass over the shared store only resyncs its ids."""
         source = DatabaseInstance(tiny_schema())
-        with source.transaction():
-            source.add_tuples("r", [("x1", "b1")])
-            source.add_tuples("s", [("x2", "c2")])
+        source.add_tuples("r", [("x1", "b1")])
+        source.add_tuples("s", [("x2", "c2")])
         e1 = Example("q", ("x1",), True)
         e2 = Example("q", ("x2",), True)
         with LearningSession(SessionConfig(backend="sqlite")) as session:
@@ -331,9 +293,8 @@ def test_delta_maintenance_matches_cold_rebuild(backend, initial_r, initial_s, r
     """Random insert/retract interleavings applied as deltas leave store
     contents and coverage bitsets byte-identical to a cold rebuild."""
     warm = DatabaseInstance(tiny_schema(), backend=backend)
-    with warm.transaction():
-        warm.add_tuples("r", initial_r)
-        warm.add_tuples("s", initial_s)
+    warm.add_tuples("r", initial_r)
+    warm.add_tuples("s", initial_s)
     warm_store = SaturationStore()
     warm_engine = SubsumptionCoverageEngine(
         warm,
@@ -350,9 +311,8 @@ def test_delta_maintenance_matches_cold_rebuild(backend, initial_r, initial_s, r
         warm_engine.materialize(EXAMPLES)
 
         cold = DatabaseInstance(tiny_schema(), backend=backend)
-        with cold.transaction():
-            for name in ("r", "s"):
-                cold.add_tuples(name, sorted(warm.relation(name).rows, key=repr))
+        for name in ("r", "s"):
+            cold.add_tuples(name, sorted(warm.relation(name).rows, key=repr))
         cold_store = SaturationStore()
         cold_engine = SubsumptionCoverageEngine(
             cold,

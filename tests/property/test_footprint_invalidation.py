@@ -150,9 +150,8 @@ def test_index_invalidation_matches_a_full_footprint_scan(
     backend, initial_r, initial_s, rounds
 ):
     instance = DatabaseInstance(_schema(), backend=backend)
-    with instance.transaction():
-        instance.add_tuples("r", initial_r)
-        instance.add_tuples("s", initial_s)
+    instance.add_tuples("r", initial_r)
+    instance.add_tuples("s", initial_s)
     store = SaturationStore()
     engines = (_engine(instance, store), _engine(instance, store))
     engines[0].materialize(EXAMPLES)

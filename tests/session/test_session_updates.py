@@ -1,9 +1,9 @@
-"""session.update()/session.feed(): streaming updates keep session caches warm.
+"""session.update(): streaming updates keep session caches warm.
 
-Before the update API, any mutation between runs moved the source's data
-token and the next prepare() threw away the converted instance and every
-saturation store keyed on it.  These tests pin the new
-contract: updates routed through the session patch all of that in place.
+A write that bypasses update(), on the source or on the converted copy,
+moves that copy's data token, and the next prepare() or update() throws
+away the converted instance and every saturation store keyed on it.
+Updates routed through the session patch all of that in place.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ def tiny_schema() -> Schema:
 
 def tiny_source() -> DatabaseInstance:
     instance = DatabaseInstance(tiny_schema())
-    with instance.transaction():
-        instance.add_tuples("r", [("x1", "b1")])
-        instance.add_tuples("s", [("x2", "c2")])
+    instance.add_tuples("r", [("x1", "b1")])
+    instance.add_tuples("s", [("x2", "c2")])
     return instance
 
 
@@ -48,8 +47,8 @@ def test_update_keeps_the_prepared_cache_warm():
 
 
 def test_direct_mutation_still_invalidates_wholesale():
-    """The legacy path keeps its semantics: bypassing update() moves the
-    token and prepare() re-converts (correct, just cold)."""
+    """Bypassing update() moves the source's token and prepare()
+    re-converts (correct, just cold)."""
     source = tiny_source()
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         prepared = session.prepare(source)
@@ -84,22 +83,6 @@ def test_update_patches_stores_instead_of_dropping_them():
         assert store.existing_id("q", e1.values) is None
 
 
-def test_feed_builds_one_coalesced_delta():
-    source = tiny_source()
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
-        session.prepare(source)
-        delta = session.feed(
-            source,
-            add={"r": [("x9", "b9"), ("x9", "b9")]},
-            remove={"s": [("x2", "c2")]},
-        )
-    assert delta == Delta(
-        [("add", "r", (("x9", "b9"),)), ("remove", "s", (("x2", "c2"),))]
-    )
-    assert ("x9", "b9") in source.relation("r").rows
-    assert ("x2", "c2") not in source.relation("s").rows
-
-
 def test_update_on_unprepared_instance_just_replays():
     source = tiny_source()
     with LearningSession(SessionConfig(backend="sqlite")) as session:
@@ -110,23 +93,75 @@ def test_update_on_unprepared_instance_just_replays():
 def test_update_rejects_non_delta():
     source = tiny_source()
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        with pytest.raises(TypeError, match="session.feed"):
+        with pytest.raises(TypeError, match="Delta.add"):
             session.update(source, [("add", "r", (("x9", "b9"),))])
 
 
-def test_prepared_instance_direct_mutation_warns():
-    """prepare() marks the conversion managed: bare add/remove on it points
-    (once) at the transaction/update API."""
-    from repro.database import backend as backend_module
-
+@pytest.mark.parametrize("backend", ["sqlite", "sqlite-pooled"])
+def test_update_after_a_direct_source_write_keeps_that_row(backend):
+    """A write to the source that bypassed update() must reach the
+    converted copy, even when an update() comes before the next
+    prepare()."""
     source = tiny_source()
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
+    with LearningSession(SessionConfig(backend=backend)) as session:
+        session.prepare(source)
+        source.add_tuple("r", ("direct", "row"))
+        session.update(source, Delta.add("r", [("x9", "b9")]))
         prepared = session.prepare(source)
-        backend_module._WARNED = {
-            m for m in backend_module._WARNED if "prepared instance" not in m
-        }
-        with pytest.warns(RuntimeWarning, match="transaction"):
-            prepared.add_tuple("r", ("warned", "row"))
+        assert prepared.relation("r").rows == source.relation("r").rows
+        assert ("direct", "row") in prepared.relation("r").rows
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "sqlite-pooled"])
+def test_direct_write_to_the_prepared_copy_reconverts(backend):
+    """A write to the converted copy that bypassed update() is noticed:
+    the next prepare() converts the source afresh, and the stores that
+    answered from the diverged copy are gone."""
+    source = tiny_source()
+    e1 = Example("q", ("x1",), True)
+    with LearningSession(SessionConfig(backend=backend)) as session:
+        prepared = session.prepare(source)
+        store = session.saturation_store_for(prepared)
+        SubsumptionCoverageEngine(
+            prepared,
+            BottomClauseConfig(max_depth=2),
+            saturation_store=store,
+        ).materialize([e1])
+        assert len(store) == 1
+
+        prepared.add_tuple("r", ("x1", "diverged"))
+        again = session.prepare(source)
+        assert again is not prepared
+        assert again.relation("r").rows == source.relation("r").rows
+        fresh = session.saturation_store_for(again)
+        assert fresh is not store
+        assert len(fresh) == 0
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "sqlite-pooled"])
+def test_update_after_a_direct_write_to_the_prepared_copy_reconverts(backend):
+    """update() checks the converted copy's token too: it does not patch a
+    copy that diverged from the source, and the next prepare() serves a
+    fresh conversion that holds the delta but not the diverged row."""
+    source = tiny_source()
+    e1 = Example("q", ("x1",), True)
+    with LearningSession(SessionConfig(backend=backend)) as session:
+        prepared = session.prepare(source)
+        store = session.saturation_store_for(prepared)
+        SubsumptionCoverageEngine(
+            prepared,
+            BottomClauseConfig(max_depth=2),
+            saturation_store=store,
+        ).materialize([e1])
+
+        prepared.add_tuple("r", ("x1", "diverged"))
+        session.update(source, Delta.add("r", [("x9", "b9")]))
+        again = session.prepare(source)
+        assert again is not prepared
+        assert again.relation("r").rows == source.relation("r").rows
+        assert ("x9", "b9") in again.relation("r").rows
+        assert ("x1", "diverged") not in again.relation("r").rows
+        assert session.saturation_store_for(again) is not store
 
 
 def test_update_reaches_the_pooled_read_snapshots():
