@@ -10,15 +10,22 @@ UW-CSE and HIV workloads:
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
   table per head signature across the batch, ``sqlite-pooled`` fans the
   clauses out over snapshot connections (``--parallelism``);
+* **refinement coverage, sequential and batched** — the same two paths over
+  FOIL's first two scoring generations (every refinement of the initial
+  clause, then every refinement of the first one-literal clause that
+  covers at least two examples), whose clauses cover several
+  examples each; batched, ``memory`` plans each generation's shared body
+  once and tests every refinement's last literal against its solutions;
 * **subsumption coverage** — the Python θ-subsumption kernel (the engine on
   a ``memory`` copy) vs the compiled saturation-store path (the engine on a
   ``sqlite`` copy: one statement tests a clause against every example's
   saturation at once), whatever ``--backend`` selects.
 
 The script asserts that every backend and every path covers **identical**
-example sets for every candidate clause (parity), and that on every
-workload some clause covers some but not all of the examples (so the
-parity compares sets that could differ).  Run it standalone::
+example sets for every candidate clause (parity).  On every workload some
+bottom clause must cover some but not all of the examples, and some
+refinement must cover at least two examples but not all, so the parity
+compares sets that could differ.  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
         [--backend {memory,sqlite,sqlite-pooled,both,all}]
@@ -35,11 +42,13 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
 from repro.database.instance import DatabaseInstance
 from repro.datasets import hiv, uwcse
+from repro.foil import RefinementOperator, initial_clause
 from repro.learning.coverage import (
     BatchCoverageEngine,
     QueryCoverageEngine,
@@ -79,6 +88,35 @@ def candidate_clauses(
         if clause.body:
             clauses.append(clause)
     return clauses
+
+
+def refinement_clauses(
+    bundle, instance: DatabaseInstance, examples: Sequence[Example]
+) -> List[HornClause]:
+    """FOIL's first two scoring generations on ``instance``.
+
+    Every refinement of the initial clause ``T(x0, ...) :- true``, then
+    every refinement of the first of them that covers at least two of
+    ``examples``.  Each generation shares one body, the shape
+    ``covered_tuples_batch`` groups on ``memory``.
+    """
+    seed = bundle.examples.positives[0]
+    initial = initial_clause(seed.target, len(seed.values))
+    operator = RefinementOperator(bundle.schema(bundle.variant_names[0]), instance)
+    first = [
+        initial.add_literal(literal)
+        for literal in operator.candidate_literals_for_clause(initial)
+    ]
+    engine = QueryCoverageEngine(instance)
+    parent = next(
+        clause
+        for clause in first
+        if len(engine.covered_examples(clause, examples)) >= 2
+    )
+    return first + [
+        parent.add_literal(literal)
+        for literal in operator.candidate_literals_for_clause(parent)
+    ]
 
 
 def time_sequential(
@@ -152,6 +190,64 @@ def time_subsumption(
     return time.perf_counter() - start, covered
 
 
+def time_query_coverage(
+    title: str,
+    instances: Dict[str, DatabaseInstance],
+    clauses: Sequence[HornClause],
+    examples: Sequence[Example],
+    repeats: int,
+    parallelism: int,
+) -> Tuple[Dict[str, float], Dict[str, float], List[int], bool]:
+    """Sequential and batched timings of ``clauses`` on every backend.
+
+    Returns both timings per backend, the covered-set sizes on the first
+    backend, and whether every backend and path covered the same sets.
+    """
+    sequential_seconds: Dict[str, float] = {}
+    batched_seconds: Dict[str, float] = {}
+    sequential: Dict[str, List[frozenset]] = {}
+    batched: Dict[str, List[frozenset]] = {}
+    print(f"  {title} (sequential, one call per clause):")
+    for backend, instance in instances.items():
+        seconds, sequential[backend] = time_sequential(
+            instance, clauses, examples, repeats
+        )
+        sequential_seconds[backend] = seconds
+        print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
+
+    print(f"  {title} (batched, parallelism={parallelism}):")
+    for backend, instance in instances.items():
+        seconds, batched[backend] = time_batched(
+            instance, clauses, examples, repeats, parallelism
+        )
+        batched_seconds[backend] = seconds
+        print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
+
+    reference_backend = next(iter(instances))
+    reference = sequential[reference_backend]
+    sizes = [len(covered) for covered in reference]
+    histogram = dict(sorted(Counter(sizes).items()))
+    print(
+        f"  covered-set sizes ({reference_backend}, of {len(examples)} "
+        f"examples; size: clauses): {histogram}"
+    )
+    parity = True
+    for backend, results in list(sequential.items()) + list(batched.items()):
+        for index, (expected, actual) in enumerate(zip(reference, results)):
+            if expected != actual:
+                parity = False
+                print(
+                    f"  PARITY MISMATCH [{backend} {title} clause {index}]: "
+                    f"{sorted(expected ^ actual)} differ from {reference_backend}"
+                )
+    if parity:
+        print(
+            "  parity: identical covered sets across "
+            f"{'/'.join(instances)} (sequential and batched)"
+        )
+    return sequential_seconds, batched_seconds, sizes, parity
+
+
 def run_workload(
     name: str,
     bundle,
@@ -167,11 +263,13 @@ def run_workload(
     clauses = candidate_clauses(
         base_instance, bundle.examples.positives, count=clause_count
     )
+    refinements = refinement_clauses(bundle, base_instance, examples)
     print(
         f"\n[{name}] variant={variant} tuples={base_instance.total_tuples()} "
         f"examples={len(examples)} clauses={len(clauses)} "
         "(mean body length "
-        f"{sum(len(c.body) for c in clauses) / max(1, len(clauses)):.1f})"
+        f"{sum(len(c.body) for c in clauses) / max(1, len(clauses)):.1f}) "
+        f"refinements={len(refinements)}"
     )
 
     record: Dict[str, object] = {
@@ -180,57 +278,26 @@ def run_workload(
         "tuples": base_instance.total_tuples(),
         "examples": len(examples),
         "clauses": len(clauses),
-        "query_sequential_seconds": {},
-        "query_batched_seconds": {},
-        "subsumption_seconds": {},
-        "speedups": {},
+        "refinements": len(refinements),
     }
-    parity = True
-
-    sequential: Dict[str, List[frozenset]] = {}
-    batched: Dict[str, List[frozenset]] = {}
-    instances: Dict[str, DatabaseInstance] = {}
-    for backend in backends:
-        instances[backend] = materialize(base_instance, backend)
-
-    print("  query coverage (sequential, one call per clause):")
-    for backend in backends:
-        seconds, sequential[backend] = time_sequential(
-            instances[backend], clauses, examples, repeats
-        )
-        record["query_sequential_seconds"][backend] = seconds
-        print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
-
-    print(f"  query coverage (batched, parallelism={parallelism}):")
-    for backend in backends:
-        if backend == "memory":
-            continue  # no batched entry point beyond the sequential loop
-        seconds, batched[backend] = time_batched(
-            instances[backend], clauses, examples, repeats, parallelism
-        )
-        record["query_batched_seconds"][backend] = seconds
-        print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
-
-    reference_backend = backends[0]
-    reference = sequential[reference_backend]
-    record["covered_set_sizes"] = [len(covered) for covered in reference]
-    print(
-        f"  covered-set sizes ({reference_backend}, of {len(examples)} "
-        f"examples): {record['covered_set_sizes']}"
+    instances = {backend: materialize(base_instance, backend) for backend in backends}
+    (
+        record["query_sequential_seconds"],
+        record["query_batched_seconds"],
+        record["covered_set_sizes"],
+        parity,
+    ) = time_query_coverage(
+        "query coverage", instances, clauses, examples, repeats, parallelism
     )
-    for backend, results in list(sequential.items()) + list(batched.items()):
-        for index, (expected, actual) in enumerate(zip(reference, results)):
-            if expected != actual:
-                parity = False
-                print(
-                    f"  PARITY MISMATCH [{backend} clause {index}]: "
-                    f"{sorted(expected ^ actual)} differ from {reference_backend}"
-                )
-    if parity:
-        print(
-            "  parity: identical covered sets across "
-            f"{'/'.join(backends)} (sequential and batched)"
-        )
+    (
+        record["refinement_sequential_seconds"],
+        record["refinement_batched_seconds"],
+        record["refinement_covered_set_sizes"],
+        refinement_parity,
+    ) = time_query_coverage(
+        "refinement coverage", instances, refinements, examples, repeats, parallelism
+    )
+    parity &= refinement_parity
 
     # Subsumption coverage: the Python kernel on memory vs the compiled
     # saturation store on sqlite, over one shared saturation cache.
@@ -294,6 +361,12 @@ def run_workload(
     if compiled_warm_seconds > 0:
         speedups["compiled_warm_vs_python_subsumption"] = (
             python_seconds / compiled_warm_seconds
+        )
+    refined_seq = record["refinement_sequential_seconds"]
+    refined_bat = record["refinement_batched_seconds"]
+    if "memory" in refined_bat and refined_bat["memory"] > 0:
+        speedups["refinement_memory_batched_vs_memory_sequential"] = (
+            refined_seq["memory"] / refined_bat["memory"]
         )
     record["speedups"] = speedups
     for label, value in speedups.items():
@@ -423,6 +496,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             "\nFAIL: no candidate clause covers some but not all examples on "
             f"{', '.join(vacuous)}; parity compared nothing that could differ"
+        )
+        return 1
+    vacuous = [
+        record["workload"]
+        for record in records
+        if not any(
+            1 < size < record["examples"]
+            for size in record["refinement_covered_set_sizes"]
+        )
+    ]
+    if vacuous:
+        print(
+            "\nFAIL: no refinement covers several but not all examples on "
+            f"{', '.join(vacuous)}; the refinement parity compared only "
+            "singletons or full sets"
         )
         return 1
     label = "pooled_batched_vs_sqlite_sequential"

@@ -1,4 +1,5 @@
-"""Regression gates over benchmark JSON artifacts, one subcommand per gate.
+"""Regression gates over benchmark JSON artifacts, one subcommand per gate,
+and ``pairs``, which measures a change against its parent.
 
 CI runs each gate after the benchmark that writes its input::
 
@@ -20,15 +21,36 @@ CI runs each gate after the benchmark that writes its input::
 Each gate prints what it compared; the exit status is 0 when the gate
 holds, 1 when it fails and 2 on bad usage.  Only ``overhead`` imports
 ``repro`` (it times the library's own disabled span).
+
+``pairs`` runs the repository benchmark (``perfbench/run.py --trace 0``)
+on two revisions of the git repository in the working directory::
+
+    python benchmarks/compare.py pairs --parent HEAD~1 --change HEAD \
+        --workload foil-uwcse --pairs 10
+
+It extracts each revision with ``git archive`` into a temporary directory,
+which it removes afterwards, and runs the two alternately, the parent
+first in odd pairs and the change first in even ones, with seed ``i`` for
+both runs of pair ``i``.  Every run lasts the ``run_seconds`` of the
+parent's ``BENCHMARK.json``.  For every end-to-end metric of that file it
+prints both medians and quartiles, how many pairs the change won (by the
+metric's ``better``; ties count for neither side), whether the medians
+differ by more than the parent's interquartile range, and whether the
+change's median stays within the metric's ``bound`` of the parent's.  It
+exits 1 when any run is not correct.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Disabled spans timed to measure the cost of one.
 DISABLED_SPAN_ITERATIONS = 200_000
@@ -36,7 +58,8 @@ DISABLED_SPAN_ITERATIONS = 200_000
 MAX_DISABLED_SPAN_SECONDS = 20e-6
 #: Largest share of the untraced run's timed work that disabled spans may cost.
 MAX_OVERHEAD_RATIO = 0.02
-#: The parity benchmark's timed-work sections, summed over its workloads.
+#: The parity benchmark's bottom-clause and subsumption timings, summed
+#: over its workloads.
 TIMED_SECTIONS = (
     "query_sequential_seconds",
     "query_batched_seconds",
@@ -126,6 +149,139 @@ def incremental(args: argparse.Namespace) -> None:
     )
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
+def _git(root: str, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _checkout(root: str, sha: str, directory: str) -> None:
+    """Extract the tree of commit ``sha`` into ``directory``."""
+    os.makedirs(directory)
+    tree = subprocess.run(
+        ["git", "archive", "--format=tar", sha], cwd=root, check=True,
+        capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", directory], input=tree, check=True)
+
+
+def _bench(directory: str, workload: str, seed: int, seconds: float) -> Dict:
+    """One ``--trace 0`` benchmark run in ``directory``: its result line,
+    or a result marked not correct when the run produced none."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    completed = subprocess.run(
+        command, cwd=directory, env=env, capture_output=True, text=True
+    )
+    lines = completed.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "failed": None, "metrics": {}}
+    if completed.returncode != 0:
+        result["correct"] = False
+    return result
+
+
+def _quartiles(values: List[float]) -> Tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, median, high
+
+
+def _pair_rows(
+    metrics: Sequence[Dict], runs: List[Tuple[Dict, Dict]]
+) -> List[List[str]]:
+    """One printed row per end-to-end metric both sides reported."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        values = [
+            (parent["metrics"][name]["value"], change["metrics"][name]["value"])
+            for parent, change in runs
+            if name in parent["metrics"] and name in change["metrics"]
+        ]
+        if not values:
+            continue
+        sign = 1 if metric["better"] == "lower" else -1
+        parent_q = _quartiles([p for p, _ in values])
+        change_q = _quartiles([c for _, c in values])
+        won = sum(1 for p, c in values if sign * (p - c) > 0)
+        gap = abs(change_q[1] - parent_q[1]) > parent_q[2] - parent_q[0]
+        bound = parent_q[1] * (1 + sign * metric["bound"])
+        inside = sign * (bound - change_q[1]) >= 0
+        rows.append([
+            name, metric["unit"],
+            f"{parent_q[1]:.4g} [{parent_q[0]:.4g}, {parent_q[2]:.4g}]",
+            f"{change_q[1]:.4g} [{change_q[0]:.4g}, {change_q[2]:.4g}]",
+            f"{won}/{len(values)}", "yes" if gap else "no",
+            "yes" if inside else "no",
+        ])
+    return rows
+
+
+def pairs(args: argparse.Namespace) -> None:
+    try:
+        root = _git(os.getcwd(), "rev-parse", "--show-toplevel")
+        shas = {
+            side: _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+            for side, rev in (("parent", args.parent), ("change", args.change))
+        }
+    except subprocess.CalledProcessError as error:
+        print(f"compare.py pairs: error: {error.stderr.strip()}", file=sys.stderr)
+        raise SystemExit(2) from error
+    runs: List[Tuple[Dict, Dict]] = []
+    incorrect = 0
+    with tempfile.TemporaryDirectory(prefix="compare-pairs-") as scratch:
+        directories = {side: os.path.join(scratch, side) for side in shas}
+        for side, sha in shas.items():
+            _checkout(root, sha, directories[side])
+        with open(os.path.join(directories["parent"], "BENCHMARK.json")) as handle:
+            benchmark = json.load(handle)
+        metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+        print(
+            f"pairs: parent {shas['parent'][:12]} vs change {shas['change'][:12]}, "
+            f"workload {args.workload}, {args.pairs} pairs, --seconds {seconds}"
+        )
+        for index in range(1, args.pairs + 1):
+            order = ("parent", "change") if index % 2 else ("change", "parent")
+            results = {}
+            for side in order:
+                result = results[side] = _bench(
+                    directories[side], args.workload, index, seconds
+                )
+                correct = result["correct"] is True and result["failed"] == 0
+                incorrect += not correct
+                values = " ".join(
+                    f"{name}={metric['value']:.4g}"
+                    for name, metric in sorted(result["metrics"].items())
+                )
+                print(
+                    f"pair {index} seed {index} {side}: "
+                    f"{'correct' if correct else 'NOT CORRECT'} {values}",
+                    flush=True,
+                )
+            runs.append((results["parent"], results["change"]))
+    header = ["metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
+              "won", "gap > IQR", "in bound"]
+    rows = [header, *_pair_rows(metrics, runs)]
+    widths = [max(len(row[column]) for row in rows) for column in range(len(header))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    _check(not incorrect, f"{incorrect} of {2 * args.pairs} runs were not correct")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -147,6 +303,15 @@ def _parser() -> argparse.ArgumentParser:
     gate = gates.add_parser("incremental", help="delta maintenance parity and speedup")
     gate.add_argument("report", help="bench_incremental_updates.py --json output")
     gate.set_defaults(run=incremental)
+
+    gate = gates.add_parser("pairs", help="alternating parent/change benchmark runs")
+    gate.add_argument("--parent", required=True, help="parent revision")
+    gate.add_argument("--change", required=True, help="changed revision")
+    gate.add_argument("--workload", required=True, help="a BENCHMARK.json workload")
+    gate.add_argument(
+        "--pairs", type=_positive, required=True, help="parent/change pairs"
+    )
+    gate.set_defaults(run=pairs)
     return parser
 
 

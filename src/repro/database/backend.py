@@ -163,7 +163,10 @@ class MemoryBackend:
     supports_concurrent_reads = True
 
     def __init__(self) -> None:
-        self._relations: Dict[str, "RelationBackend"] = {}
+        # Names only: each store's ``on_change`` closure holds the backend,
+        # so holding the stores here too would make every instance a
+        # reference cycle that only the cyclic garbage collector frees.
+        self._relation_names: Set[str] = set()
         self._by_value: Dict[object, Set[Tuple[str, Row]]] = {}
         self._bound = False
         # Bumped on every effective insert/delete; cheap contents-version
@@ -187,7 +190,7 @@ class MemoryBackend:
     def make_relation(self, schema: RelationSchema) -> RelationBackend:
         from .instance import RelationInstance
 
-        if self._bound or schema.name in self._relations:
+        if self._bound or schema.name in self._relation_names:
             raise ValueError(
                 f"cannot add relation {schema.name!r}: a MemoryBackend "
                 "object serves exactly one DatabaseInstance"
@@ -205,9 +208,8 @@ class MemoryBackend:
                     if not entries:
                         del self._by_value[value]
 
-        relation = RelationInstance(schema, on_change=on_change)
-        self._relations[name] = relation
-        return relation
+        self._relation_names.add(name)
+        return RelationInstance(schema, on_change=on_change)
 
     def neighbors_of(self, value: object) -> list:
         """All ``(relation, tuple)`` pairs mentioning ``value`` — one dict hit."""

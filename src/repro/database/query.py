@@ -10,7 +10,12 @@ integer slots of one flat value list, and per-atom index probes.  Running the
 plan is a backtracking index-nested-loop join, so selective constants and
 join variables prune early.  Coverage of a candidate list reuses one plan for
 every candidate, which turns "is this head tuple in the clause's result?"
-into a few index probes per tuple rather than a fresh plan per tuple.
+into a few index probes per tuple rather than a fresh plan per tuple.  A
+coverage batch goes one step further: clauses that share a head and all but
+their last body atom (a refinement generation, as FOIL scores it) share one
+plan of that body, each candidate walks its solutions once, and every
+clause's last atom is one more probe against each solution until all are
+decided.  Nothing a plan holds outlives the call that built it.
 
 The same machinery powers:
 * labeling examples from a hidden ground-truth definition (datasets),
@@ -53,6 +58,16 @@ Slots = Tuple[Tuple[int, int], ...]
 _Step = Tuple[RelationBackend, Slots, Slots, Slots]
 
 
+def _store_for(instance: DatabaseInstance, atom: Atom) -> Optional[RelationBackend]:
+    """The store ``atom`` reads, or ``None`` when the instance has no such
+    relation or the atom has the wrong arity (it can then match nothing)."""
+    try:
+        store = instance.relation(atom.predicate)
+    except KeyError:
+        return None
+    return store if store.schema.arity == atom.arity else None
+
+
 def _row_getter(slots: Sequence[int]) -> Callable[[List[object]], Row]:
     """``values -> tuple(values[s] for s in slots)``, as one C call."""
     if len(slots) == 1:
@@ -78,7 +93,7 @@ class _JoinPlan:
     the relation sizes that ordered it are not watched for changes.
     """
 
-    __slots__ = ("slots", "steps", "empty", "_template")
+    __slots__ = ("slots", "steps", "empty", "_template", "_known")
 
     def __init__(
         self,
@@ -92,18 +107,16 @@ class _JoinPlan:
         self._template: List[object] = [None] * len(self.slots)
         self.steps: List[_Step] = []
         self.empty = False
+        # The variables bound once every step has run.
+        self._known: Set[Variable] = set(self.slots)
         remaining = []
         for atom in body:
-            try:
-                store = instance.relation(atom.predicate)
-            except KeyError:
-                self.empty = True
-                return
-            if store.schema.arity != atom.arity:
+            store = _store_for(instance, atom)
+            if store is None:
                 self.empty = True
                 return
             remaining.append((atom, store, atom.variables(), len(store)))
-        known = set(self.slots)
+        known = self._known
         while remaining:
             best = min(
                 range(len(remaining)),
@@ -136,6 +149,20 @@ class _JoinPlan:
         known.update(first_seen)
         return (store, tuple(probes), tuple(fresh), tuple(repeats))
 
+    def last_step(self, instance: DatabaseInstance, atom: Atom) -> Optional[_Step]:
+        """``atom`` compiled as one more step after the plan's own, for an
+        existence test (:func:`_has_row`): the variables the plan leaves
+        unbound get slots that nothing reads.  ``None`` when the atom can
+        match nothing.
+
+        Each call compiles against the plan alone, so the last steps of
+        several refinements of one body do not see each other's variables.
+        """
+        store = _store_for(instance, atom)
+        if store is None:
+            return None
+        return self._compile_atom(atom, store, set(self._known))
+
     def new_slot(self, value: object = None) -> int:
         """A new slot, pre-filled with ``value`` in every value list."""
         self._template.append(value)
@@ -161,6 +188,28 @@ class _JoinPlan:
             yield from _extend(self.steps, 0, values)
         else:
             yield values
+
+
+def _has_row(step: _Step, values: List[object]) -> bool:
+    """True when ``step``'s atom matches a row under the slots set so far."""
+    # The probes are read as in ``_extend``; a helper shared by the two
+    # would cost one more call per join step.
+    store, probes, _, repeats = step
+    if probes:
+        position, slot = probes[0]
+        rows = store.tuples_with(position, values[slot])
+        for position, slot in probes[1:]:
+            if not rows:
+                return False
+            rows = rows & store.tuples_with(position, values[slot])
+    else:
+        rows = store.rows
+    if not repeats:
+        return bool(rows)
+    return any(
+        all(row[position] == row[earlier] for position, earlier in repeats)
+        for row in rows
+    )
 
 
 def _extend(steps: List[_Step], depth: int, values: List[object]) -> Iterator[List[object]]:
@@ -295,8 +344,7 @@ class QueryEvaluator:
                 return self._compiled.covered_head_tuples(clause, candidates)
             except CompilationNotSupported:
                 pass
-        covers = self._coverage_test(clause)
-        return {tuple(candidate) for candidate in candidates if covers(candidate)}
+        return self._covered_sets(clause.head, clause.body, [None], candidates)[0]
 
     def covered_tuples_batch(
         self,
@@ -309,22 +357,41 @@ class QueryEvaluator:
         Backends exposing ``covered_head_tuples_batch`` (the SQLite family)
         answer the batch with one shared candidate temp table per head
         signature — and, on the pooled backend, fan the clauses out across
-        snapshot connections when ``parallelism > 1``.  Clauses the backend
-        cannot compile fall back to :meth:`covered_tuples` individually.
-        Results are returned in input order.
+        snapshot connections when ``parallelism > 1``.
+
+        The generic join answers every other clause, grouped by refinement:
+        clauses that share a head and every body atom but the last (a
+        generation of ``clause.add_literal(l)``, as FOIL scores them) are one
+        group.  The group's shared body is planned once with the head bound;
+        for each candidate its solutions are walked once, every last atom
+        not yet decided is tested against each as one extra step, and the
+        walk stops when every atom is decided.  A clause alone in its group
+        is planned whole.  Results are returned in input order.
         """
         clause_list = list(clauses)
+        compiled: Sequence[Optional[Set[Row]]] = [None] * len(clause_list)
         batch = getattr(self._compiled, "covered_head_tuples_batch", None)
         if batch is not None:
             try:
-                partial = batch(clause_list, candidates, parallelism=parallelism)
+                compiled = batch(clause_list, candidates, parallelism=parallelism)
             except CompilationNotSupported:
-                partial = [None] * len(clause_list)
-        else:
-            partial = [None] * len(clause_list)
+                pass
+        groups: Dict[Tuple[Atom, Tuple[Atom, ...]], List[int]] = {}
+        for index, clause in enumerate(clause_list):
+            if compiled[index] is None:
+                groups.setdefault((clause.head, clause.body[:-1]), []).append(index)
+        generic: Dict[int, Set[Row]] = {}
+        for (head, shared), members in groups.items():
+            bodies = [clause_list[index].body for index in members]
+            if len(members) == 1:
+                covered = self._covered_sets(head, bodies[0], [None], candidates)
+            else:
+                lasts = [body[-1] if body else None for body in bodies]
+                covered = self._covered_sets(head, shared, lasts, candidates)
+            generic.update(zip(members, covered))
         return [
-            covered if covered is not None else self.covered_tuples(clause, candidates)
-            for clause, covered in zip(clause_list, partial)
+            found if found is not None else generic[index]
+            for index, found in enumerate(compiled)
         ]
 
     def count_bindings(self, body: Sequence[Atom], limit: Optional[int] = None) -> int:
@@ -372,14 +439,35 @@ class QueryEvaluator:
     # ------------------------------------------------------------------ #
     # Coverage against one plan
     # ------------------------------------------------------------------ #
-    def _coverage_test(self, clause: HornClause) -> Callable[[Sequence[object]], bool]:
-        """Compile ``clause`` once; return a test of one candidate head tuple.
+    def _covered_sets(
+        self,
+        head: Atom,
+        shared: Sequence[Atom],
+        lasts: Sequence[Optional[Atom]],
+        candidates: Sequence[Sequence[object]],
+    ) -> List[Set[Row]]:
+        """Covered candidates of ``head :- shared, last`` for each entry of
+        ``lasts``, in order; a ``None`` entry is the clause ``head :- shared``.
 
-        Head constants must match and repeated head variables must agree; a
-        candidate of the wrong length is not covered.
+        ``shared`` is planned once with the head's variables bound, and each
+        last atom compiles to one more step after that plan.  Head constants
+        must match and repeated head variables must agree; a candidate of
+        the wrong length is not covered.
         """
-        head = clause.head
-        plan = _JoinPlan(self.instance, clause.body, head.variables())
+        covered: List[Set[Row]] = [set() for _ in lasts]
+        plan = _JoinPlan(self.instance, shared, head.variables())
+        if plan.empty:
+            return covered
+        tests: List[Tuple[Set[Row], Optional[_Step]]] = []
+        for found, atom in zip(covered, lasts):
+            if atom is None:
+                tests.append((found, None))
+                continue
+            step = plan.last_step(self.instance, atom)
+            if step is not None:
+                tests.append((found, step))
+        if not tests:
+            return covered
         constants: List[Tuple[int, object]] = []
         assign: List[Tuple[int, int]] = []
         repeats: List[Tuple[int, int]] = []
@@ -394,31 +482,36 @@ class QueryEvaluator:
                 assign.append((position, plan.slots[term]))
         arity = head.arity
         steps = plan.steps
-        satisfiable = not plan.empty
         # One value list serves every candidate: each test overwrites the
         # head slots, and the join assigns every other slot before reading it.
         values = plan.values()
-
-        def covers(candidate: Sequence[object]) -> bool:
+        for candidate in candidates:
             if len(candidate) != arity:
-                return False
-            for position, value in constants:
-                if candidate[position] != value:
-                    return False
-            for position, earlier in repeats:
-                if candidate[position] != candidate[earlier]:
-                    return False
-            if not satisfiable:
-                return False
-            if not steps:
-                return True
+                continue
+            if constants and any(
+                candidate[position] != value for position, value in constants
+            ):
+                continue
+            if repeats and any(
+                candidate[position] != candidate[earlier] for position, earlier in repeats
+            ):
+                continue
             for position, slot in assign:
                 values[slot] = candidate[position]
-            for _ in _extend(steps, 0, values):
-                return True
-            return False
-
-        return covers
+            row = tuple(candidate)
+            undecided = tests
+            for _ in _extend(steps, 0, values) if steps else (values,):
+                remaining = []
+                for test in undecided:
+                    found, step = test
+                    if step is None or _has_row(step, values):
+                        found.add(row)
+                    else:
+                        remaining.append(test)
+                if not remaining:
+                    break
+                undecided = remaining
+        return covered
 
 
 def evaluate_definition(

@@ -1,11 +1,13 @@
 """The CI regression gates of ``benchmarks/compare.py``: each subcommand
 passes on an artifact that meets its threshold and fails on one that
-misses it."""
+misses it.  ``pairs`` runs against a temporary git repository whose
+commits hold fake benchmarks."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -96,4 +98,113 @@ def test_incremental_gate(compare, tmp_path, report, status):
 def test_unknown_gate_is_a_usage_error(compare):
     with pytest.raises(SystemExit) as exit_info:
         compare.main(["latency"])
+    assert exit_info.value.code == 2
+
+
+#: A stand-in for ``perfbench/run.py``: it logs its label, seed, run
+#: length and directory, then prints a result line.  ``learn_s`` falls as ``SPEED``
+#: rises; ``f1`` is the same on every run.
+FAKE_BENCHMARK = """
+import json, os, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+seconds = sys.argv[sys.argv.index("--seconds") + 1]
+with open(LOG, "a") as log:
+    log.write(" ".join([LABEL, str(seed), seconds, os.getcwd()]) + "\\n")
+metrics = {
+    "learn_s": {"value": 1.0 / SPEED + seed / 1000, "unit": "s"},
+    "f1": {"value": 1.0, "unit": "ratio"},
+}
+print("dataset 1: learned")
+print(json.dumps({"correct": CORRECT, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+BENCHMARK = {
+    "run_seconds": 7,
+    "end_to_end": [
+        {"name": "learn_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "f1", "unit": "ratio", "better": "higher", "bound": 0.25},
+        {"name": "eval_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+}
+
+
+def _commit(repo: Path, log: Path, label: str, speed: float, correct: bool) -> None:
+    script = FAKE_BENCHMARK
+    for name, value in (("LOG", str(log)), ("LABEL", label), ("SPEED", speed),
+                        ("CORRECT", correct)):
+        script = script.replace(name, repr(value))
+    (repo / "perfbench" / "run.py").write_text(script)
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", label], cwd=repo, check=True)
+    subprocess.run(["git", "tag", label], cwd=repo, check=True)
+
+
+@pytest.fixture
+def bench_repo(tmp_path, monkeypatch):
+    """A git repository with commits ``parent`` and ``change`` (twice as
+    fast) and ``broken`` (its runs are not correct); the working directory
+    is inside it."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    log = tmp_path / "runs.log"
+    _commit(repo, log, "parent", 1.0, True)
+    _commit(repo, log, "change", 2.0, True)
+    _commit(repo, log, "broken", 2.0, False)
+    monkeypatch.chdir(repo / "perfbench")
+    return log
+
+
+def _logged(log: Path):
+    return [line.split(" ", 3) for line in log.read_text().splitlines()]
+
+
+def test_pairs_alternate_with_one_seed_per_pair(compare, bench_repo, capsys):
+    argv = ["pairs", "--parent", "parent", "--change", "change",
+            "--workload", "w", "--pairs", "3"]
+    assert compare.main(argv) == 0
+    runs = _logged(bench_repo)
+    assert [(label, seed) for label, seed, _, _ in runs] == [
+        ("parent", "1"), ("change", "1"),
+        ("change", "2"), ("parent", "2"),
+        ("parent", "3"), ("change", "3"),
+    ]
+    # Every run lasted the BENCHMARK.json run length.
+    assert {seconds for _, _, seconds, _ in runs} == {"7"}
+    # Each revision ran from its own checkout, removed afterwards.
+    directories = {label: directory for label, _, _, directory in runs}
+    assert len(set(directories.values())) == 2
+    assert not any(Path(directory).exists() for directory in directories.values())
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split() for line in out.splitlines() if line}
+    assert rows["learn_s"][-3:] == ["3/3", "yes", "yes"]
+    assert rows["f1"][-3:] == ["0/3", "no", "yes"]
+    assert "eval_s" not in rows
+    assert "PASS (pairs)" in out
+
+
+def test_pairs_report_a_regression_outside_the_bound(compare, bench_repo, capsys):
+    argv = ["pairs", "--parent", "change", "--change", "parent",
+            "--workload", "w", "--pairs", "2"]
+    assert compare.main(argv) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    assert rows["learn_s"][-3:] == ["0/2", "yes", "no"]
+
+
+def test_pairs_fail_when_a_run_is_not_correct(compare, bench_repo, capsys):
+    argv = ["pairs", "--parent", "parent", "--change", "broken",
+            "--workload", "w", "--pairs", "1"]
+    assert compare.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "NOT CORRECT" in out
+    assert "FAIL (pairs): 1 of 2 runs were not correct" in out
+
+
+def test_pairs_reject_an_unknown_revision(compare, bench_repo):
+    argv = ["pairs", "--parent", "nowhere", "--change", "change",
+            "--workload", "w", "--pairs", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        compare.main(argv)
     assert exit_info.value.code == 2

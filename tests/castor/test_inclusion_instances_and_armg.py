@@ -11,7 +11,6 @@ from repro.castor.inclusion_instances import (
 from repro.castor.reduction import NegativeReducer
 from repro.learning.coverage import SubsumptionCoverageEngine
 from repro.logic.parser import parse_clause
-from repro.progolem.armg import armg
 
 
 class TestInclusionInstances:

@@ -1,9 +1,12 @@
 """Tests for repro.database.instance."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.database.instance import DatabaseInstance, RelationInstance
-from repro.database.schema import RelationSchema, Schema
+from repro.database.schema import RelationSchema
 
 
 class TestRelationInstance:
@@ -123,3 +126,22 @@ class TestDatabaseInstance:
         assert duplicate.same_contents(simple_instance)
         duplicate.add_tuple("r1", ("a9", "b9"))
         assert not duplicate.same_contents(simple_instance)
+
+    def test_dropped_memory_instance_is_freed_without_the_cyclic_gc(
+        self, simple_schema
+    ):
+        """The memory backend and its relation stores form no reference
+        cycle, so dropping an instance (a transformation's intermediate, a
+        ``with_backend`` copy) frees it at once rather than at the next
+        cyclic collection."""
+        instance = DatabaseInstance(simple_schema, backend="memory")
+        instance.add_tuple("r1", ("a1", "b1"))
+        backend = weakref.ref(instance.backend)
+        store = weakref.ref(instance.relation("r1"))
+        gc.disable()
+        try:
+            del instance
+            assert backend() is None
+            assert store() is None
+        finally:
+            gc.enable()

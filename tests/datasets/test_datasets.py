@@ -2,7 +2,7 @@
 
 
 from repro.database.query import QueryEvaluator
-from repro.datasets import hiv, imdb, uwcse
+from repro.datasets import hiv, uwcse
 from repro.logic.parser import parse_clause
 
 

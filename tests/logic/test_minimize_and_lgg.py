@@ -5,7 +5,7 @@ from repro.logic.minimize import minimize_clause, minimize_definition_clauses, r
 from repro.logic.atoms import Atom
 from repro.logic.parser import parse_clause
 from repro.logic.subsumption import clauses_equivalent
-from repro.logic.terms import Constant, Variable
+from repro.logic.terms import Constant
 
 
 class TestMinimize:

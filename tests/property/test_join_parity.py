@@ -10,6 +10,9 @@ and the same generic join run over SQLite relation stores (the path taken
 when a body cannot be compiled) must agree too.  The clauses include head
 constants, repeated head variables, body constants, a variable repeated
 inside one atom, a missing relation, a wrong-arity atom and an empty body.
+Each clause also comes with a batch of its refinements (the clause plus one
+more drawn atom each), the shape FOIL scores: ``covered_tuples_batch`` must
+give every refinement the covered set the oracle gives it.
 """
 
 from __future__ import annotations
@@ -137,6 +140,16 @@ def _brute_head_binding(head, candidate):
     return binding
 
 
+def _brute_covered(rows, clause, candidates):
+    """The candidates whose head binding extends to a body solution."""
+    covered = set()
+    for candidate in candidates:
+        head_binding = _brute_head_binding(clause.head, candidate)
+        if head_binding is not None and _brute_bindings(rows, clause.body, head_binding):
+            covered.add(tuple(candidate))
+    return covered
+
+
 def _multiset(bindings):
     return Counter(frozenset(binding.items()) for binding in bindings)
 
@@ -151,8 +164,11 @@ def _multiset(bindings):
     extra=st.lists(st.lists(VALUES, max_size=3).map(tuple), max_size=6),
     initial=st.dictionaries(st.sampled_from(VARIABLES), VALUES, max_size=2),
     limit=st.integers(1, 4),
+    refinements=st.lists(atoms(), min_size=2, max_size=5),
 )
-def test_join_agrees_with_brute_force_and_sqlite(rows, clause, extra, initial, limit):
+def test_join_agrees_with_brute_force_and_sqlite(
+    rows, clause, extra, initial, limit, refinements
+):
     body, head = clause.body, clause.head
     bindings = _brute_bindings(rows, body, {})
     expected_results = None
@@ -162,16 +178,18 @@ def test_join_agrees_with_brute_force_and_sqlite(rows, clause, extra, initial, l
             for b in bindings
         }
     candidates = list(extra) + sorted(expected_results or (), key=repr)
-    expected_covered = set()
-    for candidate in candidates:
-        head_binding = _brute_head_binding(head, candidate)
-        if head_binding is not None and _brute_bindings(rows, body, head_binding):
-            expected_covered.add(tuple(candidate))
+    expected_covered = _brute_covered(rows, clause, candidates)
     expected_initial = _multiset(_brute_bindings(rows, body, initial))
+    # The lone clause rides along in its refinements' batch.
+    batch = [clause.add_literal(atom) for atom in refinements] + [clause]
+    expected_batch = [
+        _brute_covered(rows, refined, candidates) for refined in batch[:-1]
+    ] + [expected_covered]
 
     for label, instance in _instances(rows).items():
         evaluator = QueryEvaluator(instance)
         assert evaluator.covered_tuples(clause, candidates) == expected_covered, label
+        assert evaluator.covered_tuples_batch(batch, candidates) == expected_batch, label
         for candidate in candidates:
             assert evaluator.clause_covers_tuple(clause, candidate) == (
                 tuple(candidate) in expected_covered
@@ -213,3 +231,40 @@ def test_covered_tuples_plans_the_clause_once(monkeypatch):
     covered = QueryEvaluator(instance).covered_tuples(clause, candidates)
     assert covered == {(i, "b") for i in range(0, 50, 2)}
     assert sorted(lookups) == ["r", "s"]
+
+
+def test_covered_tuples_batch_plans_the_shared_body_once(monkeypatch):
+    """A batch of refinements of one clause resolves each relation of the
+    shared body once for the whole batch, not once per refinement, and each
+    refinement's last atom once."""
+    instance = DatabaseInstance(SCHEMA)
+    instance.add_tuples("r", [(i, i + 1) for i in range(50)])
+    instance.add_tuples("s", [(i + 1, "b") for i in range(0, 50, 2)])
+    instance.add_tuples("t", [(i,) for i in range(0, 50, 3)])
+    instance.add_tuples("u", [(i, i + 1, "c") for i in range(0, 50, 4)])
+    clause = parse_clause("h(x, z) :- r(x, y), s(y, z).")
+    lasts = ["t(x)", "t(y)", "t(w)", "u(x, y, w)", "u(w, w, y)", "missing(x)"]
+    refinements = [
+        parse_clause(f"h(x, z) :- r(x, y), s(y, z), {last}.") for last in lasts
+    ]
+    assert all(refined.body[:-1] == clause.body for refined in refinements)
+    candidates = [(i, "b") for i in range(50)]
+    lookups = []
+    resolve = instance.relation
+
+    def counting(name):
+        lookups.append(name)
+        return resolve(name)
+
+    monkeypatch.setattr(instance, "relation", counting)
+    covered = QueryEvaluator(instance).covered_tuples_batch(refinements, candidates)
+    evens = {(i, "b") for i in range(0, 50, 2)}
+    assert covered == [
+        {(i, "b") for i in range(0, 50, 6)},
+        {(i, "b") for i in range(2, 50, 6)},
+        evens,
+        {(i, "b") for i in range(0, 50, 4)},
+        set(),
+        set(),
+    ]
+    assert sorted(lookups) == ["missing", "r", "s", "t", "t", "t", "u", "u"]
