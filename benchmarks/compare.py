@@ -29,9 +29,9 @@ on two revisions of the git repository in the working directory::
         --workload foil-uwcse --pairs 10
 
 It extracts each revision with ``git archive`` into a temporary directory,
-which it removes afterwards, and runs the two alternately, the parent
-first in odd pairs and the change first in even ones, with seed ``i`` for
-both runs of pair ``i``.  Every run lasts the ``run_seconds`` of the
+which it removes afterwards (also on Ctrl-C or SIGTERM), and runs the two
+alternately, the parent first in odd pairs and the change first in even
+ones, with seed ``i`` for both runs of pair ``i``.  Every run lasts the ``run_seconds`` of the
 parent's ``BENCHMARK.json``.  For every end-to-end metric of that file it
 prints both medians and quartiles, how many pairs the change won (by the
 metric's ``better``; ties count for neither side), whether the medians
@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -231,7 +232,21 @@ def _pair_rows(
     return rows
 
 
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def pairs(args: argparse.Namespace) -> None:
+    # SIGTERM unwinds like Ctrl-C: subprocess.run kills the running
+    # benchmark and TemporaryDirectory removes both checkouts.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        _pairs(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _pairs(args: argparse.Namespace) -> None:
     try:
         root = _git(os.getcwd(), "rev-parse", "--show-toplevel")
         shas = {

@@ -7,8 +7,8 @@ The package provides:
 * :mod:`repro.transform` — composition/decomposition transformations and the
   definition mappings they induce;
 * :mod:`repro.learning` — examples, bottom clauses, coverage, evaluation;
-* :mod:`repro.foil`, :mod:`repro.progol`, :mod:`repro.golem`,
-  :mod:`repro.progolem` — baseline ILP learners;
+* :mod:`repro.foil`, :mod:`repro.progol`, :mod:`repro.progolem` — baseline
+  ILP learners;
 * :mod:`repro.castor` — the schema-independent Castor learner (the paper's
   contribution);
 * :mod:`repro.querybased` — query-based (MQ/EQ) learning and the A2 algorithm;
@@ -42,7 +42,6 @@ from .database import (
     Schema,
 )
 from .foil import FoilLearner, FoilParameters
-from .golem import GolemLearner, GolemParameters
 from .learning import Example, ExampleSet, cross_validate, evaluate_definition
 from .logic import Atom, Constant, HornClause, HornDefinition, Variable, parse_clause
 from .progol import AlephFoilLearner, ProgolLearner, ProgolParameters
@@ -69,8 +68,6 @@ __all__ = [
     "FoilLearner",
     "FoilParameters",
     "FunctionalDependency",
-    "GolemLearner",
-    "GolemParameters",
     "HornClause",
     "HornDefinition",
     "HornOracle",

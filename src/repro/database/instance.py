@@ -186,6 +186,11 @@ class DatabaseInstance:
         bind_schema = getattr(self.backend, "bind_instance_schema", None)
         if bind_schema is not None:
             bind_schema(schema)
+        #: ``(before, after)``: the :meth:`data_token` around the last
+        #: :meth:`apply_delta`.  A cache that recorded ``before`` saw every
+        #: write up to that delta; any other value means a write bypassed
+        #: the delta path since it last synced.
+        self.delta_tokens: Tuple[Optional[int], Optional[int]] = (None, None)
 
     @property
     def backend_name(self) -> str:
@@ -231,16 +236,19 @@ class DatabaseInstance:
         """Apply a :class:`Delta` to this instance (set semantics).
 
         ``add`` ops ignore rows already present; ``remove`` ops ignore rows
-        already absent.  Returns the applied delta.
+        already absent.  Records :attr:`delta_tokens`.  Returns the applied
+        delta.
         """
         if not isinstance(delta, Delta):
             raise TypeError(f"apply_delta expects a Delta, got {type(delta).__name__}")
+        before = self.data_token()
         for op, relation, rows in delta.ops:
             if op == "add":
                 self.add_tuples(relation, rows)
             else:
                 for row in rows:
                     self.remove_tuple(relation, row, missing_ok=True)
+        self.delta_tokens = (before, self.data_token())
         return delta
 
     def total_tuples(self) -> int:

@@ -321,14 +321,6 @@ class QueryEvaluator:
                 binding[term] = value
         return self.body_is_satisfiable(clause.body, binding)
 
-    def definition_covers_tuple(
-        self, definition: HornDefinition, head_values: Sequence[object]
-    ) -> bool:
-        """True when any clause of the definition derives the head tuple."""
-        return any(
-            self.clause_covers_tuple(clause, head_values) for clause in definition
-        )
-
     def covered_tuples(
         self, clause: HornClause, candidates: Sequence[Sequence[object]]
     ) -> Set[Tuple[object, ...]]:

@@ -152,10 +152,6 @@ class Schema:
         """INDs with equality only."""
         return [ind for ind in self.inclusion_dependencies if ind.with_equality]
 
-    def subset_inds(self) -> List[InclusionDependency]:
-        """Subset-form (general) INDs only."""
-        return [ind for ind in self.inclusion_dependencies if not ind.with_equality]
-
     def inclusion_classes(self, include_subset_inds: bool = False) -> List[InclusionClass]:
         """Inclusion classes of the schema (Definition 7.1 / Section 7.4)."""
         cached = self._inclusion_classes_cache.get(include_subset_inds)

@@ -1185,6 +1185,12 @@ class SaturationStore:
             self._delete_ids(dead)
             return dropped
 
+    def clear(self) -> None:
+        """Drop every stored saturation."""
+        with self._lock:
+            if self._id_keys:
+                self._delete_ids(set(self._id_keys))
+
     def _delete_ids(self, ids: Set[int]) -> None:
         """Purge ``ids`` from the key maps, the footprint index and every
         head and body table (lock held)."""

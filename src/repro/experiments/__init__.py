@@ -1,4 +1,8 @@
-"""Experiment harness, per-table/figure drivers, and text reporting."""
+"""Experiment harness, learner specs, Figure 3's driver, and text reporting.
+
+Tables 9–13 are driven from ``benchmarks/bench_table*.py``; those of
+Tables 9–12 combine :func:`run_schema_sweep` with the specs exported here.
+"""
 
 from .figures import figure3_query_complexity
 from .harness import (
@@ -21,12 +25,6 @@ from .tables import (
     castor_spec,
     foil_spec,
     progolem_spec,
-    render_table,
-    table9_hiv,
-    table10_uwcse,
-    table11_imdb,
-    table12_general_inds,
-    table13_stored_procedures,
 )
 
 __all__ = [
@@ -43,13 +41,7 @@ __all__ = [
     "format_paper_table",
     "format_table",
     "progolem_spec",
-    "render_table",
     "results_as_matrix",
     "run_schema_sweep",
     "run_variant",
-    "table9_hiv",
-    "table10_uwcse",
-    "table11_imdb",
-    "table12_general_inds",
-    "table13_stored_procedures",
 ]

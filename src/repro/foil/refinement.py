@@ -17,7 +17,7 @@ systems impose.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
@@ -134,11 +134,6 @@ class RefinementOperator:
         """Candidate literals not already present in the clause body."""
         present = set(clause.body)
         return [atom for atom in self.candidate_literals(clause) if atom not in present]
-
-    def refine(self, clause: HornClause) -> Iterator[HornClause]:
-        """Yield all one-literal refinements of ``clause``."""
-        for literal in self.candidate_literals(clause):
-            yield clause.add_literal(literal)
 
 
 def initial_clause(target: str, arity: int) -> HornClause:

@@ -23,7 +23,6 @@ from .evaluation import (
 from .examples import (
     Example,
     ExampleSet,
-    examples_from_instance,
     sample_closed_world_negatives,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "build_saturation",
     "cross_validate",
     "evaluate_definition",
-    "examples_from_instance",
     "sample_closed_world_negatives",
 ]

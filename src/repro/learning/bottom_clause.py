@@ -188,10 +188,10 @@ class BottomClauseBuilder:
     The builder keeps what it looks up for its whole lifetime: each value's
     sorted frontier neighbours, each ground literal by ``(relation, row)``,
     and (Castor) each IND-chase join.  :meth:`apply_delta` evicts exactly
-    what a delta can change, and a construction that finds the instance's
-    :meth:`~repro.database.instance.DatabaseInstance.data_token` moved since
-    the last eviction (a write that bypassed :meth:`apply_delta`) drops
-    every cache first.
+    what a delta can change.  A write that bypassed it moves the instance's
+    :meth:`~repro.database.instance.DatabaseInstance.data_token` away from
+    the one the caches were synced to; the next construction, or the next
+    delta, then drops every cache first.
     """
 
     def __init__(
@@ -239,15 +239,20 @@ class BottomClauseBuilder:
             self._token = token
 
     def apply_delta(self, delta: Delta) -> None:
-        """Evict what ``delta``, already applied to the instance, can change.
+        """Evict what ``delta``, the instance's last applied delta, can change.
 
         The cost follows the delta, not the cache size: one ``pop`` per
         touched value (the frontier neighbours of every value in a changed
         row) and per listed row (its ground literal).  Eviction never
         iterates a cache, so a construction on another thread may keep
-        filling them.
+        filling them.  When the delta did not start from the data token the
+        caches were last synced to (a write bypassed :meth:`apply_delta` in
+        between), every cache is dropped instead.
         """
-        if not delta:
+        before, after = self.instance.delta_tokens
+        if before is None or before != self._token:
+            self._reset_caches()
+            self._token = self.instance.data_token()
             return
         neighbors, literals = self._neighbors, self._literals
         for value in delta.touched_values():
@@ -255,7 +260,7 @@ class BottomClauseBuilder:
         for _op, relation, rows in delta.ops:
             for row in rows:
                 literals.pop((relation, row), None)
-        self._token = self.instance.data_token()
+        self._token = after
 
     def _frontier_neighbors(self, constants: Sequence[object]) -> Neighbors:
         """Sorted ``constant -> [(relation, tuple)]`` for one depth level.

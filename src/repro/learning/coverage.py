@@ -188,6 +188,10 @@ class SubsumptionCoverageEngine:
         # coverage decisions derived from them) describe the OLD builder's
         # semantics, so they are dropped.
         self._builder = value
+        self._drop_caches()
+
+    def _drop_caches(self) -> None:
+        """Forget every saturation and every decision made from one."""
         self._saturation_cache.clear()
         self._saturation_index_cache.clear()
         self._coverage_cache.clear()
@@ -195,6 +199,7 @@ class SubsumptionCoverageEngine:
         self._compiled_failed.clear()
         # Footprints of cached saturations, filed lazily by apply_delta.
         self._footprints: FootprintIndex[Example] = FootprintIndex()
+        self._token = self.instance.data_token()
 
     def _make_builder(
         self,
@@ -467,9 +472,24 @@ class SubsumptionCoverageEngine:
         evicts the lookups and literals the delta can change, so the
         rebuilds reuse everything else it looked up.
 
+        ``delta`` must be the last one applied to the instance.  If it did
+        not start from the data token this engine last synced to, a write
+        bypassed the delta path in between: the engine then drops every
+        saturation, decision and compiled id, and empties its store, so it
+        answers as a fresh engine does.
+
         Returns the set of invalidated examples.
         """
         self.builder.apply_delta(delta)
+        before, after = self.instance.delta_tokens
+        if before is None or before != self._token:
+            with self._materialize_lock, self._lock:
+                invalidated = set(self._saturation_cache) | set(self._compiled_ids)
+                self._drop_caches()
+                if self._compiled_store is not None:
+                    self._compiled_store.clear()
+            return invalidated
+        self._token = after
         touched = delta.touched_values()
         if not touched:
             return set()

@@ -14,7 +14,6 @@ import itertools
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..database.instance import DatabaseInstance
 from ..logic.atoms import Atom
 from ..logic.terms import Constant
 
@@ -206,10 +205,3 @@ def sample_closed_world_negatives(
         seen.add(candidate)
         negatives.append(candidate)
     return negatives
-
-
-def examples_from_instance(
-    instance: DatabaseInstance, relation: str, positive: bool = True
-) -> List[Tuple[object, ...]]:
-    """Extract the tuples of a stored relation as example value tuples."""
-    return [tuple(row) for row in instance.relation(relation).rows]

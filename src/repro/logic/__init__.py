@@ -5,9 +5,9 @@ This package is the foundation both for the in-memory relational engine
 generalization, coverage testing).
 """
 
-from .atoms import Atom, Literal, atoms_share_variable, collect_constants, collect_variables
+from .atoms import Atom, atoms_share_variable, collect_constants, collect_variables
 from .clauses import HornClause, HornDefinition, clause_from_example
-from .lgg import lgg_atoms, lgg_clauses, lgg_terms, rlgg
+from .lgg import lgg_atoms, lgg_clauses, lgg_terms
 from .minimize import minimize_clause, minimize_definition_clauses, remove_duplicate_literals
 from .parser import (
     ClauseParseError,
@@ -36,7 +36,6 @@ __all__ = [
     "Constant",
     "HornClause",
     "HornDefinition",
-    "Literal",
     "SubsumptionEngine",
     "Substitution",
     "Term",
@@ -64,7 +63,6 @@ __all__ = [
     "parse_term",
     "remove_duplicate_literals",
     "restrict",
-    "rlgg",
     "theta_subsumes",
     "unify_atoms",
     "unify_terms",

@@ -1,10 +1,9 @@
-"""Atoms and literals.
+"""Atoms.
 
 An *atom* is ``R(u1, ..., un)`` where ``R`` is a relation (predicate) symbol
-and each ``ui`` is a term.  A *literal* is an atom or its negation; Horn
-clauses in this package only ever contain positive body literals (Datalog
-without negation), but the negation flag is kept for completeness and for the
-query-based learners that reason about counter-examples.
+and each ``ui`` is a term.  Horn clauses in this package only ever contain
+positive body literals (Datalog without negation), so a body literal is an
+atom.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class Atom:
         ]
         return Atom(self.predicate, new_terms)
 
-    def rename_predicate(self, new_predicate: str) -> "Atom":
-        """Return a copy of this atom with a different predicate symbol."""
-        return Atom(new_predicate, self.terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Atom)
@@ -78,64 +73,6 @@ class Atom:
     def __str__(self) -> str:
         args = ", ".join(str(t) for t in self.terms)
         return f"{self.predicate}({args})"
-
-
-class Literal:
-    """An atom with a polarity.
-
-    Positive literals appear in clause heads and (in Datalog) clause bodies.
-    Negative literals are used by the query-based oracle machinery when
-    representing interpretations.
-    """
-
-    __slots__ = ("atom", "positive")
-
-    def __init__(self, atom: Atom, positive: bool = True):
-        if not isinstance(atom, Atom):
-            raise TypeError("Literal wraps an Atom")
-        self.atom = atom
-        self.positive = bool(positive)
-
-    @property
-    def predicate(self) -> str:
-        return self.atom.predicate
-
-    @property
-    def terms(self) -> Tuple[Term, ...]:
-        return self.atom.terms
-
-    @property
-    def arity(self) -> int:
-        return self.atom.arity
-
-    def variables(self) -> List[Variable]:
-        return self.atom.variables()
-
-    def is_ground(self) -> bool:
-        return self.atom.is_ground()
-
-    def negate(self) -> "Literal":
-        """Return the literal with opposite polarity."""
-        return Literal(self.atom, not self.positive)
-
-    def apply(self, substitution: Dict[Variable, Term]) -> "Literal":
-        return Literal(self.atom.apply(substitution), self.positive)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Literal)
-            and other.positive == self.positive
-            and other.atom == self.atom
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.positive, self.atom))
-
-    def __repr__(self) -> str:
-        return f"Literal({self.atom!r}, positive={self.positive})"
-
-    def __str__(self) -> str:
-        return str(self.atom) if self.positive else f"not {self.atom}"
 
 
 def atoms_share_variable(a: Atom, b: Atom) -> bool:

@@ -184,13 +184,6 @@ class HornClause:
                 body.append(atom)
         return HornClause(self.head, body)
 
-    def standardize_apart(self, suffix: str) -> "HornClause":
-        """Rename every variable by appending ``_suffix``; returns the new clause."""
-        renaming: Substitution = {
-            var: Variable(f"{var.name}_{suffix}") for var in self.variables()
-        }
-        return self.apply(renaming)
-
     def normalize_variables(self, prefix: str = "V") -> "HornClause":
         """Rename variables canonically (V0, V1, ...) in order of appearance.
 
@@ -263,10 +256,6 @@ class HornDefinition:
         for clause in self.clauses:
             result |= clause.predicates()
         return result
-
-    def total_length(self) -> int:
-        """Total number of body literals across all clauses."""
-        return sum(clause.length for clause in self.clauses)
 
     def normalize(self) -> "HornDefinition":
         """Return a definition with each clause's variables canonically renamed."""

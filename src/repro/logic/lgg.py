@@ -1,14 +1,15 @@
 """Least general generalization (lgg) of clauses — Plotkin's operator.
 
-Golem's relative least general generalization (rlgg, Section 6.3) is the lgg
-of two saturations (ground bottom clauses).  The lgg of two terms is a
-variable when they differ, the term itself when they are equal; the lgg of
-two compatible atoms applies this pointwise; the lgg of two clauses pairs up
-compatible body literals (same predicate and arity) in all possible ways.
+The lgg of two terms is a variable when they differ, the term itself when
+they are equal; the lgg of two compatible atoms applies this pointwise; the
+lgg of two clauses pairs up compatible body literals (same predicate and
+arity) in all possible ways.  A2 merges a new clause with a stored one
+through it, and ``benchmarks/bench_subsumption.py`` generalizes pairs of
+saturations with it to make its candidate clauses.
 
-The size of ``lgg(C1, C2)`` is bounded by ``|C1| * |C2|``, which is exactly
-why Golem does not scale (Section 6.3) — the implementation here is faithful
-to that behaviour, and callers are expected to cap clause sizes.
+The size of ``lgg(C1, C2)`` is bounded by ``|C1| * |C2|``.  That growth is
+why Golem, which generalizes pairs of saturations this way, does not scale
+(the paper's Section 6.3); callers are expected to cap clause sizes.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def lgg_clauses(
 
     Returns None when the heads are incompatible.  The body of the result is
     the set of pairwise lggs of compatible body literals; duplicates are
-    removed.  ``max_body_literals`` truncates the result (Golem uses such a
-    cap to stay tractable); literals produced earlier — from earlier body
+    removed.  ``max_body_literals`` truncates the result (A2 caps it at
+    its clause size); literals produced earlier — from earlier body
     positions — are preferred, which keeps the operator deterministic.
     """
     factory = _VariableFactory()
@@ -80,22 +81,3 @@ def lgg_clauses(
             if max_body_literals is not None and len(body) >= max_body_literals:
                 return HornClause(head, body)
     return HornClause(head, body)
-
-
-def rlgg(
-    saturation_left: HornClause,
-    saturation_right: HornClause,
-    max_body_literals: Optional[int] = None,
-) -> Optional[HornClause]:
-    """Relative lgg of two saturations (ground bottom clauses).
-
-    Golem computes the rlgg of a pair of positive examples as the lgg of
-    their saturations relative to the background database (Theorem 6.4 shows
-    this operator itself is schema independent).  The head-connected part of
-    the result is returned so that the clause remains evaluable.
-    """
-    generalized = lgg_clauses(saturation_left, saturation_right, max_body_literals)
-    if generalized is None:
-        return None
-    connected_body = generalized.head_connected_body()
-    return HornClause(generalized.head, connected_body)

@@ -5,8 +5,7 @@ Two seams, both process-global:
 * :func:`registry` — the metrics registry.  Every counter the stack used to
   keep as an ad-hoc instance attribute (coverage tests, cache hits, pool
   snapshots, ...) feeds a named, optionally-labelled series here, one per
-  name however many owners exist; snapshots and Prometheus-style text
-  exposition come for free.
+  name however many owners exist; a snapshot reads them all at once.
 * :func:`tracer` — the span tracer.  ``with span("saturation.build",
   examples=n):`` records a timed span under the current parent, so one
   learner run yields a single tree.

@@ -15,16 +15,14 @@ returns the same object, which is what lets short-lived owners (a coverage
 engine per fold, a read pool per backend) accumulate into stable series.
 Such an owner keeps its own count in an unregistered :class:`Counter` whose
 ``parent`` is the shared series, so creating owners never adds series.
-Names are dotted (``coverage.subsumption.tests``); the Prometheus exposition
-rewrites dots to underscores since Prometheus metric names cannot contain
-them.
+Names are dotted (``coverage.subsumption.tests``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -64,10 +62,6 @@ class Counter:
     def value(self) -> int:
         with self._lock:
             return self._value
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0
 
 
 class Gauge:
@@ -256,46 +250,6 @@ class Registry:
                 for (name, labels), metric in sorted(histograms.items())
             },
         }
-
-    def prometheus_text(self) -> str:
-        """Prometheus text exposition (dots become underscores in names)."""
-        with self._lock:
-            counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            histograms = sorted(self._histograms.items())
-        lines: List[str] = []
-        seen_types: set = set()
-
-        def emit(name: str, labels: LabelsKey, value: object, kind: str,
-                 suffix: str = "", extra: Iterable[Tuple[str, str]] = ()) -> None:
-            prom = name.replace(".", "_").replace("-", "_")
-            if (prom, kind) not in seen_types and not suffix:
-                seen_types.add((prom, kind))
-                lines.append(f"# TYPE {prom} {kind}")
-            rendered = ",".join(
-                f'{k}="{v}"' for k, v in (*labels, *extra)
-            )
-            label_part = f"{{{rendered}}}" if rendered else ""
-            lines.append(f"{prom}{suffix}{label_part} {value}")
-
-        for (name, labels), counter in counters:
-            emit(name, labels, counter.value, "counter")
-        for (name, labels), gauge in gauges:
-            emit(name, labels, gauge.value, "gauge")
-        for (name, labels), histogram in histograms:
-            summary = histogram.summary()
-            prom = name.replace(".", "_").replace("-", "_")
-            if (prom, "summary") not in seen_types:
-                seen_types.add((prom, "summary"))
-                lines.append(f"# TYPE {prom} summary")
-            emit(name, labels, summary["count"], "summary", suffix="_count")
-            emit(name, labels, summary["sum"], "summary", suffix="_sum")
-            for label, quantile in (("p50", "0.5"), ("p90", "0.9"), ("p99", "0.99")):
-                value = summary[label]
-                if value is not None:
-                    emit(name, labels, value, "summary",
-                         extra=(("quantile", quantile),))
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
         """Drop every series.  Test isolation only — never during a run."""

@@ -52,14 +52,12 @@ def _learner_kinds() -> Dict[str, type]:
     """
     from ..castor.castor import CastorLearner
     from ..foil.foil import FoilLearner
-    from ..golem.golem import GolemLearner
     from ..progol.progol import AlephFoilLearner, ProgolLearner
     from ..progolem.progolem import ProGolemLearner
 
     return {
         "castor": CastorLearner,
         "foil": FoilLearner,
-        "golem": GolemLearner,
         "progolem": ProGolemLearner,
         "progol": ProgolLearner,
         "aleph-foil": AlephFoilLearner,
@@ -323,10 +321,10 @@ class LearningSession:
         """Construct a learner bound to this session.
 
         ``kind`` is a registry name (``"castor"``, ``"progolem"``,
-        ``"golem"``, ``"foil"``, ``"progol"``, ``"aleph-foil"``) or a
-        learner class.  The learner is built with the uniform
-        ``context=`` path and wrapped so that ``learn()`` runs on the
-        session's prepared instances and shared stores.
+        ``"foil"``, ``"progol"``, ``"aleph-foil"``) or a learner class.
+        The learner is built with the uniform ``context=`` path and
+        wrapped so that ``learn()`` runs on the session's prepared
+        instances and shared stores.
         """
         self._ensure_open()
         cls = _resolve_kind(kind) if isinstance(kind, str) else kind

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,3 +212,55 @@ def test_pairs_reject_an_unknown_revision(compare, bench_repo):
     with pytest.raises(SystemExit) as exit_info:
         compare.main(argv)
     assert exit_info.value.code == 2
+
+
+def test_pairs_give_back_the_sigterm_handler(compare, bench_repo):
+    """``pairs`` owns SIGTERM only while it runs, also when it fails."""
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["pairs", "--parent", "parent", "--change", "change",
+            "--workload", "w", "--pairs", "1"]
+    assert compare.main(argv) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+    with pytest.raises(SystemExit):
+        compare.main([*argv[:2], "nowhere", *argv[3:]])
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+#: A stand-in for ``perfbench/run.py`` that creates its log file and then
+#: sleeps until it is killed.
+SLEEPING_BENCHMARK = """
+import time
+open(LOG, "w").close()
+time.sleep(120)
+"""
+
+
+def test_pairs_remove_their_checkouts_on_sigterm(bench_repo, tmp_path):
+    repo = bench_repo.parent / "repo"
+    (repo / "perfbench" / "run.py").write_text(
+        SLEEPING_BENCHMARK.replace("LOG", repr(str(bench_repo)))
+    )
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run([*git, "commit", "-q", "-am", "sleeping"], cwd=repo, check=True)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    process = subprocess.Popen(
+        [sys.executable, str(COMPARE), "pairs", "--parent", "HEAD",
+         "--change", "HEAD", "--workload", "w", "--pairs", "1"],
+        cwd=repo, env={**os.environ, "TMPDIR": str(scratch)},
+        stdout=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not bench_repo.exists():
+            assert process.poll() is None, "pairs exited before its first run"
+            assert time.monotonic() < deadline, "the first run never started"
+            time.sleep(0.05)
+        assert list(scratch.glob("compare-pairs-*"))
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert not list(scratch.glob("compare-pairs-*"))

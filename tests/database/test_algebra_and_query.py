@@ -120,13 +120,6 @@ class TestQueryEvaluator:
         assert not evaluator.clause_covers_tuple(clause, ("bob", "dave"))
         assert not evaluator.clause_covers_tuple(clause, ("ann",))
 
-    def test_definition_covers_tuple(self, family_instance):
-        evaluator = QueryEvaluator(family_instance)
-        definition = HornDefinition(
-            "mother", [parse_clause("mother(x, y) :- parent(x, y), female(x).")]
-        )
-        assert evaluator.definition_covers_tuple(definition, ("carol", "eve"))
-
     def test_count_bindings_with_limit(self, family_instance):
         evaluator = QueryEvaluator(family_instance)
         clause = parse_clause("p(x, y) :- parent(x, y).")

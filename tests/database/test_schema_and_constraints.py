@@ -127,7 +127,7 @@ class TestSchema:
 
     def test_equality_and_subset_ind_partition(self, simple_schema):
         assert len(simple_schema.equality_inds()) == 1
-        assert simple_schema.subset_inds() == []
+        assert [ind for ind in simple_schema.inclusion_dependencies if not ind.with_equality] == []
 
     def test_inclusion_classes_cached_and_correct(self, simple_schema):
         classes_first = simple_schema.inclusion_classes()
@@ -139,7 +139,7 @@ class TestSchema:
     def test_with_subset_inds_only(self, simple_schema):
         weakened = simple_schema.with_subset_inds_only()
         assert weakened.equality_inds() == []
-        assert len(weakened.subset_inds()) == 1
+        assert [ind.with_equality for ind in weakened.inclusion_dependencies] == [False]
         # The original schema is unchanged.
         assert len(simple_schema.equality_inds()) == 1
 

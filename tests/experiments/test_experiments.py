@@ -10,11 +10,7 @@ from repro.experiments.reporting import (
     format_table,
     results_as_matrix,
 )
-from repro.experiments.tables import (
-    _downgrade_bundle_inds,
-    castor_spec,
-    table13_stored_procedures,
-)
+from repro.experiments.tables import _downgrade_bundle_inds, castor_spec
 from repro.logic.clauses import HornDefinition
 from repro.logic.parser import parse_clause
 
@@ -98,13 +94,6 @@ class TestHarness:
         assert not report.is_vacuous
         assert not report.is_schema_independent
         assert report.as_dict()["vacuous"] is False
-
-    def test_table13_stored_procedures_speedup_reported(self):
-        results = table13_stored_procedures(seed=1, datasets=("uwcse",))
-        entry = results["uwcse"]
-        assert entry["with_stored_procedures_seconds"] > 0
-        assert entry["without_stored_procedures_seconds"] > 0
-        assert entry["speedup"] > 0
 
     def test_castor_spec_builds_learner(self):
         bundle = uwcse.load(TINY_CONFIG, seed=5)

@@ -1,10 +1,9 @@
-"""End-to-end tests for Progol/Aleph, Golem, ProGolem, and Castor learners."""
+"""End-to-end tests for Progol/Aleph, ProGolem, and Castor learners."""
 
 import pytest
 
 from repro.castor.castor import CastorLearner, CastorParameters
 from repro.castor.bottom_clause import CastorBottomClauseConfig
-from repro.golem.golem import GolemLearner, GolemParameters
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.evaluation import evaluate_definition
 from repro.progol.progol import AlephFoilLearner, ProgolLearner, ProgolParameters
@@ -41,18 +40,6 @@ class TestProgolLearners:
         learner = ProgolLearner(tiny_schema, ProgolParameters(clause_length=1))
         definition = learner.learn(tiny_instance, tiny_examples)
         assert all(clause.length <= 1 for clause in definition)
-
-
-class TestGolem:
-    def test_golem_learns_via_rlgg(self, tiny_schema, tiny_instance, tiny_examples):
-        learner = GolemLearner(
-            tiny_schema,
-            GolemParameters(sample_size=4, bottom_clause=BottomClauseConfig(max_depth=2)),
-        )
-        definition = learner.learn(tiny_instance, tiny_examples)
-        assert len(definition) >= 1
-        evaluation = evaluate_definition(definition, tiny_instance, tiny_examples)
-        assert evaluation.precision >= 0.67
 
 
 class TestProGolem:

@@ -73,12 +73,6 @@ class TestRefinementOperator:
         }
         assert "faculty" in constants
 
-    def test_refine_appends_one_literal(self, tiny_schema, tiny_instance):
-        operator = RefinementOperator(tiny_schema, tiny_instance)
-        clause = initial_clause("advised", 2)
-        refined = next(iter(operator.refine(clause)))
-        assert refined.length == 1
-
 
 class TestFoilLearner:
     def test_learns_consistent_definition(self, tiny_schema, tiny_instance, tiny_examples):

@@ -247,6 +247,38 @@ class TestTokenCheck:
         instance.relation("r").add(("y0", "z1"))
         assert str(builder.build_ground(X)) == "q(x) :- r(x, y0), r(y0, z1)."
 
+    def test_builder_sees_a_direct_write_before_a_delta(self, backend):
+        """The delta touches ``s`` only; the lookups it would leave alone
+        are stale from the write to ``r`` that came first."""
+        instance = DatabaseInstance(_schema(), backend=backend)
+        instance.add_tuples("r", [("x", "y0"), ("y0", "z0")])
+        builder = BottomClauseBuilder(instance, BottomClauseConfig(max_depth=2))
+        assert str(builder.build_ground(X)) == "q(x) :- r(x, y0), r(y0, z0)."
+        instance.relation("r").add(("y0", "z1"))
+        delta = Delta.add("s", [("k", "c0")])
+        instance.apply_delta(delta)
+        builder.apply_delta(delta)
+        want = "q(x) :- r(x, y0), r(y0, z0), r(y0, z1)."
+        assert str(builder.build_ground(X)) == want
+
+    def test_castor_chase_sees_a_direct_write_before_a_delta(self, backend):
+        """A chase join cached before a direct write to the chased
+        relation is dropped by the delta after it."""
+        ind = InclusionDependency("r", ["b"], "s", ["b"], with_equality=True)
+        instance = DatabaseInstance(_schema([ind]), backend=backend)
+        instance.add_tuple("r", ("x", "k"))
+        instance.add_tuple("s", ("k", "c0"))
+        builder = CastorBottomClauseBuilder(
+            instance, config=CastorBottomClauseConfig(max_depth=1)
+        )
+        assert str(builder.build_ground(X)) == "q(x) :- r(x, k), s(k, c0)."
+        instance.relation("s").add(("k", "c1"))
+        delta = Delta.add("r", [("w", "m")])
+        instance.apply_delta(delta)
+        builder.apply_delta(delta)
+        want = "q(x) :- r(x, k), s(k, c0), s(k, c1)."
+        assert str(builder.build_ground(X)) == want
+
     def test_no_token_means_no_reuse(self, monkeypatch):
         ind = InclusionDependency("r", ["b"], "s", ["b"], with_equality=True)
         instance = DatabaseInstance(_schema([ind]))

@@ -140,6 +140,24 @@ class TestApplyDelta:
         assert instance.relation("r").rows == {("x", 1)}
         assert instance.data_token() != before
 
+    def test_apply_delta_records_the_tokens_around_it(self, backend):
+        """``delta_tokens`` holds the data token each side of the last
+        delta, so a cache can tell whether a write slipped in before it."""
+        instance = self._instance(backend)
+        assert instance.delta_tokens == (None, None)
+        instance.add_tuple("r", ("x", 1))
+        start = instance.data_token()
+        instance.apply_delta(Delta.add("s", [("y", 2)]))
+        assert instance.delta_tokens == (start, instance.data_token())
+        assert start != instance.data_token()
+
+        synced = instance.data_token()
+        instance.relation("r").add(("z", 3))  # bypasses the delta path
+        instance.apply_delta(Delta.remove("s", [("y", 2)]))
+        before, after = instance.delta_tokens
+        assert before != synced
+        assert after == instance.data_token()
+
 
 # --------------------------------------------------------------------- #
 # Targeted invalidation: warm state survives unrelated deltas
@@ -196,6 +214,163 @@ class TestWarmStoreSurvival:
         instance.apply_delta(delta)
         assert engine.apply_delta(delta) == set()
         assert store.existing_id("q", e1.values) == warm_id
+
+    def test_a_bypassing_write_empties_the_store(self):
+        """A write that bypassed the delta path reaches the store too: the
+        engine empties it, and what it stores next is the cold state."""
+        instance = DatabaseInstance(tiny_schema(), backend="sqlite")
+        instance.add_tuples("r", [("x1", "b1")])
+        instance.add_tuples("s", [("x2", "c2")])
+        e1 = Example("q", ("x1",), True)
+        e2 = Example("q", ("x2",), True)
+        store = SaturationStore()
+        engine = self._engine(instance, store)
+        engine.materialize([e1, e2])
+        assert len(store) == 2
+
+        instance.relation("s").add(("x2", "c3"))
+        delta = Delta.add("r", [("z8", "z9")])
+        instance.apply_delta(delta)
+        assert engine.apply_delta(delta) == {e1, e2}
+        assert len(store) == 0
+        assert store.existing_id("q", e2.values) is None
+
+        engine.materialize([e1, e2])
+        cold_store = SaturationStore()
+        self._engine(instance, cold_store).materialize([e1, e2])
+        assert store.contents() == cold_store.contents()
+
+
+# --------------------------------------------------------------------- #
+# A write that bypassed the delta path, then a delta
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-pooled"])
+def test_a_direct_write_before_a_delta_reaches_a_long_lived_engine(backend):
+    """The delta touches an unrelated relation only, but the engine it
+    reaches must not keep what the earlier direct write made stale."""
+    schema = Schema(
+        [
+            RelationSchema("r", ["a", "b"]),
+            RelationSchema("s", ["a", "c"]),
+            RelationSchema("u", ["d"]),
+        ]
+    )
+    instance = DatabaseInstance(schema, backend=backend)
+    instance.add_tuples("r", [("x", "b1")])
+    instance.add_tuples("s", [("x", "c1")])
+    examples = [Example("q", ("x",), True), Example("q", ("y",), True)]
+    clause = parse_clause("q(v) :- r(v, 'b2').")
+    config = BottomClauseConfig(max_depth=2)
+    engine = SubsumptionCoverageEngine(instance, config)
+    assert engine.covered_examples(clause, examples) == []
+    assert str(engine.saturation(examples[0])) == "q(x) :- r(x, b1), s(x, c1)."
+
+    instance.relation("r").add(("x", "b2"))
+    delta = Delta.add("u", [("z",)])
+    instance.apply_delta(delta)
+    engine.apply_delta(delta)
+
+    fresh = SubsumptionCoverageEngine(instance, config)
+    want = "q(x) :- r(x, b1), r(x, b2), s(x, c1)."
+    assert str(fresh.saturation(examples[0])) == want
+    assert str(engine.saturation(examples[0])) == want
+    assert str(engine.builder.build_ground(examples[0])) == want
+    assert engine.covered_examples(clause, examples) == [examples[0]]
+    assert fresh.covered_examples(clause, examples) == [examples[0]]
+
+
+def _bypass_instance(backend):
+    """``r(x, b1)``, ``r(y, b2)`` and ``s(x, c1)``, plus an unrelated ``u``."""
+    schema = Schema(
+        [
+            RelationSchema("r", ["a", "b"]),
+            RelationSchema("s", ["a", "c"]),
+            RelationSchema("u", ["d"]),
+        ]
+    )
+    instance = DatabaseInstance(schema, backend=backend)
+    instance.add_tuples("r", [("x", "b1"), ("y", "b2")])
+    instance.add_tuples("s", [("x", "c1")])
+    return instance
+
+
+BYPASS_EXAMPLES = [Example("q", ("x",), True), Example("q", ("y",), True)]
+BYPASS_CONFIG = BottomClauseConfig(max_depth=2)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-pooled"])
+def test_a_direct_removal_before_a_delta_reaches_a_long_lived_engine(backend):
+    """A removed row must leave the saturation, and every coverage
+    decision made from it, even though the delta never names it."""
+    instance = _bypass_instance(backend)
+    x = BYPASS_EXAMPLES[0]
+    clause = parse_clause("q(v) :- s(v, w).")
+    engine = SubsumptionCoverageEngine(instance, BYPASS_CONFIG)
+    assert engine.covers(clause, x)
+    assert engine.covered_examples(clause, BYPASS_EXAMPLES) == [x]
+
+    instance.relation("s").remove(("x", "c1"))
+    delta = Delta.add("u", [("z",)])
+    instance.apply_delta(delta)
+    assert engine.apply_delta(delta) == set(BYPASS_EXAMPLES)
+
+    assert str(engine.saturation(x)) == "q(x) :- r(x, b1)."
+    assert not engine.covers(clause, x)
+    assert engine.covered_examples(clause, BYPASS_EXAMPLES) == []
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-pooled"])
+def test_an_engine_that_missed_a_delta_answers_as_a_fresh_one(backend):
+    """Of two engines over one instance, the one not told of the first
+    delta drops everything on the second, whatever that one touches."""
+    instance = _bypass_instance(backend)
+    x = BYPASS_EXAMPLES[0]
+    clause = parse_clause("q(v) :- r(v, 'b9').")
+    told = SubsumptionCoverageEngine(instance, BYPASS_CONFIG)
+    missed = SubsumptionCoverageEngine(instance, BYPASS_CONFIG)
+    for engine in (told, missed):
+        assert engine.covered_examples(clause, BYPASS_EXAMPLES) == []
+
+    first = Delta.add("r", [("x", "b9")])
+    instance.apply_delta(first)
+    assert told.apply_delta(first) == {x}
+    second = Delta.add("u", [("z",)])
+    instance.apply_delta(second)
+    assert told.apply_delta(second) == set()
+    assert missed.apply_delta(second) == set(BYPASS_EXAMPLES)
+
+    want = "q(x) :- r(x, b1), r(x, b9), s(x, c1)."
+    for engine in (told, missed):
+        assert str(engine.saturation(x)) == want
+        assert engine.covered_examples(clause, BYPASS_EXAMPLES) == [x]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-pooled"])
+def test_after_a_resync_deltas_evict_only_what_they_touch(backend):
+    """Dropping everything once, for a bypassing write, resyncs the
+    engine: the deltas after it are targeted again."""
+    instance = _bypass_instance(backend)
+    x, y = BYPASS_EXAMPLES
+    engine = SubsumptionCoverageEngine(instance, BYPASS_CONFIG)
+    engine.prepare(BYPASS_EXAMPLES)
+
+    instance.relation("u").add(("w",))
+    delta = Delta.add("u", [("z",)])
+    instance.apply_delta(delta)
+    assert engine.apply_delta(delta) == {x, y}
+
+    engine.prepare(BYPASS_EXAMPLES)
+    warm_y = engine.saturation(y)
+    for delta, touched in [
+        (Delta.add("r", [("x", "b3")]), {x}),
+        (Delta.add("u", [("v",)]), set()),
+        (Delta.remove("r", [("x", "b3")]), {x}),
+    ]:
+        instance.apply_delta(delta)
+        assert engine.apply_delta(delta) == touched
+        engine.prepare(BYPASS_EXAMPLES)
+        assert engine.saturation(y) is warm_y
+    assert str(engine.saturation(x)) == "q(x) :- r(x, b1), s(x, c1)."
 
 
 # --------------------------------------------------------------------- #

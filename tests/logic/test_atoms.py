@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logic.atoms import Atom, Literal, atoms_share_variable, collect_constants, collect_variables
+from repro.logic.atoms import Atom, atoms_share_variable, collect_constants, collect_variables
 from repro.logic.terms import Constant, Variable
 
 
@@ -48,27 +48,6 @@ class TestAtom:
     def test_empty_predicate_rejected(self):
         with pytest.raises(ValueError):
             Atom("", ["a"])
-
-    def test_rename_predicate(self):
-        assert Atom("r", ["a"]).rename_predicate("s") == Atom("s", ["a"])
-
-
-class TestLiteral:
-    def test_negate(self):
-        literal = Literal(Atom("r", ["a"]))
-        assert literal.positive
-        assert not literal.negate().positive
-        assert literal.negate().negate() == literal
-
-    def test_delegates_to_atom(self):
-        literal = Literal(Atom("r", [Variable("x"), "a"]))
-        assert literal.predicate == "r"
-        assert literal.arity == 2
-        assert literal.variables() == [Variable("x")]
-
-    def test_requires_atom(self):
-        with pytest.raises(TypeError):
-            Literal("not an atom")
 
 
 class TestHelpers:

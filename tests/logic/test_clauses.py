@@ -62,12 +62,6 @@ class TestHornClause:
         grounded = clause.apply({X: Constant("p1"), Y: Constant("p2"), Z: Constant("t1")})
         assert grounded.is_ground()
 
-    def test_standardize_apart_renames_all_variables(self):
-        clause = make_collaborated()
-        renamed = clause.standardize_apart("1")
-        assert set(renamed.variables()).isdisjoint(set(clause.variables()))
-        assert renamed.length == clause.length
-
     def test_normalize_variables_gives_variant_equality(self):
         clause_a = make_collaborated()
         clause_b = HornClause(
@@ -148,9 +142,8 @@ class TestHornDefinition:
         assert len(definition) == 1
         assert list(definition) == [make_collaborated()]
 
-    def test_total_length_and_predicates(self):
+    def test_predicates(self):
         definition = HornDefinition("collaborated", [make_collaborated()])
-        assert definition.total_length() == 2
         assert definition.predicates() == {"publication"}
 
     def test_is_safe(self):

@@ -1,6 +1,6 @@
 """Tests for clause minimization and (relative) least general generalization."""
 
-from repro.logic.lgg import lgg_atoms, lgg_clauses, rlgg
+from repro.logic.lgg import lgg_atoms, lgg_clauses
 from repro.logic.minimize import minimize_clause, minimize_definition_clauses, remove_duplicate_literals
 from repro.logic.atoms import Atom
 from repro.logic.parser import parse_clause
@@ -96,14 +96,7 @@ class TestLgg:
         assert engine.subsumes(generalized, first)
         assert engine.subsumes(generalized, second)
 
-    def test_rlgg_keeps_head_connected_part(self):
-        first = parse_clause("t(ann) :- r(ann, bob), s(carl, dana).")
-        second = parse_clause("t(eve) :- r(eve, fred), s(gina, hank).")
-        generalized = rlgg(first, second)
-        assert generalized is not None
-        # s(c,d)/s(g,h) generalize to a literal sharing no variable with the
-        # head chain, so rlgg drops it.
-        assert all(atom.predicate == "r" for atom in generalized.body)
-
-    def test_rlgg_none_for_incompatible_heads(self):
-        assert rlgg(parse_clause("t(ann) :- r(ann)."), parse_clause("u(bob) :- r(bob).")) is None
+    def test_lgg_none_for_incompatible_heads(self):
+        body = parse_clause("t(ann) :- r(ann).")
+        assert lgg_clauses(body, parse_clause("u(bob) :- r(bob).")) is None
+        assert lgg_clauses(body, parse_clause("t(bob, carl) :- r(bob).")) is None

@@ -181,21 +181,6 @@ def test_snapshot_series_names_render_labels():
     assert snapshot["histograms"][series_name]["count"] == 1
 
 
-def test_prometheus_text_exposition():
-    registry = Registry()
-    registry.counter("server.batches", handle="ab12").inc(3)
-    registry.gauge("pool.size").set(4)
-    registry.histogram("rpc.seconds").observe(0.25)
-    text = registry.prometheus_text()
-    assert "# TYPE server_batches counter" in text
-    assert 'server_batches{handle="ab12"} 3' in text
-    assert "# TYPE pool_size gauge" in text
-    assert "pool_size 4" in text
-    assert "# TYPE rpc_seconds summary" in text
-    assert "rpc_seconds_count 1" in text
-    assert 'rpc_seconds{quantile="0.5"} 0.25' in text
-
-
 def test_reset_drops_every_series():
     registry = Registry()
     registry.counter("x.hits").inc()

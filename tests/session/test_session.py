@@ -10,7 +10,6 @@ from repro.castor.castor import CastorLearner, CastorParameters
 from repro.datasets import uwcse
 from repro.experiments.harness import LearnerSpec, run_variant
 from repro.foil.foil import FoilLearner, FoilParameters
-from repro.golem.golem import GolemLearner
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.coverage import QueryCoverageEngine, SubsumptionCoverageEngine
 from repro.logic.clauses import HornClause
@@ -55,9 +54,7 @@ def as_key(result):
 # --------------------------------------------------------------------- #
 # Uniform context= construction
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "learner_class", [CastorLearner, FoilLearner, GolemLearner, ProGolemLearner]
-)
+@pytest.mark.parametrize("learner_class", [CastorLearner, FoilLearner, ProGolemLearner])
 def test_every_learner_takes_context(learner_class, tiny_bundle):
     """The backend reaches every learner; only FOIL has a fan-out to set,
     and ``parallelism=1`` asks the others for nothing."""
@@ -92,7 +89,7 @@ def test_every_registry_kind_constructs(tiny_bundle):
     """Every advertised kind — including progol/aleph-foil — takes context=."""
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
     with LearningSession(SessionConfig(backend="sqlite-pooled")) as session:
-        for kind in ("castor", "foil", "golem", "progolem", "progol", "aleph-foil"):
+        for kind in ("castor", "foil", "progolem", "progol", "aleph-foil"):
             learner = session.learner(kind, schema)
             assert learner.backend == "sqlite-pooled", kind
 
@@ -163,7 +160,7 @@ def test_learn_scores_at_the_learner_parallelism(
 COMPILED_STATEMENTS = {"memory": 0, "sqlite": 1, "sqlite-pooled": 1}
 
 #: The registry kinds that decide coverage by subsumption (FOIL runs queries).
-SUBSUMPTION_KINDS = ("castor", "golem", "progolem", "progol", "aleph-foil")
+SUBSUMPTION_KINDS = ("castor", "progolem", "progol", "aleph-foil")
 
 
 class _EngineBuilt(Exception):
@@ -219,6 +216,15 @@ def test_session_learner_registry(tiny_bundle):
         assert learner.backend == "sqlite"
         with pytest.raises(ValueError, match="castor"):
             session.learner("no-such-learner", schema)
+
+
+def test_an_unknown_kind_lists_the_five_registered_kinds(tiny_bundle):
+    schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
+    with LearningSession(SessionConfig()) as session:
+        with pytest.raises(ValueError) as error:
+            session.learner("no-such-learner", schema)
+    kinds = ["aleph-foil", "castor", "foil", "progol", "progolem"]
+    assert str(error.value).endswith(f"available: {kinds}")
 
 
 # --------------------------------------------------------------------- #

@@ -117,7 +117,7 @@ def test_apply_hands_out_the_saturation_store():
 # --------------------------------------------------------------------- #
 # apply() on every registered learner kind
 # --------------------------------------------------------------------- #
-KINDS = ("castor", "foil", "golem", "progolem", "progol", "aleph-foil")
+KINDS = ("castor", "foil", "progolem", "progol", "aleph-foil")
 
 
 def make_learner(kind):
