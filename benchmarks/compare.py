@@ -1,5 +1,6 @@
-"""Regression gates over benchmark JSON artifacts, one subcommand per gate,
-and ``pairs``, which measures a change against its parent.
+"""Regression gates over benchmark JSON artifacts, one subcommand per gate;
+``pairs``, which measures a change against its parent; and ``diff``, which
+sets two artifacts side by side.
 
 CI runs each gate after the benchmark that writes its input::
 
@@ -38,6 +39,16 @@ metric's ``better``; ties count for neither side), whether the medians
 differ by more than the parent's interquartile range, and whether the
 change's median stays within the metric's ``bound`` of the parent's.  It
 exits 1 when any run is not correct.
+
+``diff`` compares two ``BENCH_*.json`` artifacts of one benchmark::
+
+    python benchmarks/compare.py diff OLD/BENCH_subsumption.json BENCH_subsumption.json
+
+It prints one row for every number found at the same dotted path in both
+files (lists and the ``provenance`` block left out) with A, B and B/A,
+then both artifacts' ``git_sha``.  It refuses, with exit status 2, two
+artifacts of different benchmarks, an artifact without ``provenance``, and
+two artifacts measured on different CPU counts.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 #: Disabled spans timed to measure the cost of one.
 DISABLED_SPAN_ITERATIONS = 200_000
@@ -232,6 +243,13 @@ def _pair_rows(
     return rows
 
 
+def _print_table(rows: List[List[str]]) -> None:
+    """``rows`` (the first one a header) in left-aligned columns."""
+    widths = [max(len(row[column]) for row in rows) for column in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+
+
 def _exit_on_sigterm(signum: int, frame: object) -> None:
     raise SystemExit(128 + signum)
 
@@ -290,11 +308,52 @@ def _pairs(args: argparse.Namespace) -> None:
             runs.append((results["parent"], results["change"]))
     header = ["metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
               "won", "gap > IQR", "in bound"]
-    rows = [header, *_pair_rows(metrics, runs)]
-    widths = [max(len(row[column]) for row in rows) for column in range(len(header))]
-    for row in rows:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    _print_table([header, *_pair_rows(metrics, runs)])
     _check(not incorrect, f"{incorrect} of {2 * args.pairs} runs were not correct")
+
+
+def _numbers(data: Dict, prefix: str = "") -> Dict[str, float]:
+    """Every number in ``data`` by its dotted path; lists, booleans and the
+    top-level ``provenance`` block are left out."""
+    found: Dict[str, float] = {}
+    for key, value in data.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            if path != "provenance":
+                found.update(_numbers(value, f"{path}."))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found[path] = value
+    return found
+
+
+def _refuse(message: str) -> NoReturn:
+    print(f"compare.py diff: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def diff(args: argparse.Namespace) -> None:
+    first, second = _load(args.first), _load(args.second)
+    for path, artifact in ((args.first, first), (args.second, second)):
+        if not isinstance(artifact.get("provenance"), dict):
+            _refuse(f"{path} has no provenance")
+    if first.get("benchmark") != second.get("benchmark"):
+        _refuse(
+            f"different benchmarks: {first.get('benchmark')!r} and "
+            f"{second.get('benchmark')!r}"
+        )
+    cpus = [artifact["provenance"].get("cpu_count") for artifact in (first, second)]
+    if cpus[0] != cpus[1]:
+        _refuse(f"measured on {cpus[0]} and {cpus[1]} CPUs")
+    numbers = _numbers(second)
+    rows = [["field", "A", "B", "B/A"]]
+    for path, old in _numbers(first).items():
+        if path in numbers:
+            new = numbers[path]
+            ratio = f"{new / old:.4g}" if old else "-"
+            rows.append([path, f"{old:.6g}", f"{new:.6g}", ratio])
+    _print_table(rows)
+    print(f"A git_sha: {first['provenance'].get('git_sha')}")
+    print(f"B git_sha: {second['provenance'].get('git_sha')}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -327,6 +386,11 @@ def _parser() -> argparse.ArgumentParser:
         "--pairs", type=_positive, required=True, help="parent/change pairs"
     )
     gate.set_defaults(run=pairs)
+
+    gate = gates.add_parser("diff", help="two artifacts of one benchmark side by side")
+    gate.add_argument("first", help="artifact A")
+    gate.add_argument("second", help="artifact B")
+    gate.set_defaults(run=diff)
     return parser
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import LearningSession, SessionConfig
 from repro.datasets import uwcse
-from repro.experiments import aleph_foil_spec, castor_spec
+from repro.experiments import aleph_foil_spec, castor_spec, check_schema_independence
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
 
     with LearningSession(SessionConfig()) as session:
         for spec in (castor_spec(), aleph_foil_spec(clause_length=6, name="Aleph-FOIL")):
-            report = session.check_schema_independence(bundle, spec)
+            report = check_schema_independence(bundle, spec, session=session)
             print(f"\n=== {spec.name} ===")
             print("result-set size per schema variant:", report.result_sizes)
             for pair, equivalent in report.pairwise_equivalent.items():

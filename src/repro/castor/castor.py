@@ -187,9 +187,8 @@ class CastorLearner(ProGolemLearner):
         self,
         schema: Schema,
         parameters: Optional[CastorParameters] = None,
-        context=None,
     ):
-        super().__init__(schema, parameters or CastorParameters(), context=context)
+        super().__init__(schema, parameters or CastorParameters())
         self.parameters: CastorParameters = self.parameters
         self._working_schema: Optional[Schema] = None
 
@@ -237,8 +236,6 @@ class CastorLearner(ProGolemLearner):
         )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        # Backend conversion happens in the base class's learn() — one
-        # normalization path for the whole family.
         definition = super().learn(instance, examples)
         if self.parameters.ensure_safe:
             safe_clauses = [clause for clause in definition if clause.is_safe()]

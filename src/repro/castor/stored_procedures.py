@@ -44,10 +44,7 @@ class StoredProcedureRunner:
         schema: Optional[Schema] = None,
         config: Optional[CastorBottomClauseConfig] = None,
         use_stored_procedures: bool = True,
-        backend: Optional[str] = None,
     ):
-        if backend is not None and backend != instance.backend_name:
-            instance = instance.with_backend(backend)
         self.instance = instance
         self.schema = schema or instance.schema
         self.config = config or CastorBottomClauseConfig()
@@ -103,16 +100,14 @@ def compare_stored_procedure_modes(
     examples: Sequence[Example],
     schema: Optional[Schema] = None,
     config: Optional[CastorBottomClauseConfig] = None,
-    backend: Optional[str] = None,
     repeats: int = 1,
 ) -> Dict[str, float]:
     """Run the same workload with and without stored procedures (Table 13).
 
     Each of ``repeats`` rounds times both modes, one after the other, on
-    fresh runners; each mode reports its fastest round.
+    fresh runners; each mode reports its fastest round.  Both run on
+    ``instance``'s own backend.
     """
-    if backend is not None and backend != instance.backend_name:
-        instance = instance.with_backend(backend)
     seconds = {True: float("inf"), False: float("inf")}
     for _ in range(max(1, repeats)):
         for use_stored_procedures in (True, False):

@@ -102,8 +102,8 @@ class Backend(Protocol):
     A backend may additionally support *compiled* set-at-a-time query
     evaluation by setting ``supports_compiled_queries = True`` and providing
     the hooks :class:`~repro.database.query.QueryEvaluator` probes for
-    (``satisfiable``, ``count_bindings``, ``head_tuples``,
-    ``covered_head_tuples``, ``iter_bindings``).  Backends without the flag
+    (``satisfiable``, ``head_tuples``,
+    ``covered_head_tuples``).  Backends without the flag
     are evaluated through the evaluator's generic join: it compiles each
     clause body once per call (atom order, variable slots, index probes),
     tests every candidate head tuple against that plan, and reads the

@@ -386,48 +386,6 @@ class QueryEvaluator:
             for index, found in enumerate(compiled)
         ]
 
-    def count_bindings(self, body: Sequence[Atom], limit: Optional[int] = None) -> int:
-        """Number of satisfying assignments of the body (used by FOIL's gain)."""
-        if self._compiled is not None:
-            try:
-                return self._compiled.count_bindings(body, limit)
-            except CompilationNotSupported:
-                pass
-        plan = _JoinPlan(self.instance, body)
-        count = 0
-        for _ in plan.solutions():
-            count += 1
-            if limit is not None and count >= limit:
-                break
-        return count
-
-    def bindings_for_body(
-        self, body: Sequence[Atom], initial: Optional[Binding] = None
-    ) -> Iterator[Binding]:
-        """Generate all variable bindings satisfying every body atom.
-
-        Each binding is a new dict holding ``initial`` plus the body's
-        variables.  Atoms are joined in a greedy order: at each step the
-        atom with the fewest unbound variables (smallest relation as
-        tie-break) comes next, which keeps intermediate results small.  On
-        compiled backends the enumeration runs as a single SQL statement.
-
-        The generic join reads the relation stores' live indexes, so do not
-        mutate the instance while this generator is suspended; collect the
-        bindings first (``list(...)``) when you need to.
-        """
-        if self._compiled is not None:
-            try:
-                yield from self._compiled.iter_bindings(body, initial)
-                return
-            except CompilationNotSupported:
-                pass
-        initial = initial or {}
-        plan = _JoinPlan(self.instance, body, list(initial))
-        slots = list(plan.slots.items())
-        for values in plan.solutions(initial):
-            yield {variable: values[slot] for variable, slot in slots}
-
     # ------------------------------------------------------------------ #
     # Coverage against one plan
     # ------------------------------------------------------------------ #

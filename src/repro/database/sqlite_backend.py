@@ -614,50 +614,6 @@ class SQLiteBackend:
         connection = connection or self._connection
         return connection.execute(sql, compiled.params).fetchone() is not None
 
-    def count_bindings(
-        self, body: Sequence[Atom], limit: Optional[int] = None
-    ) -> int:
-        """Number of satisfying assignments, optionally capped at ``limit``."""
-        if not body:
-            return 1 if limit is None or limit >= 1 else 0
-        compiled = self._compile_body(body)
-        if compiled.empty:
-            return 0
-        inner = self._sql_for(compiled, "1")
-        if limit is not None:
-            inner += f" LIMIT {int(limit)}"
-        cursor = self._connection.execute(
-            f"SELECT COUNT(*) FROM ({inner})", compiled.params
-        )
-        return int(cursor.fetchone()[0])
-
-    def iter_bindings(
-        self, body: Sequence[Atom], binding: Optional[Dict[Variable, object]] = None
-    ) -> Iterator[Dict[Variable, object]]:
-        """Enumerate satisfying assignments of the body's variables."""
-        base = dict(binding or {})
-        if not body:
-            yield dict(base)
-            return
-        compiled = self._compile_body(body, binding)
-        if compiled.empty:
-            return
-        variables = [
-            v for v in compiled.variable_columns if v not in base
-        ]
-        if not variables:
-            if self.satisfiable(body, binding):
-                yield dict(base)
-            return
-        select = ", ".join(compiled.variable_columns[v] for v in variables)
-        cursor = self._connection.execute(
-            self._sql_for(compiled, select), compiled.params
-        )
-        for row in cursor:
-            result = dict(base)
-            result.update(zip(variables, row))
-            yield result
-
     def head_tuples(self, clause: HornClause) -> Set[Row]:
         """All head tuples produced by a (safe) clause, as one SELECT DISTINCT."""
         if not clause.body:

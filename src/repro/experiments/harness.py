@@ -16,6 +16,11 @@ Every entry point runs on the **session API**
 evaluation settings reach a harness call.  Passing one session to many calls
 also shares its prepared instances and saturation stores; without it, a
 call runs on a default ``LearningSession()`` of its own.
+
+Each entry point opens the root span of its trace tree:
+:func:`run_variant` a ``session.run`` span, :func:`run_schema_sweep` and
+:func:`check_schema_independence` a ``session.sweep`` span (a sweep's
+cells are ``session.run`` spans under it).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable, ContextManager, Dict, List, Optional, Sequence
 from ..database.schema import Schema
 from ..learning.evaluation import CrossValidationReport, cross_validate, evaluate_definition
 from ..logic.clauses import HornDefinition
+from ..obs import span as obs_span
 from ..session.session import LearningSession
 from ..transform.equivalence import definition_results
 
@@ -110,7 +116,12 @@ def run_variant(
     fold learner of a variant gets the same warm store; fold results are
     identical to a cold run.
     """
-    with _session_scope(session) as active:
+    with _session_scope(session) as active, obs_span(
+        "session.run",
+        variant=str(variant_name),
+        learner=learner_spec.name,
+        folds=int(folds),
+    ):
         schema = bundle.schema(variant_name)
         instance = active.prepare(bundle.instance(variant_name))
 
@@ -167,7 +178,9 @@ def run_schema_sweep(
     every learner×variant cell after the first on a variant starts from
     that variant's warm instance and saturation store.
     """
-    with _session_scope(session) as active:
+    with _session_scope(session) as active, obs_span(
+        "session.sweep", learners=len(learner_specs)
+    ):
         variants = list(variants or bundle.variant_names)
         # Convert once up front (and once per *session*, not per call): the
         # converted bundle caches the re-materialized instance per variant,
@@ -239,7 +252,9 @@ def check_schema_independence(
     own variant's instance and the result relations are compared across
     variants (Definition 3.10 instantiated on the actual data).
     """
-    with _session_scope(session) as active:
+    with _session_scope(session) as active, obs_span(
+        "session.sweep", learners=1
+    ):
         variants = list(variants or bundle.variant_names)
         bundle = active.prepare_bundle(bundle)
         definitions: Dict[str, HornDefinition] = {}

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..learning.coverage import BatchCoverageEngine, QueryCoverageEngine
-from ..learning.knobs import EvaluationKnobs
 from ..learning.covering import CoveringLearner, CoveringParameters
 from ..learning.examples import Example, ExampleSet
 from ..logic.clauses import HornClause, HornDefinition
@@ -195,7 +194,7 @@ class _FoilClauseLearner:
         return best
 
 
-class FoilLearner(EvaluationKnobs):
+class FoilLearner:
     """Public FOIL learner: ``learn(instance, examples) -> HornDefinition``."""
 
     name = "FOIL"
@@ -204,22 +203,17 @@ class FoilLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[FoilParameters] = None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or FoilParameters()
-        # Deliberately no saturation_store: query coverage has no
-        # saturations, and a phantom attribute would make apply() silently
-        # accept a store this learner cannot use.
-        self.backend: Optional[str] = None
-        # Snapshot-connection fan-out of batched scoring on sqlite-pooled;
-        # results are identical for every value.
+        # Snapshot-connection fan-out of batched scoring on sqlite-pooled
+        # (``LearningSession.bind`` sets it); results are identical for
+        # every value.  Deliberately no saturation_store: query coverage
+        # has no saturations for a store to hold.
         self.parallelism = 1
-        self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition of the examples' target relation."""
-        instance = self._prepare_instance(instance)
         coverage = QueryCoverageEngine(instance, parallelism=self.parallelism)
         clause_learner = _FoilClauseLearner(self.schema, self.parameters, coverage)
         covering = CoveringLearner(

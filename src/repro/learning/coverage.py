@@ -145,9 +145,8 @@ class SubsumptionCoverageEngine:
         self._coverage_cache: Dict[Tuple[HornClause, Example], bool] = {}
         self._compiled_ids: Dict[Example, int] = {}
         self._compiled_failed: Set[Example] = set()
-        # Caches must exist before the builder property setter runs (it
-        # clears them on rebind).
-        self.builder = self._make_builder(instance, saturation_config)
+        self._drop_caches()  # files the footprint index and the data token
+        self._builder = self._make_builder(instance, saturation_config)
         self.subsumption = SubsumptionEngine()
         # One table for every saturation index: a candidate clause is
         # encoded once, not once per saturation it is tested against.
@@ -179,16 +178,9 @@ class SubsumptionCoverageEngine:
 
     @property
     def builder(self) -> BottomClauseBuilder:
+        """The bottom-clause builder, fixed at construction: every cached
+        saturation, decision and store row was made by it."""
         return self._builder
-
-    @builder.setter
-    def builder(self, value: BottomClauseBuilder) -> None:
-        # Callers (and some tests) rebind ``engine.builder`` to swap
-        # construction semantics.  Already-cached saturations (and the
-        # coverage decisions derived from them) describe the OLD builder's
-        # semantics, so they are dropped.
-        self._builder = value
-        self._drop_caches()
 
     def _drop_caches(self) -> None:
         """Forget every saturation and every decision made from one."""
@@ -209,8 +201,8 @@ class SubsumptionCoverageEngine:
         """Factory hook for the engine's bottom-clause builder.
 
         Subclasses (Castor) override it to supply an IND-aware builder;
-        the base constructor installs whatever this returns, so overriding
-        here never needs a post-hoc rebind.
+        the base constructor installs whatever this returns, for the
+        engine's whole life.
         """
         return BottomClauseBuilder(
             instance, saturation_config or BottomClauseConfig(max_depth=3)

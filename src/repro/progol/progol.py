@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..foil.gain import coverage_score, foil_gain, precision
-from ..learning.knobs import EvaluationKnobs
 from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
@@ -161,7 +160,7 @@ class _ProgolClauseLearner:
         return coverage_score(covered_pos, covered_neg, length)
 
 
-class ProgolLearner(EvaluationKnobs):
+class ProgolLearner:
     """Aleph-Progol style learner (default settings) with a configurable beam."""
 
     name = "Aleph-Progol"
@@ -170,16 +169,15 @@ class ProgolLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[ProgolParameters] = None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProgolParameters()
-        self._init_evaluation_knobs()
-        self._apply_context(context)
+        # The session's shared SaturationStore for the instance being
+        # learned on (``LearningSession.bind`` sets it); it only saves work.
+        self.saturation_store = None
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition via bottom-clause-bounded top-down search."""
-        instance = self._prepare_instance(instance)
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
@@ -208,10 +206,9 @@ class AlephFoilLearner(ProgolLearner):
         schema: Schema,
         clause_length: int = 10,
         parameters: Optional[ProgolParameters] = None,
-        context=None,
     ):
         if parameters is None:
             parameters = ProgolParameters(
                 clause_length=clause_length, open_list_size=1, scoring="gain"
             )
-        super().__init__(schema, parameters, context=context)
+        super().__init__(schema, parameters)

@@ -25,7 +25,6 @@ from ..database.schema import Schema
 from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
-from ..learning.knobs import EvaluationKnobs
 from ..learning.examples import Example, ExampleSet
 from ..learning.prefetch import SaturationPrefetcher, backend_supports_prefetch
 from ..logic.clauses import HornClause, HornDefinition
@@ -245,7 +244,7 @@ class ProGolemClauseLearner:
         return result.coverage_score()
 
 
-class ProGolemLearner(EvaluationKnobs):
+class ProGolemLearner:
     """Public ProGolem learner."""
 
     name = "ProGolem"
@@ -256,12 +255,12 @@ class ProGolemLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[ProGolemParameters] = None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
-        self._init_evaluation_knobs()
-        self._apply_context(context)
+        # The session's shared SaturationStore for the instance being
+        # learned on (``LearningSession.bind`` sets it); it only saves work.
+        self.saturation_store = None
 
     def make_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         """Build the coverage engine (overridden by Castor to add IND awareness)."""
@@ -277,7 +276,6 @@ class ProGolemLearner(EvaluationKnobs):
         return self.clause_learner_class(self.schema, self.parameters, coverage)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        instance = self._prepare_instance(instance)
         coverage = self.make_coverage_engine(instance)
         clause_learner = self.make_clause_learner(instance, coverage)
         covering = CoveringLearner(

@@ -1,11 +1,11 @@
 """Unified session API: one validated config, one owner for every resource.
 
 * :class:`SessionConfig` — backend, parallelism and tracing in one
-  validated dataclass: the only way evaluation settings reach a learner
-  (``context=``) or a harness call (``session=``);
-* :class:`LearningSession` — owns backend + saturation-store lifecycle,
-  hands out learners (``session.learner("castor", schema, params)``) and
-  drives the experiment harness (``session.run(...)``).
+  validated dataclass;
+* :class:`LearningSession` — owns backend + saturation-store lifecycle and
+  is the one route a config takes into a learner: it hands out learners
+  (``session.learner("castor", schema, params)``) and is the ``session=``
+  of every harness call (``run_variant(..., session=session)``).
 
 See ``docs/session.md`` for the tour.
 """

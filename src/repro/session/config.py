@@ -1,33 +1,30 @@
-"""`SessionConfig`: the one way evaluation settings reach a learner.
+"""`SessionConfig`: the evaluation settings of a learning session.
 
 Two evaluation settings never change what is learned: where coverage tests
 run (the backend) and how many snapshot connections FOIL's batched scoring
 fans out over on ``sqlite-pooled`` (parallelism).  :class:`SessionConfig`
-carries both, plus the per-run tracing switch, and is the only route they
-take into the learning stack:
+carries both, plus the per-run tracing switch.  Construction **validates
+coherence**: ``parallelism=4`` on ``memory`` or the single-connection
+``sqlite`` backend is a configuration error with an actionable message,
+not a warning buried in a log.
 
-* construction **validates coherence** (e.g. ``parallelism=4`` on
-  ``memory`` or the single-connection ``sqlite`` backend is a configuration
-  error with an actionable message, not a warning buried in a log);
-* :meth:`SessionConfig.apply` is the single normalization path that pushes
-  the settings onto a learner, warning once about any setting a learner
-  cannot honor.
-
-Learners take a config (or a session) through their ``context=`` keyword::
+A config reaches the learning stack only through a
+:class:`~repro.session.session.LearningSession`: it converts instances
+onto ``backend`` and its :meth:`~repro.session.session.LearningSession.bind`
+gives a learner the rest, for ``session.learner(...).learn`` and for every
+harness call made with ``session=``::
 
     config = SessionConfig(backend="sqlite-pooled", parallelism=4)
-    learner = FoilLearner(schema, context=config)
-
-or, preferably, come from a :class:`~repro.session.session.LearningSession`,
-which also owns the prepared instances and shared saturation stores.
+    with LearningSession(config) as session:
+        learner = session.learner("foil", schema)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from ..database.backend import backend_names, warn_once
+from ..database.backend import backend_names
 
 #: Why a backend cannot fan one batch out over more than one connection.
 _NO_FAN_OUT = {
@@ -54,8 +51,8 @@ class SessionConfig:
         are identical for every value; only wall-clock time changes.
     trace:
         Enable span tracing for this session (see :mod:`repro.obs`).  Every
-        ``session.run`` then records a span tree covering the learner
-        phases under one trace id.  Dump with
+        harness call made with the session then records a span tree
+        covering the learner phases under one trace id.  Dump with
         :meth:`LearningSession.trace_dump`.  Off by default: the disabled
         path costs one attribute check per would-be span.
     """
@@ -93,47 +90,3 @@ class SessionConfig:
                 f"{self.backend!r} backend ({_NO_FAN_OUT[self.backend]}); "
                 "use 'sqlite-pooled' (snapshot read pool)"
             )
-
-    # ------------------------------------------------------------------ #
-    # Normalization
-    # ------------------------------------------------------------------ #
-    def apply(self, learner: Any, saturation_store: Any = None) -> Any:
-        """Push this config onto a learner.
-
-        The single normalization path shared by sessions and the
-        experiment harness.  Settings land on learners that expose the
-        matching attribute; an explicit setting a learner cannot honor
-        warns once per distinct situation — never silently ignored, never
-        an error (these knobs only move work; results are identical for
-        every value).  ``parallelism=1`` asks for no fan-out, so a learner
-        without the knob honors it as is.
-
-        ``saturation_store`` is handed to learners with the knob (learners
-        without saturations — FOIL's query coverage — skip it silently, as
-        there is nothing a store could change).
-        """
-        if self.parallelism is not None:
-            if hasattr(learner, "parallelism"):
-                learner.parallelism = self.parallelism
-            elif self.parallelism > 1:
-                warn_once(
-                    f"learner {type(learner).__name__} has no "
-                    "'parallelism' knob; ignoring "
-                    f"parallelism={self.parallelism}"
-                )
-        if self.backend is not None:
-            # Pushed on the session path too: a learner built with
-            # context=<session> but driven outside session.learner must
-            # still honor the configured backend (its learn() then converts
-            # per call; prepared instances already match, so the push is a
-            # no-op there).
-            if hasattr(learner, "backend"):
-                learner.backend = self.backend
-            else:
-                warn_once(
-                    f"learner {type(learner).__name__} has no 'backend' "
-                    f"knob; ignoring backend={self.backend!r}"
-                )
-        if saturation_store is not None and hasattr(learner, "saturation_store"):
-            learner.saturation_store = saturation_store
-        return learner

@@ -1,34 +1,38 @@
 """`LearningSession`: the single front door to the learning stack.
 
 A session owns everything a learning run used to assemble by hand — the
-storage backend instances are materialized on and the shared saturation
-store — and hands out learners already normalized onto one validated
-:class:`~repro.session.config.SessionConfig`::
+instances it converted onto the configured backend and the shared
+saturation stores — and is the only thing that puts an instance on a
+backend or gives a learner its evaluation settings::
 
     from repro import LearningSession, SessionConfig
+    from repro.experiments.harness import run_variant
 
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         learner = session.learner("castor", schema, parameters)
         definition = learner.learn(instance, examples)
-        result = session.run(bundle, "original", "progolem", folds=3)
+        result = run_variant(bundle, "original", spec, folds=3, session=session)
 
-Repeated runs through one session reuse the prepared instances and the
-saturation stores — the second run starts warm.
+``learner.learn`` and every harness call given ``session=`` prepare the
+instance (:meth:`LearningSession.prepare`) and hand the learner its
+settings (:meth:`LearningSession.bind`).  Repeated runs through one
+session reuse the prepared instances and the saturation stores — the
+second run starts warm.
 
 Lifecycle: sessions are context managers and ``close()`` is idempotent.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle  # repro: noqa[REP001] -- dumps-only structural fingerprint for store sharing; bytes never cross a process boundary and nothing is ever unpickled
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+from ..database.backend import warn_once
 from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
 from ..database.sqlite_backend import SaturationStore
-from ..obs import registry as obs_registry, span as obs_span, tracer as obs_tracer
+from ..obs import registry as obs_registry, tracer as obs_tracer
 from .config import SessionConfig
 
 if TYPE_CHECKING:  # resolved lazily at runtime; annotations only
@@ -146,9 +150,7 @@ class LearningSession:
         source and of the converted copy: a write to either that bypassed
         :meth:`update` re-converts the instance and drops its saturation
         stores (whose clauses describe the old data), so session runs
-        always see the source's current contents — same semantics as a
-        learner's own per-``learn()`` conversion, minus the cost when
-        nothing changed.
+        always see the source's current contents.
         """
         self._ensure_open()
         with self._lock:
@@ -293,149 +295,46 @@ class LearningSession:
     # ------------------------------------------------------------------ #
     # Learners
     # ------------------------------------------------------------------ #
-    def apply(self, learner: Any) -> Any:
-        """Normalize a learner onto this session's config (see
-        :meth:`SessionConfig.apply`); lets a session double as the
-        ``context=`` argument of any learner constructor."""
-        return self.config.apply(learner)
-
     def bind(self, learner: Any, instance: DatabaseInstance) -> Any:
-        """Normalize ``learner`` for a run on the prepared ``instance``: the
-        config's knobs plus the shared warm store, keyed by the learner's
-        saturation config so folds and repeat runs of one spec share it.
-        Learners without the knob (FOIL's query coverage) never open one."""
-        store = (
-            self.saturation_store_for(instance, learner)
-            if hasattr(learner, "saturation_store")
-            else None
-        )
-        return self.config.apply(learner, saturation_store=store)
+        """Give ``learner`` this session's evaluation settings for a run on
+        the prepared ``instance``, and return it.
+
+        A subsumption learner gets the shared warm store, keyed by its
+        saturation config so folds and repeat runs of one spec share it;
+        FOIL, whose query coverage has no store, gets ``parallelism``.  A
+        ``parallelism`` above 1 that a learner has no knob for warns once:
+        it only moves work, so it is never an error.
+        """
+        if hasattr(learner, "saturation_store"):
+            learner.saturation_store = self.saturation_store_for(instance, learner)
+        parallelism = self.config.parallelism
+        if parallelism is not None:
+            if hasattr(learner, "parallelism"):
+                learner.parallelism = parallelism
+            elif parallelism > 1:
+                warn_once(
+                    f"learner {type(learner).__name__} has no 'parallelism' "
+                    f"knob; ignoring parallelism={parallelism}"
+                )
+        return learner
 
     def learner(
-        self,
-        kind: "str | type",
-        schema: Any,
-        parameters: Any = None,
-        **kwargs: Any,
+        self, kind: str, schema: Any, parameters: Any = None, **kwargs: Any
     ) -> SessionLearner:
         """Construct a learner bound to this session.
 
         ``kind`` is a registry name (``"castor"``, ``"progolem"``,
-        ``"foil"``, ``"progol"``, ``"aleph-foil"``) or a learner class.
-        The learner is built with the uniform ``context=`` path and
+        ``"foil"``, ``"progol"``, ``"aleph-foil"``).  The learner is
         wrapped so that ``learn()`` runs on the session's prepared
         instances and shared stores.
         """
         self._ensure_open()
-        cls = _resolve_kind(kind) if isinstance(kind, str) else kind
-        # The session itself is the context.  ``parameters`` goes by
-        # keyword: positionally it would land in e.g. AlephFoilLearner's
-        # clause_length slot.
-        if parameters is None:
-            learner = cls(schema, context=self, **kwargs)
-        else:
-            learner = cls(schema, parameters=parameters, context=self, **kwargs)
-        return SessionLearner(self, learner)
-
-    # ------------------------------------------------------------------ #
-    # Harness entry points
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        bundle: Any,
-        variant_name: str,
-        learner: Any,
-        folds: int = 3,
-        seed: int = 0,
-        parameters: Any = None,
-    ) -> Any:
-        """Cross-validate one learner on one schema variant (see
-        :func:`repro.experiments.harness.run_variant`)."""
-        from ..experiments.harness import run_variant
-
-        spec = self._as_spec(learner, parameters)
-        # The root of the trace tree: every learner-phase span of this run
-        # hangs off it under one trace id.
-        with obs_span(
-            "session.run",
-            variant=str(variant_name),
-            learner=spec.name,
-            folds=int(folds),
-        ):
-            return run_variant(
-                bundle, variant_name, spec, folds=folds, seed=seed, session=self
-            )
-
-    def sweep(
-        self,
-        bundle: Any,
-        learners: "list[Any] | tuple[Any, ...]",
-        variants: Optional[List[str]] = None,
-        folds: int = 3,
-        seed: int = 0,
-    ) -> Any:
-        """Every learner on every schema variant (one of the paper's tables)."""
-        from ..experiments.harness import run_schema_sweep
-
-        specs = [self._as_spec(learner) for learner in learners]
-        with obs_span("session.sweep", learners=len(specs)):
-            return run_schema_sweep(
-                bundle, specs, variants=variants, folds=folds, seed=seed,
-                session=self,
-            )
-
-    def check_schema_independence(
-        self,
-        bundle: Any,
-        learner: Any,
-        variants: Optional[List[str]] = None,
-    ) -> Any:
-        """Direct empirical schema-independence check (Definition 3.10)."""
-        from ..experiments.harness import check_schema_independence
-
-        return check_schema_independence(
-            bundle, self._as_spec(learner), variants=variants, session=self
-        )
-
-    def _as_spec(self, learner: Any, parameters: Any = None) -> Any:
-        from ..experiments.harness import LearnerSpec
-
-        if isinstance(learner, LearnerSpec):
-            return learner
-        if isinstance(learner, SessionLearner):
-            learner = learner.wrapped
-        if isinstance(learner, str) or isinstance(learner, type):
-            cls = _resolve_kind(learner) if isinstance(learner, str) else learner
-            name = learner if isinstance(learner, str) else cls.__name__
-            if parameters is None:
-                return LearnerSpec(name, lambda schema: cls(schema))
+        cls = _resolve_kind(kind)
+        if parameters is not None:
             # By keyword: positionally it would land in e.g.
             # AlephFoilLearner's clause_length slot.
-            return LearnerSpec(
-                name, lambda schema: cls(schema, parameters=parameters)
-            )
-        # A constructed learner object: reused for every fold (learners
-        # rebuild their engines per learn(), so this is re-entrant).  The
-        # schema must follow the variant being learned — keeping the
-        # construction-time schema would silently run e.g. Castor's IND
-        # chase against the wrong relation set on every other variant of a
-        # sweep — but the caller's object is never mutated: a different
-        # variant gets a shallow per-variant clone (config state only;
-        # engines are built per learn()).
-        name = getattr(learner, "name", type(learner).__name__)
-
-        def rebind(schema: Any) -> Any:
-            if (
-                schema is None
-                or not hasattr(learner, "schema")
-                or schema is learner.schema
-            ):
-                return learner
-            clone = copy.copy(learner)
-            clone.schema = schema
-            return clone
-
-        return LearnerSpec(name, rebind)
+            kwargs["parameters"] = parameters
+        return SessionLearner(self, cls(schema, **kwargs))
 
     # ------------------------------------------------------------------ #
     # Observability (see docs/observability.md)

@@ -6,7 +6,7 @@ instances (Definition 3.5).  Checking this for all instances is undecidable
 in general, so the experiment harness uses the standard surrogate: evaluate
 both definitions on the actual dataset instance and its transform and compare
 the result sets.  The module also provides a same-schema semantic equivalence
-check and a syntactic variant check.
+check and a θ-subsumption equivalence check of clauses and definitions.
 """
 
 from __future__ import annotations
@@ -73,13 +73,20 @@ def definitions_equivalent_across(
 
 
 def clauses_are_variants(first: HornClause, second: HornClause) -> bool:
-    """Syntactic equivalence up to variable renaming and literal order."""
+    """θ-subsumption equivalence: each clause θ-subsumes the other.
+
+    This is weaker than being variants: ``p(X) :- q(X, Y)`` and
+    ``p(A) :- q(A, B), q(A, C)`` compare equal, since a redundant literal
+    changes nothing.  A search that exhausts the kernel's backtrack budget
+    reads as "not equivalent".
+    """
     engine = SubsumptionEngine()
     return engine.equivalent(first, second)
 
 
 def definitions_are_variants(first: HornDefinition, second: HornDefinition) -> bool:
-    """Every clause of one definition has an equivalent clause in the other."""
+    """Every clause of either definition has a θ-equivalent clause (as
+    :func:`clauses_are_variants` decides it) in the other, in any order."""
     engine = SubsumptionEngine()
 
     def covered(clauses_a: Iterable[HornClause], clauses_b: Iterable[HornClause]) -> bool:

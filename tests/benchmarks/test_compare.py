@@ -1,7 +1,8 @@
 """The CI regression gates of ``benchmarks/compare.py``: each subcommand
 passes on an artifact that meets its threshold and fails on one that
 misses it.  ``pairs`` runs against a temporary git repository whose
-commits hold fake benchmarks."""
+commits hold fake benchmarks; ``diff`` against artifacts written to a
+temporary directory."""
 
 from __future__ import annotations
 
@@ -264,3 +265,56 @@ def test_pairs_remove_their_checkouts_on_sigterm(bench_repo, tmp_path):
             process.kill()
             process.wait()
     assert not list(scratch.glob("compare-pairs-*"))
+
+
+def artifact(benchmark="subsumption", cpu_count=2, git_sha="a" * 40, speedup=5.0):
+    """A ``BENCH_*.json``-shaped artifact."""
+    return {
+        "benchmark": benchmark,
+        "speedup": speedup,
+        "parity_ok": True,
+        "pairs": 100,
+        "candidates": [1, 2, 3],
+        "workload": {"dataset": "uwcse", "seconds": {"kernel": 0.5}},
+        "provenance": {"git_sha": git_sha, "cpu_count": cpu_count, "pid": 7},
+    }
+
+
+def test_diff_sets_every_shared_number_side_by_side(compare, tmp_path, capsys):
+    first = write(tmp_path, "a.json", artifact())
+    later = artifact(git_sha="b" * 40, speedup=6.0)
+    del later["pairs"]
+    second = write(tmp_path, "b.json", later)
+    assert compare.main(["diff", first, second]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines if line}
+    assert rows["speedup"] == ["5", "6", "1.2"]
+    assert rows["workload.seconds.kernel"] == ["0.5", "0.5", "1"]
+    # Only in A, a list, a boolean, a string, the provenance block: no row.
+    for left_out in ("pairs", "candidates", "parity_ok", "workload.dataset",
+                     "provenance.cpu_count", "provenance.pid"):
+        assert left_out not in rows
+    assert f"A git_sha: {'a' * 40}" in lines
+    assert f"B git_sha: {'b' * 40}" in lines
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        (artifact(benchmark="incremental_updates"), "different benchmarks"),
+        (artifact(cpu_count=8), "measured on 2 and 8 CPUs"),
+        ({k: v for k, v in artifact().items() if k != "provenance"}, "no provenance"),
+    ],
+    ids=["other-benchmark", "other-cpu-count", "no-provenance"],
+)
+def test_diff_refuses_artifacts_it_cannot_compare(
+    compare, tmp_path, capsys, second, message
+):
+    argv = ["diff", write(tmp_path, "a.json", artifact()),
+            write(tmp_path, "b.json", second)]
+    with pytest.raises(SystemExit) as exit_info:
+        compare.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -3,6 +3,7 @@
 
 from repro.castor.armg import IndConsistencyEnforcer, castor_armg
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
+from repro.castor.castor import CastorCoverageEngine
 from repro.castor.inclusion_instances import (
     compute_inclusion_instances,
     head_connecting_instances,
@@ -101,8 +102,7 @@ class TestCastorArmg:
     def test_armg_covers_second_example(
         self, decomposed_instance, decomposed_schema, advised_examples
     ):
-        coverage = SubsumptionCoverageEngine(decomposed_instance)
-        coverage.builder = CastorBottomClauseBuilder(
+        coverage = CastorCoverageEngine(
             decomposed_instance, decomposed_schema, CastorBottomClauseConfig(max_depth=2)
         )
         seed_clause = CastorBottomClauseBuilder(

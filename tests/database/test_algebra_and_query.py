@@ -120,12 +120,6 @@ class TestQueryEvaluator:
         assert not evaluator.clause_covers_tuple(clause, ("bob", "dave"))
         assert not evaluator.clause_covers_tuple(clause, ("ann",))
 
-    def test_count_bindings_with_limit(self, family_instance):
-        evaluator = QueryEvaluator(family_instance)
-        clause = parse_clause("p(x, y) :- parent(x, y).")
-        assert evaluator.count_bindings(clause.body) == 4
-        assert evaluator.count_bindings(clause.body, limit=2) == 2
-
     def test_repeated_variable_in_body(self, family_instance):
         clause = parse_clause("selfparent(x) :- parent(x, x).")
         assert evaluate_clause(family_instance, clause) == set()

@@ -98,26 +98,6 @@ class TestEvaluatorParity:
             assert memory_eval.evaluate_clause(clause) == other_eval.evaluate_clause(
                 clause
             ), backend
-            assert memory_eval.count_bindings(clause.body) == other_eval.count_bindings(
-                clause.body
-            ), backend
-            assert memory_eval.count_bindings(
-                clause.body, limit=3
-            ) == other_eval.count_bindings(clause.body, limit=3), backend
-
-    def test_bindings_for_body_same_multiset(self, simple_schema):
-        clause = parse_clause("q(x) :- r1(x, b), r2(x, c).")
-        bindings = {}
-        for backend in BACKENDS:
-            instance = DatabaseInstance(simple_schema, backend=backend)
-            instance.add_tuples("r1", [("a1", "b1"), ("a2", "b2")])
-            instance.add_tuples("r2", [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
-            evaluator = QueryEvaluator(instance)
-            bindings[backend] = sorted(
-                tuple(sorted((v.name, value) for v, value in binding.items()))
-                for binding in evaluator.bindings_for_body(clause.body)
-            )
-        _assert_all_equal(bindings, "for bindings_for_body")
 
     def test_unknown_relation_and_arity_mismatch_are_empty(self):
         from repro.database.schema import RelationSchema, Schema

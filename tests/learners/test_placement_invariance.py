@@ -120,10 +120,14 @@ def test_shared_saturation_store_never_changes_the_definition(
     tiny_schema, tiny_instance, tiny_examples, kind, backend
 ):
     """A learner on its session's shared store, cold and then warm from its
-    own first run, learns what a learner with a private store learns."""
+    own first run, learns what a learner without a store learns on the same
+    backend."""
     config = SessionConfig(backend=backend)
-    private = _learner_kinds()[kind](tiny_schema, context=config)
-    expected = [str(clause) for clause in private.learn(tiny_instance, tiny_examples)]
+    private = _learner_kinds()[kind](tiny_schema)
+    expected = [
+        str(clause)
+        for clause in private.learn(tiny_instance.with_backend(backend), tiny_examples)
+    ]
     assert expected, f"{kind} learned nothing"
     with LearningSession(config) as session:
         learner = session.learner(kind, tiny_schema)
@@ -151,9 +155,7 @@ def test_subsumption_coverage_runs_on_the_callers_thread(
         return covers_example(self, *args, **kwargs)
 
     monkeypatch.setattr(SubsumptionEngine, "covers_example", spy)
-    learner = _learner_kinds()[kind](
-        tiny_schema, context=SessionConfig(backend="memory")
-    )
+    learner = _learner_kinds()[kind](tiny_schema)
     learner.learn(tiny_instance, tiny_examples)
     assert threads, f"{kind} made no subsumption test"
     assert set(threads) == {threading.get_ident()}

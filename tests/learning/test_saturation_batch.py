@@ -224,27 +224,18 @@ def test_shared_store_skips_reconstruction_in_later_engines(uwcse_workload):
     assert second._compiled_ids == first._compiled_ids
 
 
-def test_rebinding_engine_builder_rewires_batched_prepare(uwcse_bundle):
-    """engine.builder = <other builder> must switch the batched prepare()
-    path too — stale caches would serve clauses from the old builder."""
-    instance = uwcse_bundle.instance(uwcse_bundle.variant_names[0])
-    schema = uwcse_bundle.schema(uwcse_bundle.variant_names[0])
-    examples = uwcse_bundle.examples.positives
-    engine = SubsumptionCoverageEngine(instance, BottomClauseConfig(max_depth=3))
-    # Populate caches under the original builder's semantics first; the
-    # rebind must drop them, not serve mixed-builder saturations.
-    engine.prepare(examples)
-    assert engine._saturation_cache
-    castor_builder = CastorBottomClauseBuilder(
-        instance, schema, CastorBottomClauseConfig(max_depth=2)
-    )
-    engine.builder = castor_builder
-    assert not engine._saturation_cache
-    engine.prepare(examples)
-    for example in examples:
-        assert str(engine.saturation(example)) == str(
-            castor_builder.build_ground(example)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_engine_builder_is_fixed_at_construction(uwcse_workload, backend):
+    """Every saturation, decision and store row an engine holds was made by
+    its one builder, so the builder cannot be swapped afterwards."""
+    instance, _examples = uwcse_workload
+    engine = SubsumptionCoverageEngine(instance.with_backend(backend))
+    builder = engine.builder
+    with pytest.raises(AttributeError):
+        engine.builder = BottomClauseBuilder(
+            engine.instance, BottomClauseConfig(max_total_literals=1)
         )
+    assert engine.builder is builder
 
 
 def test_memory_tuples_containing_uses_the_backend_value_index(uwcse_workload):

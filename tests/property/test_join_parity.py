@@ -18,7 +18,6 @@ give every refinement the covered set the oracle gives it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -150,10 +149,6 @@ def _brute_covered(rows, clause, candidates):
     return covered
 
 
-def _multiset(bindings):
-    return Counter(frozenset(binding.items()) for binding in bindings)
-
-
 # --------------------------------------------------------------------- #
 # Properties
 # --------------------------------------------------------------------- #
@@ -163,11 +158,10 @@ def _multiset(bindings):
     clause=clauses(),
     extra=st.lists(st.lists(VALUES, max_size=3).map(tuple), max_size=6),
     initial=st.dictionaries(st.sampled_from(VARIABLES), VALUES, max_size=2),
-    limit=st.integers(1, 4),
     refinements=st.lists(atoms(), min_size=2, max_size=5),
 )
 def test_join_agrees_with_brute_force_and_sqlite(
-    rows, clause, extra, initial, limit, refinements
+    rows, clause, extra, initial, refinements
 ):
     body, head = clause.body, clause.head
     bindings = _brute_bindings(rows, body, {})
@@ -179,7 +173,7 @@ def test_join_agrees_with_brute_force_and_sqlite(
         }
     candidates = list(extra) + sorted(expected_results or (), key=repr)
     expected_covered = _brute_covered(rows, clause, candidates)
-    expected_initial = _multiset(_brute_bindings(rows, body, initial))
+    expected_satisfiable = bool(_brute_bindings(rows, body, initial))
     # The lone clause rides along in its refinements' batch.
     batch = [clause.add_literal(atom) for atom in refinements] + [clause]
     expected_batch = [
@@ -194,16 +188,8 @@ def test_join_agrees_with_brute_force_and_sqlite(
             assert evaluator.clause_covers_tuple(clause, candidate) == (
                 tuple(candidate) in expected_covered
             ), (label, candidate)
-        assert evaluator.count_bindings(body) == len(bindings), label
-        assert evaluator.count_bindings(body, limit=limit) == min(
-            len(bindings), limit
-        ), label
-        assert _multiset(evaluator.bindings_for_body(body)) == _multiset(bindings), label
-        assert _multiset(evaluator.bindings_for_body(body, initial)) == (
-            expected_initial
-        ), label
-        assert evaluator.body_is_satisfiable(body, initial) == bool(
-            expected_initial
+        assert evaluator.body_is_satisfiable(body, initial) == (
+            expected_satisfiable
         ), label
         if expected_results is None:
             with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""LearningSession: uniform learner construction, warm reuse, lifecycle."""
+"""LearningSession: learners built by the session, warm reuse, lifecycle."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ from repro import LearningSession, SessionConfig
 from repro.castor.bottom_clause import CastorBottomClauseConfig
 from repro.castor.castor import CastorLearner, CastorParameters
 from repro.datasets import uwcse
-from repro.experiments.harness import LearnerSpec, run_variant
-from repro.foil.foil import FoilLearner, FoilParameters
+from repro.experiments.harness import LearnerSpec, run_schema_sweep, run_variant
+from repro.foil.foil import FoilParameters
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.coverage import QueryCoverageEngine, SubsumptionCoverageEngine
 from repro.logic.clauses import HornClause
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
-from repro.session.session import SessionLearner
+from repro.session.session import SessionLearner, _learner_kinds
 
 
 @pytest.fixture(scope="module")
@@ -52,46 +52,17 @@ def as_key(result):
 
 
 # --------------------------------------------------------------------- #
-# Uniform context= construction
+# Learners come from the session
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("learner_class", [CastorLearner, FoilLearner, ProGolemLearner])
-def test_every_learner_takes_context(learner_class, tiny_bundle):
-    """The backend reaches every learner; only FOIL has a fan-out to set,
-    and ``parallelism=1`` asks the others for nothing."""
-    parallelism = 3 if learner_class is FoilLearner else 1
-    config = SessionConfig(backend="sqlite-pooled", parallelism=parallelism)
-    learner = learner_class(
-        tiny_bundle.schema(tiny_bundle.variant_names[0]), context=config
-    )
-    assert getattr(learner, "parallelism", 1) == parallelism
-    assert learner.backend == "sqlite-pooled"
-
-
-def test_session_doubles_as_context(tiny_bundle):
-    with LearningSession(SessionConfig(parallelism=2)) as session:
-        learner = FoilLearner(
-            tiny_bundle.schema(tiny_bundle.variant_names[0]), context=session
-        )
-        assert learner.parallelism == 2
-
-
-def test_session_context_pushes_local_backend(tiny_bundle):
-    """context=session must not silently drop the configured backend on a
-    bare constructor — learn() without session.prepare still converts."""
-    with LearningSession(SessionConfig(backend="sqlite-pooled")) as session:
-        learner = ProGolemLearner(
-            tiny_bundle.schema(tiny_bundle.variant_names[0]), context=session
-        )
-        assert learner.backend == "sqlite-pooled"
-
-
 def test_every_registry_kind_constructs(tiny_bundle):
-    """Every advertised kind — including progol/aleph-foil — takes context=."""
+    """Every advertised kind constructs through the session, and no learner
+    holds a backend of its own: the session places the instance."""
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
     with LearningSession(SessionConfig(backend="sqlite-pooled")) as session:
-        for kind in ("castor", "foil", "progolem", "progol", "aleph-foil"):
+        for kind, learner_class in _learner_kinds().items():
             learner = session.learner(kind, schema)
-            assert learner.backend == "sqlite-pooled", kind
+            assert type(learner.wrapped) is learner_class, kind
+            assert not hasattr(learner.wrapped, "backend"), kind
 
 
 def test_registry_kinds_take_parameters(tiny_bundle):
@@ -104,36 +75,35 @@ def test_registry_kinds_take_parameters(tiny_bundle):
     with LearningSession(SessionConfig()) as session:
         learner = session.learner("aleph-foil", schema, params)
         assert learner.parameters is params
-        spec = session._as_spec("aleph-foil", params)
-        assert spec.build(schema).parameters is params
 
 
 def test_repeat_sweeps_stay_warm(tiny_bundle):
     """A second sweep on one session reuses the converted bundle, the
     prepared instances, and the saturation stores (no cache growth)."""
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        session.sweep(
+        run_schema_sweep(
             tiny_bundle, [progolem_spec()],
-            variants=tiny_bundle.variant_names[:1], folds=2,
+            variants=tiny_bundle.variant_names[:1], folds=2, session=session,
         )
         instances_after_first = dict(session._instances)
         stores_after_first = dict(session._stores)
-        session.sweep(
+        run_schema_sweep(
             tiny_bundle, [progolem_spec()],
-            variants=tiny_bundle.variant_names[:1], folds=2,
+            variants=tiny_bundle.variant_names[:1], folds=2, session=session,
         )
         assert session._instances == instances_after_first
         assert session._stores == stores_after_first
 
 
 @pytest.mark.parametrize(
-    "learner_class,parameters_class", [(FoilLearner, FoilParameters)], ids=["foil"]
+    "kind,parameters_class", [("foil", FoilParameters)], ids=["foil"]
 )
 def test_learn_scores_at_the_learner_parallelism(
-    learner_class, parameters_class, tiny_bundle, monkeypatch
+    kind, parameters_class, tiny_bundle, monkeypatch
 ):
-    """learn() hands the learner's own parallelism to the query engine its
-    clause learner scores candidates with (FOIL's one fan-out)."""
+    """learn() through the session hands the session's parallelism to the
+    query engine its clause learner scores candidates with (FOIL's one
+    fan-out)."""
     widths = []
     build = QueryCoverageEngine.__init__
 
@@ -145,12 +115,12 @@ def test_learn_scores_at_the_learner_parallelism(
     variant = tiny_bundle.variant_names[0]
     # A zero deadline stops the covering loop before its first clause: the
     # engine is built by then, and the test stays fast.
-    learner = learner_class(
-        tiny_bundle.schema(variant),
-        parameters_class(max_seconds=0.0),
-        context=SessionConfig(backend="sqlite-pooled", parallelism=3),
-    )
-    learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
+    config = SessionConfig(backend="sqlite-pooled", parallelism=3)
+    with LearningSession(config) as session:
+        learner = session.learner(
+            kind, tiny_bundle.schema(variant), parameters_class(max_seconds=0.0)
+        )
+        learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
     assert widths == [3]
 
 
@@ -213,7 +183,6 @@ def test_session_learner_registry(tiny_bundle):
         learner = session.learner("progolem", schema, progolem_parameters())
         assert isinstance(learner, SessionLearner)
         assert isinstance(learner.wrapped, ProGolemLearner)
-        assert learner.backend == "sqlite"
         with pytest.raises(ValueError, match="castor"):
             session.learner("no-such-learner", schema)
 
@@ -228,9 +197,9 @@ def test_an_unknown_kind_lists_the_five_registered_kinds(tiny_bundle):
 
 
 # --------------------------------------------------------------------- #
-# session.run / session.learner parity with the per-run path
+# Warm session runs learn what cold ones do
 # --------------------------------------------------------------------- #
-def test_session_run_matches_legacy_run_variant(tiny_bundle):
+def test_warm_repeat_runs_match_a_cold_run(tiny_bundle):
     """A cold per-call session and a warm shared one learn the same."""
     variant = tiny_bundle.variant_names[0]
     with LearningSession(SessionConfig(backend="sqlite")) as cold:
@@ -238,19 +207,23 @@ def test_session_run_matches_legacy_run_variant(tiny_bundle):
             tiny_bundle, variant, progolem_spec(), folds=2, session=cold
         )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        through_session = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
-        repeat = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
-    assert as_key(through_session) == as_key(per_call)
+        first, repeat = (
+            run_variant(tiny_bundle, variant, progolem_spec(), folds=2, session=session)
+            for _ in range(2)
+        )
+    assert as_key(first) == as_key(per_call)
     assert as_key(repeat) == as_key(per_call)
 
 
 def test_session_learner_learn_matches_direct_learner(tiny_bundle):
+    """A learner run directly on an instance converted by hand learns what
+    the same learner learns through a session on that backend."""
     variant = tiny_bundle.variant_names[0]
     schema = tiny_bundle.schema(variant)
     instance = tiny_bundle.instance(variant)
-    direct = ProGolemLearner(
-        schema, progolem_parameters(), context=SessionConfig(backend="sqlite")
-    ).learn(instance, tiny_bundle.examples)
+    direct = ProGolemLearner(schema, progolem_parameters()).learn(
+        instance.with_backend("sqlite"), tiny_bundle.examples
+    )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         learner = session.learner("progolem", schema, progolem_parameters())
         through_session = learner.learn(instance, tiny_bundle.examples)
@@ -258,15 +231,18 @@ def test_session_learner_learn_matches_direct_learner(tiny_bundle):
 
 
 def test_repeated_runs_share_one_store_and_instance(tiny_bundle):
+    """Repeat harness calls on one session run on one prepared instance
+    and one saturation store."""
     variant = tiny_bundle.variant_names[0]
+    source = tiny_bundle.instance(variant)
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        prepared_first = session.prepare(tiny_bundle.instance(variant))
-        store_first = session.saturation_store_for(prepared_first)
-        session.run(tiny_bundle, variant, progolem_spec(), folds=2)
-        prepared_second = session.prepare(tiny_bundle.instance(variant))
-        store_second = session.saturation_store_for(prepared_second)
-        assert prepared_first is prepared_second
-        assert store_first is store_second
+        run_variant(tiny_bundle, variant, progolem_spec(), folds=2, session=session)
+        prepared_first = session.prepare(source)
+        stores_first = dict(session._stores)
+        run_variant(tiny_bundle, variant, progolem_spec(), folds=2, session=session)
+        assert session.prepare(source) is prepared_first
+        assert len(stores_first) == 1
+        assert session._stores == stores_first
 
 
 def test_castor_runs_leave_parameters_and_store_key_unchanged(tiny_bundle):
@@ -284,35 +260,15 @@ def test_castor_runs_leave_parameters_and_store_key_unchanged(tiny_bundle):
         ),
     )
     learner = CastorLearner(tiny_bundle.schema(variant), parameters)
+    spec = LearnerSpec("Castor", lambda schema: learner)
     key = LearningSession._learner_fingerprint(learner)
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        session.run(tiny_bundle, variant, learner, folds=1)
+        run_variant(tiny_bundle, variant, spec, folds=1, session=session)
         assert LearningSession._learner_fingerprint(learner) == key
         assert len(session._stores) == 1
-        session.run(tiny_bundle, variant, learner, folds=1)
+        run_variant(tiny_bundle, variant, spec, folds=1, session=session)
         assert LearningSession._learner_fingerprint(learner) == key
         assert len(session._stores) == 1
-
-
-def test_constructed_learner_follows_the_variant_schema(tiny_bundle):
-    """A pre-built learner passed to sweep/check is rebound to each
-    variant's schema instead of silently learning with the wrong one."""
-    variants = tiny_bundle.variant_names[:2]
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
-        by_factory = session.sweep(
-            tiny_bundle, [progolem_spec()], variants=variants, folds=2
-        )
-    constructed = ProGolemLearner(
-        tiny_bundle.schema(variants[0]), progolem_parameters()
-    )
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
-        by_object = session.sweep(
-            tiny_bundle, [constructed], variants=variants, folds=2
-        )
-        # Other variants learn on a per-variant clone; the caller's object
-        # is never left mutated.
-        assert constructed.schema is tiny_bundle.schema(variants[0])
-    assert [as_key(r) for r in by_object] == [as_key(r) for r in by_factory]
 
 
 def test_stores_are_keyed_per_saturation_config(tiny_bundle):
@@ -370,9 +326,9 @@ def test_multi_spec_sweep_matches_per_run_path(tiny_bundle):
                 run_variant(tiny_bundle, variant, spec, folds=2, session=session)
             )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
-        swept = session.sweep(
+        swept = run_schema_sweep(
             tiny_bundle, [progolem_spec(), deep_spec],
-            variants=[variant], folds=2,
+            variants=[variant], folds=2, session=session,
         )
     assert [as_key(r) for r in swept] == [as_key(r) for r in isolated]
 

@@ -1,5 +1,6 @@
 """SessionConfig validation: incoherent combos are rejected with actionable
-messages, and apply() is the single warn-once normalization path."""
+messages; ``LearningSession.bind`` is the one way the settings reach a
+learner, and warns once about a fan-out a learner cannot use."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from repro.castor.stored_procedures import (
     StoredProcedureRunner,
     compare_stored_procedure_modes,
 )
-from repro.database import RelationSchema, Schema, backend_names
+from repro.database import DatabaseInstance, RelationSchema, Schema, backend_names
 from repro.database import backend as backend_module
+from repro.database.sqlite_backend import SaturationStore
 from repro.foil.foil import FoilLearner
 from repro.learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from repro.progolem.armg import armg, find_blocking_atom
@@ -72,7 +74,7 @@ def test_out_of_range_counts():
 
 
 # --------------------------------------------------------------------- #
-# apply(): the single normalization path
+# bind(): the one way settings reach a learner
 # --------------------------------------------------------------------- #
 class ConfigKnoblessLearner:
     pass
@@ -82,40 +84,46 @@ class OtherKnoblessLearner:
     pass
 
 
-def test_apply_sets_knobs_the_learner_exposes():
+def bind(config: SessionConfig, learner):
+    """``learner`` bound by a session with ``config`` to a prepared instance."""
+    with LearningSession(config) as session:
+        return session.bind(learner, session.prepare(DatabaseInstance(schema())))
+
+
+def test_bind_sets_the_knobs_a_learner_exposes():
     learner = FoilLearner(schema())
     config = SessionConfig(backend="sqlite-pooled", parallelism=5)
-    assert config.apply(learner) is learner
+    assert bind(config, learner) is learner
     assert learner.parallelism == 5
-    assert learner.backend == "sqlite-pooled"
 
 
-def test_apply_warns_once_on_learners_without_the_knob():
+def test_bind_warns_once_on_learners_without_the_knob(fresh_warnings):
     with pytest.warns(RuntimeWarning, match="ConfigKnoblessLearner.*parallelism=3"):
-        SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
+        bind(SessionConfig(parallelism=3), ConfigKnoblessLearner())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # Same situation again: silent (already reported).
-        SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
+        bind(SessionConfig(parallelism=3), ConfigKnoblessLearner())
         # An unset knob is never a warning, and neither is no fan-out.
-        SessionConfig().apply(ConfigKnoblessLearner())
-        SessionConfig(parallelism=1).apply(OtherKnoblessLearner())
+        bind(SessionConfig(), ConfigKnoblessLearner())
+        bind(SessionConfig(parallelism=1), OtherKnoblessLearner())
     # A different situation still warns.
     with pytest.warns(RuntimeWarning, match="OtherKnoblessLearner"):
-        SessionConfig(parallelism=3).apply(OtherKnoblessLearner())
+        bind(SessionConfig(parallelism=3), OtherKnoblessLearner())
 
 
-def test_apply_hands_out_the_saturation_store():
-    from repro.database.sqlite_backend import SaturationStore
-
-    learner = ProGolemLearner(schema())
-    store = SaturationStore()
-    SessionConfig().apply(learner, saturation_store=store)
-    assert learner.saturation_store is store
+def test_bind_hands_out_the_shared_saturation_store():
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
+        instance = session.prepare(DatabaseInstance(schema()))
+        learner = session.bind(ProGolemLearner(schema()), instance)
+        assert isinstance(learner.saturation_store, SaturationStore)
+        assert learner.saturation_store is session.saturation_store_for(
+            instance, learner
+        )
 
 
 # --------------------------------------------------------------------- #
-# apply() on every registered learner kind
+# bind() on every registered learner kind
 # --------------------------------------------------------------------- #
 KINDS = ("castor", "foil", "progolem", "progol", "aleph-foil")
 
@@ -131,52 +139,35 @@ def fresh_warnings(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_apply_pushes_placement_onto_every_kind(kind, fresh_warnings):
-    """Every kind takes the backend; FOIL alone has a fan-out (the
-    subsumption kinds run coverage on the caller's thread), and
-    ``parallelism=1`` is silent on the kinds without one."""
+def test_bind_gives_every_kind_its_settings(kind, fresh_warnings):
+    """FOIL alone has a fan-out (the subsumption kinds run coverage on the
+    caller's thread) and alone has no store; ``parallelism=1`` is silent
+    on the kinds without a fan-out."""
     learner = make_learner(kind)
     assert hasattr(learner, "parallelism") == (kind == "foil")
+    assert hasattr(learner, "saturation_store") == (kind != "foil")
     parallelism = 3 if kind == "foil" else 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        SessionConfig(backend="sqlite-pooled", parallelism=parallelism).apply(learner)
-    assert learner.backend == "sqlite-pooled"
+        bind(SessionConfig(backend="sqlite-pooled", parallelism=parallelism), learner)
     assert getattr(learner, "parallelism", 1) == parallelism
+    if kind != "foil":
+        assert isinstance(learner.saturation_store, SaturationStore)
 
 
-#: ``setting -> (first config, second config)`` two sessions are given.
-SHARED_SETTINGS = {
-    "parallelism": (
+def test_sessions_sharing_parameters_keep_their_own_parallelism():
+    """Regression: two sessions handed one Parameters object used to
+    overwrite each other's parallelism through it.  The setting lives on
+    each learner, and the caller's object is never written."""
+    params = type(make_learner("foil").parameters)()
+    before = dict(vars(params))
+    configs = (
         SessionConfig(backend="sqlite-pooled", parallelism=4),
         SessionConfig(parallelism=1),
-    ),
-    "backend": (
-        SessionConfig(backend="sqlite-pooled"),
-        SessionConfig(backend="memory"),
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "setting,kind",
-    [("parallelism", "foil"), *(("backend", kind) for kind in KINDS)],
-)
-def test_sessions_sharing_parameters_keep_their_own_settings(setting, kind):
-    """Regression: two sessions handed one Parameters object used to
-    overwrite each other's parallelism through it.  Each setting now lives
-    on each learner, and the caller's object is never written."""
-    params = type(make_learner(kind).parameters)()
-    before = dict(vars(params))
-    configs = SHARED_SETTINGS[setting]
-    with LearningSession(configs[0]) as first, LearningSession(configs[1]) as second:
-        learners = [
-            session.learner(kind, schema(), params) for session in (first, second)
-        ]
-        assert [getattr(learner, setting) for learner in learners] == [
-            getattr(config, setting) for config in configs
-        ]
-        assert all(learner.parameters is params for learner in learners)
+    )
+    learners = [bind(config, FoilLearner(schema(), params)) for config in configs]
+    assert [learner.parallelism for learner in learners] == [4, 1]
+    assert all(learner.parameters is params for learner in learners)
     assert vars(params) == before
 
 
@@ -205,12 +196,13 @@ def test_coverage_paths_take_no_fan_out_keyword(entry):
 
 
 def test_context_and_session_are_the_only_evaluation_keywords():
-    """Learners take evaluation settings through ``context=``; harness entry
-    points through ``session=``."""
-    learning = {"schema", "parameters", "clause_length"}
+    """Learner constructors take no evaluation setting at all (a session
+    binds them); harness entry points take them only through ``session=``."""
     for kind, learner_class in _learner_kinds().items():
-        keywords = set(inspect.signature(learner_class).parameters) - learning
-        assert keywords == {"context"}, kind
+        expected = {"schema", "parameters"}
+        if kind == "aleph-foil":
+            expected.add("clause_length")
+        assert set(inspect.signature(learner_class).parameters) == expected, kind
     for entry in (
         harness.run_variant,
         harness.run_schema_sweep,
@@ -219,3 +211,5 @@ def test_context_and_session_are_the_only_evaluation_keywords():
         keywords = set(inspect.signature(entry).parameters)
         assert "session" in keywords
         assert not keywords & {"backend", "parallelism", "saturation_store"}
+    for entry in (StoredProcedureRunner, compare_stored_procedure_modes):
+        assert "backend" not in inspect.signature(entry).parameters
