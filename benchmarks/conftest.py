@@ -1,7 +1,8 @@
 """Shared benchmark configuration.
 
 Every benchmark regenerates one table or figure of the paper at reduced
-scale (see DESIGN.md for the scale substitutions).  ``pytest-benchmark`` is
+scale: the dataset configurations below stand in for the paper's datasets
+(docs/experiments.md lists the drivers and their results).  ``pytest-benchmark`` is
 used in pedantic mode with a single round so that a full
 ``pytest benchmarks/ --benchmark-only`` sweep stays laptop-friendly; crank
 the dataset configs and fold counts up for a longer, closer-to-paper run.

@@ -78,8 +78,6 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         config: Optional[CastorBottomClauseConfig] = None,
         use_compiled_lookups: Optional[bool] = None,
     ):
-        # The working schema must be bound before the base constructor runs
-        # theory-constant inference (which consults its FDs/INDs).
         self.schema = schema or instance.schema
         super().__init__(
             instance,
@@ -93,9 +91,6 @@ class CastorBottomClauseBuilder(BottomClauseBuilder):
         self._chase_plan: Dict[str, List[ChaseStep]] = {}
         self._prepare_inclusion_metadata()
         self._evictions = self._join_evictions()
-
-    def _theory_schema(self) -> Schema:
-        return self.schema
 
     # ------------------------------------------------------------------ #
     # Metadata preparation (the "stored procedure" compilation step)

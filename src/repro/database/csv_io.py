@@ -23,7 +23,8 @@ _SCHEMA_FILE = "_schema.json"
 
 
 def save_instance(instance: DatabaseInstance, directory: PathLike) -> None:
-    """Write one CSV per relation plus a ``_schema.json`` with constraints."""
+    """Write one CSV per relation plus a ``_schema.json`` with the
+    constraints and the declared constant attributes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for relation in instance.relations():
@@ -53,6 +54,7 @@ def save_instance(instance: DatabaseInstance, directory: PathLike) -> None:
             }
             for ind in instance.schema.inclusion_dependencies
         ],
+        "constant_attributes": sorted(instance.schema.constant_attributes),
     }
     (directory / _SCHEMA_FILE).write_text(json.dumps(metadata, indent=2))
 
@@ -79,7 +81,13 @@ def load_schema(directory: PathLike) -> Schema:
         )
         for entry in metadata.get("inclusion_dependencies", [])
     ]
-    return Schema(relations, fds, inds, name=metadata.get("name", "schema"))
+    return Schema(
+        relations,
+        fds,
+        inds,
+        name=metadata.get("name", "schema"),
+        constant_attributes=metadata.get("constant_attributes", ()),
+    )
 
 
 def load_instance(directory: PathLike) -> DatabaseInstance:

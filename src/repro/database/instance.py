@@ -287,6 +287,25 @@ class DatabaseInstance:
             return self.backend.neighbors_of_batch(values)
         return {value: self.tuples_containing(value) for value in values}
 
+    def constant_values(self) -> Dict[Tuple[str, int], List[object]]:
+        """The language bias on this data: the sorted values stored in each
+        column of a declared constant attribute
+        (:attr:`Schema.constant_attributes`), keyed by ``(relation,
+        position)``.
+
+        Bottom-clause builders keep these values as constants; FOIL's
+        refinement operator offers them as candidate arguments.
+        """
+        declared = self.schema.constant_attributes
+        return {
+            (relation.name, position): sorted(
+                self.relation(relation.name).distinct_values(attribute), key=str
+            )
+            for relation in self.schema.relations
+            for position, attribute in enumerate(relation.attributes)
+            if attribute in declared
+        }
+
     # ------------------------------------------------------------------ #
     # Constraint checking
     # ------------------------------------------------------------------ #

@@ -5,11 +5,17 @@ A :class:`RelationSchema` is a relation symbol with an ordered attribute list
 relation schemas and constraints (functional and inclusion dependencies).
 The schema object also knows how to compute its inclusion classes, which is
 the metadata Castor consumes.
+
+Beside its constraints a schema carries the learners' language bias: the
+names of the attributes whose values stay constants in clauses (Aleph's
+``#`` modes).  The bias is declared by attribute name because composition
+and decomposition keep attribute names, so one declaration holds unchanged
+on every schema variant of a dataset.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .constraints import (
     FunctionalDependency,
@@ -78,7 +84,10 @@ class Schema:
 
     * relation lookup by name (used by bottom-clause construction);
     * the INDs involving each relation (used by Castor);
-    * inclusion classes (Definition 7.1), computed lazily and cached.
+    * inclusion classes (Definition 7.1), computed lazily and cached;
+    * ``constant_attributes``, the attributes whose values stay constants
+      in clauses (read through
+      :meth:`~repro.database.instance.DatabaseInstance.constant_values`).
     """
 
     def __init__(
@@ -87,6 +96,7 @@ class Schema:
         functional_dependencies: Iterable[FunctionalDependency] = (),
         inclusion_dependencies: Iterable[InclusionDependency] = (),
         name: str = "schema",
+        constant_attributes: Iterable[str] = (),
     ):
         self.name = str(name)
         self._relations: Dict[str, RelationSchema] = {}
@@ -99,6 +109,9 @@ class Schema:
         )
         self.inclusion_dependencies: List[InclusionDependency] = list(
             inclusion_dependencies
+        )
+        self.constant_attributes: FrozenSet[str] = frozenset(
+            str(a) for a in constant_attributes
         )
         self._validate_constraints()
         self._inclusion_classes_cache: Dict[bool, List[InclusionClass]] = {}
@@ -143,6 +156,13 @@ class Schema:
             left, right = self.relation(ind.left), self.relation(ind.right)
             left.positions_of(ind.left_attrs)
             right.positions_of(ind.right_attrs)
+        attributes = {a for relation in self.relations for a in relation.attributes}
+        unknown = self.constant_attributes - attributes
+        if unknown:
+            raise ValueError(
+                f"constant attributes {sorted(unknown)} are in no relation of "
+                f"schema {self.name!r}"
+            )
 
     def inds_involving(self, relation: str) -> List[InclusionDependency]:
         """All INDs mentioning ``relation`` on either side."""
@@ -182,7 +202,8 @@ class Schema:
         inclusion_dependencies: Optional[Iterable[InclusionDependency]] = None,
         name: Optional[str] = None,
     ) -> "Schema":
-        """Return a copy of this schema with different constraint sets."""
+        """Return a copy of this schema with different constraint sets and
+        the same constant attributes."""
         return Schema(
             self.relations,
             functional_dependencies
@@ -192,6 +213,7 @@ class Schema:
             if inclusion_dependencies is not None
             else self.inclusion_dependencies,
             name=name or self.name,
+            constant_attributes=self.constant_attributes,
         )
 
     def with_subset_inds_only(self, name: Optional[str] = None) -> "Schema":
@@ -211,6 +233,7 @@ class Schema:
             set(self.relations) == set(other.relations)
             and set(self.functional_dependencies) == set(other.functional_dependencies)
             and set(self.inclusion_dependencies) == set(other.inclusion_dependencies)
+            and self.constant_attributes == other.constant_attributes
         )
 
     def __repr__(self) -> str:
@@ -225,4 +248,6 @@ class Schema:
         if self.inclusion_dependencies:
             lines.append("  INDs:")
             lines.extend(f"    {ind}" for ind in self.inclusion_dependencies)
+        if self.constant_attributes:
+            lines.append(f"  constants: {', '.join(sorted(self.constant_attributes))}")
         return "\n".join(lines)

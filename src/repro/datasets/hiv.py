@@ -4,10 +4,12 @@ The real dataset (NCI AIDS antiviral screen) describes ~42K chemical
 compounds as atoms, elements, atom properties, and typed bonds; the target is
 ``hivActive(comp)``.  This module generates synthetic molecules with the same
 relational structure and constraints (the INDs of Table 4) and labels
-activity with a hidden structural rule (an electron-donor atom bonded to an
-oxygen atom through a high-order bond), so that a correct definition exists
-and requires joining through the bond relations — the structural property
-that makes the 4NF-2 schema hard for top-down learners in the paper.
+activity with a hidden structural rule (a nitrogen atom with property
+``p2_1`` bonded, in either direction, to an oxygen atom), so that a correct
+definition exists and requires joining through the bond relations — the
+structural property that makes the 4NF-2 schema hard for top-down learners
+in the paper.  Bond types are drawn at random and play no part in the rule,
+so the schema declares no constant attributes: every value is variablized.
 
 Schema variants (derived from the *Initial* schema):
 
@@ -17,9 +19,10 @@ Schema variants (derived from the *Initial* schema):
 * ``4nf2``    — bonds decomposed into bondSource(bd,atm1) / bondTarget(bd,atm2).
 
 Scale: the paper's HIV-Large has 14M tuples; the generator defaults to a
-laptop-scale molecule count and exposes the count as a knob.  The harness
-uses two presets, ``hiv_small`` (the HIV-2K4K stand-in) and ``hiv_large`` (a
-larger sweep), documented in EXPERIMENTS.md.
+laptop-scale molecule count and exposes the count as a knob.
+:func:`load_small` is the HIV-2K4K stand-in.  The Table 9 driver's HIV and
+HIV-Large configurations are in ``benchmarks/conftest.py``, and
+docs/experiments.md describes the drivers and their results.
 """
 
 from __future__ import annotations
@@ -256,13 +259,4 @@ def load_small(seed: int = 0, backend: str = "memory") -> DatasetBundle:
     """The HIV-2K4K stand-in: a smaller molecule set for fast experiments."""
     return load(
         HivConfig(num_compounds=60, min_atoms=3, max_atoms=6), seed=seed, backend=backend
-    )
-
-
-def load_large(seed: int = 0, backend: str = "memory") -> DatasetBundle:
-    """The HIV-Large stand-in: more compounds and larger molecules."""
-    return load(
-        HivConfig(num_compounds=240, min_atoms=5, max_atoms=10),
-        seed=seed,
-        backend=backend,
     )

@@ -37,6 +37,9 @@ TARGET = "dramaDirector"
 
 GENRES = ("drama", "comedy", "action", "documentary", "horror")
 COLORS = ("color", "black_and_white")
+#: The language bias: only genre names stay constants in clauses, so the
+#: target can say ``drama``; every id and entity name is variablized.
+CONSTANT_ATTRIBUTES = ("genre",)
 
 
 class ImdbConfig:
@@ -111,7 +114,9 @@ def jmdb_schema() -> Schema:
         ),
         InclusionDependency("movies2actor", ["id"], "movie", ["id"]),
     ]
-    return Schema(relations, fds, inds, name="imdb-jmdb")
+    return Schema(
+        relations, fds, inds, name="imdb-jmdb", constant_attributes=CONSTANT_ATTRIBUTES
+    )
 
 
 def schema_variants(schema: Optional[Schema] = None) -> List[SchemaVariant]:

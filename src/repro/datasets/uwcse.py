@@ -37,6 +37,9 @@ PHASES = ("pre_quals", "post_quals", "post_generals")
 POSITIONS = ("faculty", "adjunct", "emeritus")
 LEVELS = ("level_300", "level_400", "level_500")
 TERMS = ("autumn", "winter", "spring")
+#: The language bias: attributes whose values stay constants in clauses,
+#: the small enumerations above plus the years in the program (1-7).
+CONSTANT_ATTRIBUTES = ("phase", "years", "position", "level", "term")
 
 
 class UwCseConfig:
@@ -91,7 +94,13 @@ def original_schema() -> Schema:
         InclusionDependency("ta", ["crs"], "taughtBy", ["crs"], with_equality=True),
         InclusionDependency("ta", ["stud"], "student", ["stud"]),
     ]
-    return Schema(relations, fds, inds, name="uwcse-original")
+    return Schema(
+        relations,
+        fds,
+        inds,
+        name="uwcse-original",
+        constant_attributes=CONSTANT_ATTRIBUTES,
+    )
 
 
 def schema_variants(schema: Optional[Schema] = None) -> List[SchemaVariant]:

@@ -3,8 +3,9 @@
 FOIL's specialization operator adds one new literal to the clause body.  A
 candidate literal for relation ``R(A1..Ak)`` assigns each argument position
 either an existing clause variable or a fresh variable, with at least one
-existing variable so the clause stays linked; optionally, small-domain
-columns may also be specialized to constants (this is how FOIL learns
+existing variable so the clause stays linked; a column of a declared
+constant attribute (:attr:`~repro.database.schema.Schema.constant_attributes`)
+may also be specialized to one of its stored values (this is how FOIL learns
 literals like ``yearsInProgram(x, 7)`` in Example 1.1).
 
 The number of such literals grows combinatorially with relation arity and
@@ -33,15 +34,9 @@ class RefinementConfig:
         self,
         max_new_variables_per_literal: int = 2,
         max_candidates_per_relation: int = 300,
-        constant_domain_threshold: int = 12,
-        max_constants_per_column: int = 8,
-        allow_constants: bool = True,
     ):
         self.max_new_variables_per_literal = max_new_variables_per_literal
         self.max_candidates_per_relation = max_candidates_per_relation
-        self.constant_domain_threshold = constant_domain_threshold
-        self.max_constants_per_column = max_constants_per_column
-        self.allow_constants = allow_constants
 
 
 class RefinementOperator:
@@ -54,34 +49,10 @@ class RefinementOperator:
         config: Optional[RefinementConfig] = None,
     ):
         self.schema = schema
-        self.instance = instance
         self.config = config or RefinementConfig()
-        self._constant_pool: Dict[Tuple[str, int], List[object]] = {}
-        if instance is not None and self.config.allow_constants:
-            self._build_constant_pool(instance)
-
-    def _build_constant_pool(self, instance: DatabaseInstance) -> None:
-        """Collect constants for small-domain, non-key columns.
-
-        A column qualifies when it has few distinct values in absolute terms
-        *and* relative to the relation size — columns that look like keys or
-        identifiers (one distinct value per row or close to it) would only
-        produce overfitted single-example literals.
-        """
-        for relation in self.schema.relations:
-            try:
-                stored = instance.relation(relation.name)
-            except KeyError:
-                continue
-            row_count = len(stored)
-            for position, attribute in enumerate(relation.attributes):
-                values = stored.distinct_values(attribute)
-                if not values or len(values) > self.config.constant_domain_threshold:
-                    continue
-                if row_count and len(values) > row_count / 2:
-                    continue
-                ordered = sorted(values, key=str)[: self.config.max_constants_per_column]
-                self._constant_pool[(relation.name, position)] = ordered
+        self._constant_pool: Dict[Tuple[str, int], List[object]] = (
+            instance.constant_values() if instance is not None else {}
+        )
 
     # ------------------------------------------------------------------ #
     # Candidate generation
@@ -103,7 +74,7 @@ class RefinementOperator:
         fresh_names = [Variable(f"n{i}") for i in range(arity)]
 
         # Each position gets: an existing variable, a fresh variable, or (for
-        # small-domain columns) a constant.  Enumerate with a cap.
+        # declared constant columns) a constant.  Enumerate with a cap.
         position_choices: List[List[Term]] = []
         for position in range(arity):
             choices: List[Term] = list(existing)

@@ -59,71 +59,11 @@ class BottomClauseConfig:
         max_distinct_variables: Optional[int] = None,
         max_literals_per_relation_per_tuple: int = 5,
         max_total_literals: int = 100,
-        theory_constant_threshold: int = 12,
     ):
         self.max_depth = max_depth
         self.max_distinct_variables = max_distinct_variables
         self.max_literals_per_relation_per_tuple = max_literals_per_relation_per_tuple
         self.max_total_literals = max_total_literals
-        self.theory_constant_threshold = theory_constant_threshold
-
-
-def compute_theory_constants(
-    instance: DatabaseInstance, threshold: int, schema=None
-) -> Set[object]:
-    """Values of small-domain, non-key columns, kept as constants in clauses.
-
-    Classic ILP systems declare such values with ``#``-mode declarations
-    (``drama``, ``post_generals``, ``7``).  Without mode declarations the
-    builders infer them from the data.  A column qualifies when:
-
-    * it has at most ``threshold`` distinct values,
-    * it is not key-like (more than half of the rows carrying distinct values),
-    * and its attribute does not participate in any inclusion dependency —
-      IND columns are identifiers used for joins, and turning identifiers into
-      constants would pin clauses to individual entities.
-
-    Values of qualifying columns stay constants during variablization, so
-    learned clauses can express literals like ``genre(g, drama)`` or
-    ``student(x, post_generals, 5)``.
-    """
-    if threshold <= 0:
-        return set()
-    schema = schema if schema is not None else instance.schema
-    join_attributes: Set[Tuple[str, str]] = set()
-    for ind in getattr(schema, "inclusion_dependencies", []):
-        for attribute in ind.left_attrs:
-            join_attributes.add((ind.left, attribute))
-        for attribute in ind.right_attrs:
-            join_attributes.add((ind.right, attribute))
-    fd_lhs_attributes: Set[Tuple[str, str]] = set()
-    fd_rhs_attributes: Set[Tuple[str, str]] = set()
-    for fd in getattr(schema, "functional_dependencies", []):
-        for attribute in fd.lhs:
-            fd_lhs_attributes.add((fd.relation, attribute))
-        for attribute in fd.rhs:
-            fd_rhs_attributes.add((fd.relation, attribute))
-
-    theory_constants: Set[object] = set()
-    for relation in instance.relations():
-        row_count = len(relation)
-        if row_count == 0:
-            continue
-        for attribute in relation.schema.attributes:
-            key = (relation.schema.name, attribute)
-            # Join and key attributes are identifiers, never theory constants.
-            if key in join_attributes or key in fd_lhs_attributes:
-                continue
-            values = relation.distinct_values(attribute)
-            if not values or len(values) > threshold:
-                continue
-            # Near-unique columns are identifier-like unless the schema says
-            # they are dependent attributes (FD right-hand sides) — the latter
-            # covers small lookup tables such as genre(genreid, genre).
-            if len(values) > row_count / 2 and key not in fd_rhs_attributes:
-                continue
-            theory_constants.update(values)
-    return theory_constants
 
 
 class _ConstructionState:
@@ -207,18 +147,13 @@ class BottomClauseBuilder:
                 instance.backend, "supports_saturation_queries", False
             )
         self.use_compiled_lookups = bool(use_compiled_lookups)
-        self.theory_constants = compute_theory_constants(
-            instance,
-            getattr(self.config, "theory_constant_threshold", 12),
-            self._theory_schema(),
-        )
+        # Values stored under a declared constant attribute stay constants
+        # in variablized clauses.
+        self.constants: Set[object] = {
+            value for values in instance.constant_values().values() for value in values
+        }
         self._reset_caches()
         self._token = instance.data_token()
-
-    def _theory_schema(self):
-        """Schema handed to theory-constant inference (Castor passes its
-        working schema; the standard builder uses the instance's)."""
-        return None
 
     # ------------------------------------------------------------------ #
     # Builder-lifetime caches
@@ -308,9 +243,9 @@ class BottomClauseBuilder:
     # ------------------------------------------------------------------ #
     def _term_for(self, state: _ConstructionState, value: object) -> Term:
         # Example values are always variablized so the clause generalizes
-        # over the target's arguments; other theory constants stay ground.
+        # over the target's arguments; other declared constants stay ground.
         if not state.variablize or (
-            value in self.theory_constants and value not in state.example_values
+            value in self.constants and value not in state.example_values
         ):
             return Constant(value)
         existing = state.variable_of.get(value)

@@ -12,9 +12,6 @@ from .equivalence import (
     clauses_are_variants,
     definition_results,
     definitions_are_variants,
-    definitions_equivalent_across,
-    definitions_equivalent_on,
-    schema_independence_witness,
 )
 from .transformation import SchemaTransformation, identity_transformation
 
@@ -29,8 +26,5 @@ __all__ = [
     "decompose_rows",
     "definition_results",
     "definitions_are_variants",
-    "definitions_equivalent_across",
-    "definitions_equivalent_on",
     "identity_transformation",
-    "schema_independence_witness",
 ]

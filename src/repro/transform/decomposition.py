@@ -4,7 +4,9 @@ A *decomposition* replaces one relation ``R`` with relations ``S1..Sn`` whose
 attribute sets cover ``sort(R)``; the transformed schema gains INDs with
 equality between the parts over their shared attributes (Definition 4.1) and
 the instance transformation is projection.  A *composition* is the inverse:
-the listed relations are replaced by their natural join.
+the listed relations are replaced by their natural join.  Neither renames an
+attribute, so the schema's declared constant attributes carry over as they
+are.
 
 Both operations are represented as small declarative objects so that a
 :class:`repro.transform.transformation.SchemaTransformation` can apply them
@@ -216,7 +218,13 @@ def apply_decompose_to_schema(schema: Schema, operation: DecomposeOperation) -> 
         new_inds.extend(_rewrite_ind_for_decomposition(ind, operation))
     new_inds.extend(operation.generated_inds())
 
-    return Schema(new_relations, new_fds, new_inds, name=f"{schema.name}-decomposed")
+    return Schema(
+        new_relations,
+        new_fds,
+        new_inds,
+        name=f"{schema.name}-decomposed",
+        constant_attributes=schema.constant_attributes,
+    )
 
 
 def _rewrite_ind_for_decomposition(
@@ -283,7 +291,13 @@ def apply_compose_to_schema(schema: Schema, operation: ComposeOperation) -> Sche
             InclusionDependency(left, ind.left_attrs, right, ind.right_attrs, ind.with_equality)
         )
     deduplicated = list(dict.fromkeys(new_inds))
-    return Schema(new_relations, new_fds, deduplicated, name=f"{schema.name}-composed")
+    return Schema(
+        new_relations,
+        new_fds,
+        deduplicated,
+        name=f"{schema.name}-composed",
+        constant_attributes=schema.constant_attributes,
+    )
 
 
 def decompose_rows(

@@ -1,6 +1,8 @@
 """Tests for CSV persistence of database instances."""
 
 from repro.database.csv_io import load_instance, load_schema, relation_counts, save_instance
+from repro.database.instance import DatabaseInstance
+from repro.database.schema import Schema
 
 
 class TestCsvRoundTrip:
@@ -11,6 +13,20 @@ class TestCsvRoundTrip:
         assert len(loaded_schema.functional_dependencies) == 1
         assert len(loaded_schema.inclusion_dependencies) == 1
         assert loaded_schema.inclusion_dependencies[0].with_equality
+
+    def test_constant_attributes_round_trip(self, simple_instance, tmp_path):
+        schema = simple_instance.schema
+        declared = Schema(
+            schema.relations,
+            schema.functional_dependencies,
+            schema.inclusion_dependencies,
+            name=schema.name,
+            constant_attributes=["b", "c"],
+        )
+        save_instance(DatabaseInstance(declared), tmp_path)
+        loaded = load_schema(tmp_path)
+        assert loaded.constant_attributes == {"b", "c"}
+        assert loaded == declared
 
     def test_instance_round_trip(self, simple_instance, tmp_path):
         save_instance(simple_instance, tmp_path)

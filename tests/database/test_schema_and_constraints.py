@@ -148,3 +148,28 @@ class TestSchema:
         assert copy.name == "bare"
         assert copy.inclusion_dependencies == []
         assert len(copy) == len(simple_schema)
+
+
+class TestConstantAttributes:
+    @pytest.fixture
+    def declared(self, simple_schema):
+        return Schema(
+            simple_schema.relations,
+            simple_schema.functional_dependencies,
+            simple_schema.inclusion_dependencies,
+            name="declared",
+            constant_attributes=["b"],
+        )
+
+    def test_copies_keep_the_declaration(self, declared):
+        assert declared.constant_attributes == {"b"}
+        assert declared.with_constraints(inclusion_dependencies=[]).constant_attributes == {"b"}
+        assert declared.with_subset_inds_only().constant_attributes == {"b"}
+
+    def test_declaration_takes_part_in_equality(self, simple_schema, declared):
+        assert declared != simple_schema
+        assert declared == declared.with_constraints(name="renamed")
+
+    def test_unknown_attribute_rejected(self):
+        with pytest.raises(ValueError, match="constant attributes"):
+            Schema([RelationSchema("r", ["a"])], constant_attributes=["b"])

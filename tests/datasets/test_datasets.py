@@ -1,9 +1,34 @@
 """Tests for the synthetic UW-CSE, HIV, and IMDb dataset generators."""
 
 
+import pytest
+
 from repro.database.query import QueryEvaluator
 from repro.datasets import hiv, uwcse
 from repro.logic.parser import parse_clause
+
+
+@pytest.mark.parametrize(
+    "fixture, declared",
+    [
+        ("uwcse_bundle", {"phase", "years", "position", "level", "term"}),
+        ("hiv_bundle", set()),
+        ("imdb_bundle", {"genre"}),
+    ],
+    ids=["uwcse", "hiv", "imdb"],
+)
+def test_language_bias_is_identical_on_every_variant(request, fixture, declared):
+    """One declaration per dataset: every variant declares the same
+    attributes, and so keeps the same stored values as constants."""
+    bundle = request.getfixturevalue(fixture)
+    constants = set()
+    for name in bundle.variant_names:
+        assert bundle.schema(name).constant_attributes == declared, name
+        pool = bundle.instance(name).constant_values()
+        values = {value for column in pool.values() for value in column}
+        assert values == (constants or values), name
+        constants = values
+    assert bool(constants) == bool(declared)
 
 
 class TestUwCse:
@@ -97,7 +122,7 @@ class TestHiv:
         negatives = hiv_bundle.examples.negative_tuples()
         assert not (negatives & derived)
 
-    def test_small_and_large_presets(self):
+    def test_small_preset(self):
         small = hiv.load_small(seed=2)
         assert small.base_instance.total_tuples() > 0
         assert len(small.examples.positives) > 0

@@ -2,7 +2,8 @@
 
 The scenario is a miniature UW-CSE: ``advised(stud, prof)`` holds exactly
 when the student and the professor co-authored a publication and the
-professor is a faculty member.  Every learner should be able to find a
+professor is a faculty member.  ``position`` is the declared constant
+attribute, so clauses can say ``professor(p, faculty)``.  Every learner should be able to find a
 consistent definition on this data within a couple of seconds.
 """
 
@@ -27,7 +28,7 @@ def tiny_schema() -> Schema:
         RelationSchema("publication", ["title", "person"]),
     ]
     fds = [FunctionalDependency("professor", ["prof"], ["position"])]
-    return Schema(relations, fds, [], name="tiny")
+    return Schema(relations, fds, [], name="tiny", constant_attributes=["position"])
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.database.instance import DatabaseInstance
+from repro.database.schema import Schema
 from repro.foil.foil import FoilLearner, FoilParameters
 from repro.foil.gain import coverage_score, foil_gain, information_content, laplace_accuracy, precision
 from repro.foil.refinement import RefinementConfig, RefinementOperator, initial_clause
@@ -61,7 +63,8 @@ class TestRefinementOperator:
             by_predicate[literal.predicate] += 1
         assert all(count <= 5 for count in by_predicate.values())
 
-    def test_constant_candidates_from_small_domains(self, tiny_schema, tiny_instance):
+    def test_constant_candidates_from_declared_attributes(self, tiny_schema, tiny_instance):
+        """The tiny schema declares ``position``: its stored values are candidates."""
         operator = RefinementOperator(tiny_schema, tiny_instance)
         clause = initial_clause("advised", 2)
         constants = {
@@ -71,7 +74,21 @@ class TestRefinementOperator:
             for term in literal.terms
             if term.is_constant()
         }
-        assert "faculty" in constants
+        assert constants == {"faculty", "emeritus"}
+
+    def test_undeclared_small_domain_column_offers_no_constants(
+        self, tiny_schema, tiny_instance
+    ):
+        undeclared = Schema(
+            tiny_schema.relations, tiny_schema.functional_dependencies, name="undeclared"
+        )
+        instance = DatabaseInstance(undeclared)
+        for relation in tiny_instance.relations():
+            instance.add_tuples(relation.schema.name, relation.rows)
+        operator = RefinementOperator(undeclared, instance)
+        candidates = operator.candidate_literals(initial_clause("advised", 2))
+        assert candidates
+        assert not any(term.is_constant() for literal in candidates for term in literal.terms)
 
 
 class TestFoilLearner:

@@ -95,3 +95,33 @@ class TestBottomClause:
         first = builder.build(Example("advisedBy", ("s1", "p1"), True))
         second = builder.build(Example("advisedBy", ("s1", "p1"), True))
         assert first == second
+
+
+class TestDeclaredConstants:
+    """Only values under a declared constant attribute stay constants."""
+
+    @staticmethod
+    def phases(**declaration):
+        schema = Schema(
+            [RelationSchema("inPhase", ["stud", "phase"])], name="phases", **declaration
+        )
+        instance = DatabaseInstance(schema)
+        instance.add_tuples(
+            "inPhase",
+            [("s1", "pre_quals"), ("s2", "pre_quals"), ("s3", "post_quals"), ("s4", "post_quals")],
+        )
+        return instance
+
+    def test_undeclared_small_domain_column_gives_no_constant(self):
+        clause = build_bottom_clause(
+            self.phases(), Example("t", ("s1",), True), BottomClauseConfig(max_depth=1)
+        )
+        assert str(clause) == "t(v0) :- inPhase(v0, v1)."
+
+    def test_declared_column_keeps_its_values(self):
+        clause = build_bottom_clause(
+            self.phases(constant_attributes=["phase"]),
+            Example("t", ("s1",), True),
+            BottomClauseConfig(max_depth=1),
+        )
+        assert str(clause) == "t(v0) :- inPhase(v0, pre_quals)."

@@ -17,11 +17,7 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.database.sqlite_backend import SaturationStore
-from repro.learning.bottom_clause import (
-    BottomClauseBuilder,
-    BottomClauseConfig,
-    compute_theory_constants,
-)
+from repro.learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from repro.learning.coverage import SubsumptionCoverageEngine
 
 BACKENDS = ("memory", "sqlite", "sqlite-pooled")
@@ -119,16 +115,20 @@ def test_castor_builder_parity_across_backends_and_lookup_paths(uwcse_bundle):
                 assert got == reference, (backend, compiled)
 
 
-def test_theory_constants_identical_across_backends(uwcse_workload):
+def test_declared_constants_identical_across_backends(uwcse_workload):
+    """The declared language bias reads the same stored values, and the
+    builders keep the same constants, on every backend."""
     instance, _examples = uwcse_workload
     reference = None
     for backend in BACKENDS:
         converted = instance.with_backend(backend)
-        constants = compute_theory_constants(converted, threshold=12)
+        pool = converted.constant_values()
+        constants = BottomClauseBuilder(converted).constants
+        assert pool and constants == {v for values in pool.values() for v in values}
         if reference is None:
-            reference = constants
+            reference = pool
         else:
-            assert constants == reference, backend
+            assert pool == reference, backend
 
 
 # --------------------------------------------------------------------- #

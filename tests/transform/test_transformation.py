@@ -6,13 +6,13 @@ from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.logic.clauses import HornDefinition
 from repro.logic.parser import parse_clause
-from repro.transform.decomposition import ComposeOperation, DecomposeOperation
-from repro.transform.equivalence import (
-    definition_results,
-    definitions_equivalent_across,
-    definitions_equivalent_on,
-    schema_independence_witness,
+from repro.transform.decomposition import (
+    ComposeOperation,
+    DecomposeOperation,
+    apply_compose_to_schema,
+    apply_decompose_to_schema,
 )
+from repro.transform.equivalence import definition_results
 from repro.transform.transformation import SchemaTransformation, identity_transformation
 
 
@@ -116,37 +116,31 @@ class TestDefinitionMapping:
         assert predicates == {"l", "r", "other"}
 
 
+class TestConstantAttributes:
+    def test_every_schema_producing_path_keeps_the_declaration(self):
+        schema = Schema(
+            [RelationSchema("wide", ["a", "b", "c"])],
+            name="composed",
+            constant_attributes=["c"],
+        )
+        decompose = DecomposeOperation("wide", [("left", ["a", "b"]), ("right", ["a", "c"])])
+        decomposed = apply_decompose_to_schema(schema, decompose)
+        composed = apply_compose_to_schema(
+            decomposed, ComposeOperation(["left", "right"], "wide", ["a", "b", "c"])
+        )
+        transformation = SchemaTransformation(schema, [decompose], target_name="split")
+        inverse = transformation.invert()
+        for produced in (
+            decomposed,
+            composed,
+            transformation.target_schema,
+            inverse.target_schema,
+        ):
+            assert produced.constant_attributes == {"c"}, produced.name
+        assert inverse.target_schema == schema
+
+
 class TestEquivalenceHelpers:
-    def test_definitions_equivalent_on_same_instance(self, composed_instance):
-        first = HornDefinition("t", [parse_clause("t(x) :- wide(x, y, z).")])
-        second = HornDefinition("t", [parse_clause("t(x) :- wide(x, q, w).")])
-        assert definitions_equivalent_on(first, second, composed_instance)
-
-    def test_definitions_not_equivalent(self, composed_instance):
-        first = HornDefinition("t", [parse_clause("t(x) :- wide(x, y, z).")])
-        second = HornDefinition("t", [parse_clause("t(y) :- wide(x, y, z).")])
-        assert not definitions_equivalent_on(first, second, composed_instance)
-
-    def test_definitions_equivalent_across_transformation(
-        self, composed_instance, wide_decomposition
-    ):
-        source = HornDefinition("t", [parse_clause("t(x) :- wide(x, y, z).")])
-        target = wide_decomposition.map_definition(source)
-        assert definitions_equivalent_across(
-            source, target, composed_instance, wide_decomposition
-        )
-
-    def test_schema_independence_witness_reports_difference(
-        self, composed_instance, wide_decomposition
-    ):
-        source = HornDefinition("t", [parse_clause("t(x) :- wide(x, y, z).")])
-        bad_target = HornDefinition("t", [parse_clause("t(y) :- left(x, y).")])
-        report = schema_independence_witness(
-            source, bad_target, composed_instance, wide_decomposition
-        )
-        assert not report["equivalent"]
-        assert report["symmetric_difference"] > 0
-
     def test_unsafe_clauses_are_skipped_in_results(self, composed_instance):
         definition = HornDefinition("t", [parse_clause("t(x, q) :- wide(x, y, z).")])
         assert definition_results(definition, composed_instance) == set()
